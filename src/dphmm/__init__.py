@@ -16,7 +16,6 @@ from .hmm import (HmmParams, SmoothingTable, StationaryLaw, TransitionMatrix,
                   forgetting_bound, log_likelihood_forward, marginal_density,
                   simulate, smoothing_exact, smoothing_windowed,
                   stationary_distribution)
-from .kernels import BACKEND
 from .metrics import (AlignmentResult, align_labels, block_l1_distance,
                       block_l1_upper_bound, kl_rate_bound, kl_rate_exact,
                       relabel, weak_functional_gap)

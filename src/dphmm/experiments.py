@@ -20,18 +20,18 @@ process draws.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm as _normal
 
-from .emissions import DiscreteEmission
 from .errors import ConfigError, StarvationError
 from .gibbs import GibbsConfig, run_chain
-from .hmm import HmmParams, SmoothingTable, simulate, smoothing_exact, stationary_distribution
+from .hmm import (HmmParams, SmoothingTable, TransitionMatrix, simulate, smoothing_exact,
+                  stationary_distribution)
 from .metrics import (align_labels, block_l1_distance, emission_log_ratio_term,
-                      kl_rate_bound, kl_rate_exact, matrix_gap)
+                      kl_rate_bound, kl_rate_exact)
 from .priors import DiscreteDpSpec, TruncatedDirichletSpec, sample_dp_discrete, sample_transition_row
 from .util import as_generator
 
@@ -289,8 +289,6 @@ def draw_near_truth(theta_star: HmmParams, epsilon: float,
             break
     else:
         raise StarvationError("no emission vector landed in the neighborhood")
-    from .hmm import TransitionMatrix
-
     init = stationary_distribution(theta_star.trans).probs if mu is None else mu
     return HmmParams(TransitionMatrix(rows, trans_prior.q_floor), init, emissions), used
 
@@ -374,7 +372,7 @@ def dp_gamma_moment_check(spec: DiscreteDpSpec, n_draws: int,
     given two-sided significance.
     """
     rng = as_generator(seed)
-    z_threshold = float(_normal.ppf(1.0 - significance / 2.0))
+    z_threshold = NormalDist().inv_cdf(1.0 - significance / 2.0)
     support = spec.truncation
     pmfs = np.empty((n_draws, support))
     totals = np.empty(n_draws)

@@ -13,8 +13,8 @@ Chains are strictly sequential and deterministic under their seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import NumericalError, ZeroLikelihoodError
 from .hmm import HmmParams, TransitionMatrix, emission_matrix, simulate
 from .priors import (DiscreteDpSpec, GaussianDpSpec, TruncatedDirichletSpec,
                      sample_dp_discrete, sample_dp_mixture,
-                     sample_transition_row, stick_breaking_weights)
+                     sample_transition_row, sticks_to_weights)
 from .util import as_generator
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -173,18 +173,10 @@ def update_mixture_emissions(groups: Sequence[np.ndarray],
         occup = np.bincount(alloc, minlength=depth)
 
         if depth == 1:
-            weights = np.array([1.0])
+            weights = np.ones(1)
         else:
             tail = occup[::-1].cumsum()[::-1]
-            v = rng.beta(1.0 + occup[:-1], spec.alpha + tail[1:])
-            v = np.clip(v, 0.0, 1.0)
-            weights = np.empty(depth)
-            rem = np.concatenate([[1.0], np.cumprod(1.0 - v)])
-            weights[:-1] = v * rem[:-1]
-            last = 1.0 - float(weights[:-1].sum())
-            weights[-1] = max(last, 0.0)
-            if last < 0.0:
-                weights /= weights.sum()
+            weights = sticks_to_weights(rng.beta(1.0 + occup[:-1], spec.alpha + tail[1:]))
 
         locs = np.empty(depth)
         scales = np.empty(depth)
@@ -194,7 +186,9 @@ def update_mixture_emissions(groups: Sequence[np.ndarray],
     return tuple(out)
 
 
-def _update_emissions(states, y, params, cfg: GibbsConfig, rng):
+def _update_emissions(states, y, emissions, cfg: GibbsConfig, rng):
+    """Emission draws given the path; ``emissions`` are the current ones,
+    which the mixture block sweep starts its allocations from."""
     if cfg.fixed_emissions is not None:
         return cfg.fixed_emissions
     if isinstance(cfg.emission_prior, DiscreteDpSpec):
@@ -202,7 +196,7 @@ def _update_emissions(states, y, params, cfg: GibbsConfig, rng):
         counts = symbol_counts(states, y, cfg.k, support)
         return update_discrete_emissions(counts, cfg.emission_prior, rng)
     groups = [y[states == i] for i in range(cfg.k)]
-    return update_mixture_emissions(groups, params.emissions, cfg.emission_prior, rng)
+    return update_mixture_emissions(groups, emissions, cfg.emission_prior, rng)
 
 
 def gibbs_sweep(params: HmmParams, y, cfg: GibbsConfig, rng):
@@ -211,7 +205,7 @@ def gibbs_sweep(params: HmmParams, y, cfg: GibbsConfig, rng):
     states = ffbs_states(params, y, rng)
     trans = update_transitions(transition_counts(states, cfg.k),
                                cfg.transition_prior, rng)
-    emissions = _update_emissions(states, y, params, cfg, rng)
+    emissions = _update_emissions(states, y, params.emissions, cfg, rng)
     return HmmParams(trans, params.mu, emissions), states
 
 
@@ -236,20 +230,14 @@ def _init_from_states(y, cfg: GibbsConfig, rng) -> HmmParams:
     """Data-driven start: random state labels, then parameter draws from the
     conditionals given them. Keeps every observed symbol at positive mass,
     so the first filtering pass cannot hit zero likelihood."""
-    n = y.size
-    states = as_generator(rng).integers(0, cfg.k, size=n)
+    rng = as_generator(rng)
+    states = rng.integers(0, cfg.k, size=y.size)
     trans = update_transitions(transition_counts(states, cfg.k),
                                cfg.transition_prior, rng)
-    if cfg.fixed_emissions is not None:
-        emissions = cfg.fixed_emissions
-    elif isinstance(cfg.emission_prior, DiscreteDpSpec):
-        support = max(cfg.emission_prior.truncation, int(np.max(y)) + 1)
-        counts = symbol_counts(states, y, cfg.k, support)
-        emissions = update_discrete_emissions(counts, cfg.emission_prior, rng)
-    else:
-        groups = [y[states == i] for i in range(cfg.k)]
+    start = None
+    if cfg.fixed_emissions is None and isinstance(cfg.emission_prior, GaussianDpSpec):
         start = tuple(sample_dp_mixture(cfg.emission_prior, rng) for _ in range(cfg.k))
-        emissions = update_mixture_emissions(groups, start, cfg.emission_prior, rng)
+    emissions = _update_emissions(states, y, start, cfg, rng)
     return HmmParams(trans, cfg.model_mu(), emissions)
 
 

@@ -13,12 +13,12 @@ operation takes an explicit seed or generator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .emissions import DiscreteEmission, EmissionModel, TranslatedEmission
+from .emissions import EmissionModel, TranslatedEmission
 from .errors import DataError, StationarySolveError, ZeroLikelihoodError
 from .util import ValueEquality, as_generator, readonly
 

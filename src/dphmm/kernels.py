@@ -2,40 +2,15 @@
 
 Everything here works on plain arrays: ``mu`` (k,), row-stochastic ``Q``
 (k, k) and the per-step emission likelihood matrix ``B`` (n, k) with
-``B[t, i] = f_i(y_t)``. Two interchangeable builds are provided:
-
-* a numba ``@njit`` build of the loop-heavy versions (default when numba
-  imports cleanly), and
-* a pure-numpy build vectorized over states.
-
-Set ``DPHMM_DISABLE_NUMBA=1`` to force the numpy build; ``BACKEND`` records
-which one is active. ``benchmarks/bench_kernels.py`` times the two against
-each other via the ``IMPLEMENTATIONS`` table.
+``B[t, i] = f_i(y_t)``. There is one build: numpy, vectorised over states
+within each time step.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("DPHMM_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in ("1", "true", "yes", "on")
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via DPHMM_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy build
-
-
-def forward_filter_numpy(mu, Q, B):
+def forward_filter(mu, Q, B):
     """Scaled forward pass.
 
     Returns (alpha, c): alpha[t] is the filtered law of the state at t given
@@ -63,7 +38,7 @@ def forward_filter_numpy(mu, Q, B):
     return alpha, c
 
 
-def backward_messages_numpy(Q, B, c):
+def backward_messages(Q, B, c):
     """Scaled backward pass: beta[t] with beta[n-1] = 1.
 
     alpha[t] * beta[t] is the smoothing marginal at t given all observations.
@@ -75,7 +50,8 @@ def backward_messages_numpy(Q, B, c):
         beta[t] = (Q @ (B[t + 1] * beta[t + 1])) / c[t + 1]
     return beta
 
-def ffbs_numpy(Q, alpha, u):
+
+def ffbs(Q, alpha, u):
     """Backward state draw given filtered laws; u holds n uniforms.
 
     Returns the sampled path, or a path whose first entry is -1 when a
@@ -94,117 +70,3 @@ def ffbs_numpy(Q, alpha, u):
         cs = np.cumsum(w)
         states[t] = min(int(np.searchsorted(cs, u[t] * s)), k - 1)
     return states
-
-
-# ---------------------------------------------------------------------------
-# loop build (compiled under numba)
-
-
-def _forward_filter_loops(mu, Q, B):
-    n, k = B.shape
-    alpha = np.zeros((n, k))
-    c = np.zeros(n)
-    s = 0.0
-    for i in range(k):
-        v = mu[i] * B[0, i]
-        alpha[0, i] = v
-        s += v
-    c[0] = s
-    if s <= 0.0:
-        for i in range(k):
-            alpha[0, i] = 0.0
-        c[0] = 0.0
-        return alpha, c
-    for i in range(k):
-        alpha[0, i] /= s
-    for t in range(1, n):
-        s = 0.0
-        for j in range(k):
-            acc = 0.0
-            for i in range(k):
-                acc += alpha[t - 1, i] * Q[i, j]
-            v = acc * B[t, j]
-            alpha[t, j] = v
-            s += v
-        c[t] = s
-        if s <= 0.0:
-            for j in range(k):
-                alpha[t, j] = 0.0
-            c[t] = 0.0
-            return alpha, c
-        for j in range(k):
-            alpha[t, j] /= s
-    return alpha, c
-
-
-def _backward_messages_loops(Q, B, c):
-    n, k = B.shape
-    beta = np.zeros((n, k))
-    for i in range(k):
-        beta[n - 1, i] = 1.0
-    for t in range(n - 2, -1, -1):
-        for i in range(k):
-            acc = 0.0
-            for j in range(k):
-                acc += Q[i, j] * B[t + 1, j] * beta[t + 1, j]
-            beta[t, i] = acc / c[t + 1]
-    return beta
-
-
-def _ffbs_loops(Q, alpha, u):
-    n, k = alpha.shape
-    states = np.empty(n, dtype=np.int64)
-    target = u[n - 1]
-    acc = 0.0
-    idx = k - 1
-    total = 0.0
-    for i in range(k):
-        total += alpha[n - 1, i]
-    target *= total
-    for i in range(k):
-        acc += alpha[n - 1, i]
-        if target <= acc:
-            idx = i
-            break
-    states[n - 1] = idx
-    for t in range(n - 2, -1, -1):
-        s = 0.0
-        for i in range(k):
-            s += alpha[t, i] * Q[i, states[t + 1]]
-        if s <= 0.0:
-            states[0] = -1
-            return states
-        target = u[t] * s
-        acc = 0.0
-        idx = k - 1
-        for i in range(k):
-            acc += alpha[t, i] * Q[i, states[t + 1]]
-            if target <= acc:
-                idx = i
-                break
-        states[t] = idx
-    return states
-
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "forward_filter": forward_filter_numpy,
-        "backward_messages": backward_messages_numpy,
-        "ffbs": ffbs_numpy,
-    }
-}
-
-if HAVE_NUMBA:
-    _jit = njit(cache=True)
-    IMPLEMENTATIONS["numba"] = {
-        "forward_filter": _jit(_forward_filter_loops),
-        "backward_messages": _jit(_backward_messages_loops),
-        "ffbs": _jit(_ffbs_loops),
-    }
-    BACKEND = "numba"
-else:
-    BACKEND = "numpy"
-
-forward_filter = IMPLEMENTATIONS[BACKEND]["forward_filter"]
-backward_messages = IMPLEMENTATIONS[BACKEND]["backward_messages"]
-ffbs = IMPLEMENTATIONS[BACKEND]["ffbs"]

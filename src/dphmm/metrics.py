@@ -24,7 +24,7 @@ import numpy as np
 
 from .emissions import DiscreteEmission, l1_distance, max_emission_l1, pad_pmfs
 from .errors import DataError
-from .hmm import HmmParams, simulate, stationary_distribution
+from .hmm import HmmParams, TransitionMatrix, simulate, stationary_distribution
 from .util import Estimate, as_generator, readonly
 
 BLOCK_BUDGET = 10_000_000
@@ -41,8 +41,6 @@ def relabel(params: HmmParams, sigma) -> HmmParams:
     initial law and emissions. The observed process is unchanged."""
     sigma = np.asarray(sigma, dtype=np.int64)
     Q = params.trans.rows[np.ix_(sigma, sigma)]
-    from .hmm import TransitionMatrix
-
     return HmmParams(TransitionMatrix(Q, params.q_floor),
                      params.mu[sigma],
                      tuple(params.emissions[s] for s in sigma))

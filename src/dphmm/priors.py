@@ -16,11 +16,11 @@ partial-sum heuristic only ever claims divergence, never convergence.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .emissions import DiscreteEmission, GaussianMixtureEmission, PMF_TOL
 from .errors import SamplerBudgetError
@@ -134,12 +134,6 @@ def truncated_dirichlet_logpdf(spec: TruncatedDirichletSpec, x) -> LogDensity:
     return LogDensity(val, False)
 
 
-def sample_transition_matrix(spec: TruncatedDirichletSpec, seed):
-    """Independent rows from the same spec, stacked into a (k, k) array."""
-    rng = as_generator(seed)
-    return np.stack([sample_transition_row(spec, rng).row for _ in range(spec.k)])
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet-process emission priors
 
@@ -167,7 +161,7 @@ class NormalInvGammaBase:
 
     def mean_inverse_scale(self) -> float:
         """E[1/sigma] with sigma^2 inverse-gamma: Gamma(shape+1/2)/Gamma(shape)/sqrt(scale)."""
-        return float(np.exp(gammaln(self.shape + 0.5) - gammaln(self.shape)) / np.sqrt(self.scale))
+        return math.exp(math.lgamma(self.shape + 0.5) - math.lgamma(self.shape)) / math.sqrt(self.scale)
 
 
 @dataclass(frozen=True)
@@ -244,15 +238,15 @@ def sample_dp_discrete(spec: DiscreteDpSpec, seed, budget: int = RESAMPLE_BUDGET
     raise SamplerBudgetError("gamma normalization produced only zero draws")
 
 
-def stick_breaking_weights(alpha: float, depth: int, rng) -> np.ndarray:
-    """Beta(1, alpha) stick fractions truncated at ``depth``; the last weight
-    absorbs the remaining mass so the vector sums to one."""
-    rng = as_generator(rng)
-    w = np.empty(depth)
-    if depth == 1:
-        w[0] = 1.0
-        return w
-    v = np.clip(rng.beta(1.0, alpha, size=depth - 1), 0.0, 1.0)
+def sticks_to_weights(v) -> np.ndarray:
+    """Truncated stick-breaking: depth - 1 stick fractions to depth weights.
+
+    The fractions are clipped to [0, 1]; the last weight absorbs the
+    remaining mass so the vector sums to one, and the vector is renormalised
+    when rounding drives that remainder negative.
+    """
+    v = np.clip(v, 0.0, 1.0)
+    w = np.empty(v.size + 1)
     rem = np.concatenate([[1.0], np.cumprod(1.0 - v)])
     w[:-1] = v * rem[:-1]
     last = 1.0 - float(w[:-1].sum())
@@ -262,6 +256,15 @@ def stick_breaking_weights(alpha: float, depth: int, rng) -> np.ndarray:
     else:
         w[-1] = last
     return w
+
+
+def stick_breaking_weights(alpha: float, depth: int, rng) -> np.ndarray:
+    """Beta(1, alpha) stick fractions truncated at ``depth``; the last weight
+    absorbs the remaining mass so the vector sums to one."""
+    rng = as_generator(rng)
+    if depth == 1:
+        return np.ones(1)
+    return sticks_to_weights(rng.beta(1.0, alpha, size=depth - 1))
 
 
 def sample_dp_mixture(spec: GaussianDpSpec, seed) -> GaussianMixtureEmission:

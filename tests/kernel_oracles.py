@@ -1,0 +1,93 @@
+"""Scalar-loop reference versions of the ``dphmm.kernels`` functions.
+
+Each loop runs over time steps and states one scalar at a time, with no
+vectorised numpy call, so it serves as an independent oracle for the
+vectorised kernels in the parity tests.
+"""
+import numpy as np
+
+
+def forward_filter_loops(mu, Q, B):
+    n, k = B.shape
+    alpha = np.zeros((n, k))
+    c = np.zeros(n)
+    s = 0.0
+    for i in range(k):
+        v = mu[i] * B[0, i]
+        alpha[0, i] = v
+        s += v
+    c[0] = s
+    if s <= 0.0:
+        for i in range(k):
+            alpha[0, i] = 0.0
+        c[0] = 0.0
+        return alpha, c
+    for i in range(k):
+        alpha[0, i] /= s
+    for t in range(1, n):
+        s = 0.0
+        for j in range(k):
+            acc = 0.0
+            for i in range(k):
+                acc += alpha[t - 1, i] * Q[i, j]
+            v = acc * B[t, j]
+            alpha[t, j] = v
+            s += v
+        c[t] = s
+        if s <= 0.0:
+            for j in range(k):
+                alpha[t, j] = 0.0
+            c[t] = 0.0
+            return alpha, c
+        for j in range(k):
+            alpha[t, j] /= s
+    return alpha, c
+
+
+def backward_messages_loops(Q, B, c):
+    n, k = B.shape
+    beta = np.zeros((n, k))
+    for i in range(k):
+        beta[n - 1, i] = 1.0
+    for t in range(n - 2, -1, -1):
+        for i in range(k):
+            acc = 0.0
+            for j in range(k):
+                acc += Q[i, j] * B[t + 1, j] * beta[t + 1, j]
+            beta[t, i] = acc / c[t + 1]
+    return beta
+
+
+def ffbs_loops(Q, alpha, u):
+    n, k = alpha.shape
+    states = np.empty(n, dtype=np.int64)
+    target = u[n - 1]
+    acc = 0.0
+    idx = k - 1
+    total = 0.0
+    for i in range(k):
+        total += alpha[n - 1, i]
+    target *= total
+    for i in range(k):
+        acc += alpha[n - 1, i]
+        if target <= acc:
+            idx = i
+            break
+    states[n - 1] = idx
+    for t in range(n - 2, -1, -1):
+        s = 0.0
+        for i in range(k):
+            s += alpha[t, i] * Q[i, states[t + 1]]
+        if s <= 0.0:
+            states[0] = -1
+            return states
+        target = u[t] * s
+        acc = 0.0
+        idx = k - 1
+        for i in range(k):
+            acc += alpha[t, i] * Q[i, states[t + 1]]
+            if target <= acc:
+                idx = i
+                break
+        states[t] = idx
+    return states

@@ -6,8 +6,8 @@ import pytest
 from dphmm import (DiscreteDpSpec, DiscreteEmission, GaussianDpSpec,
                    GibbsConfig, HmmParams, NormalInvGammaBase,
                    TransitionMatrix, TruncatedDirichletSpec,
-                   ZeroLikelihoodError, ffbs_states, run_chain,
-                   simulate, smoothing_exact)
+                   ZeroLikelihoodError, ffbs_states, geweke_check,
+                   run_chain, simulate, smoothing_exact)
 from dphmm.gibbs import (transition_counts, symbol_counts, update_transitions,
                          update_discrete_emissions, update_mixture_emissions)
 from dphmm.modelio import sample_to_record
@@ -242,6 +242,16 @@ def test_run_chain_deterministic(flat_binary):
     assert a == b
     c = [sample_to_record(s) for s in run_chain(y, cfg, chain_id=1)]
     assert a != c
+
+
+def test_geweke_joint_distribution_check():
+    # prior simulation and the successive-conditional chain target the same
+    # joint law of (theta, path, data); six summaries must agree. The model is
+    # the default binary one: floor 0.1, DP(2, [0.5, 0.5]) emissions.
+    cfg = _binary_config()
+    report = geweke_check(cfg, n_obs=5, n_forward=2000, n_chain=4000, seed=0)
+    assert len(report.z_scores) == 6
+    assert report.max_abs_z() <= 4.5, dict(zip(report.stats, report.z_scores))
 
 
 def test_run_chain_samples_satisfy_invariants(flat_binary):
