@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .emissions import PMF_TOL
 from .errors import ConfigError, StarvationError
 from .gibbs import GibbsConfig, run_chain
 from .hmm import (HmmParams, SmoothingTable, TransitionMatrix, simulate, smoothing_exact,
@@ -370,6 +371,12 @@ def dp_gamma_moment_check(spec: DiscreteDpSpec, n_draws: int,
     covariance; the common normalizer must match a Gamma(alpha, 1) in mean
     and variance. Each comparison is a z-score at the normal quantile of the
     given two-sided significance.
+
+    A block whose base mass is 0 or 1 (no positive base entry inside it, or
+    none outside it) has a DP mass fixed at 0 or 1, so its target variance is
+    0 and a z-score has no scale. Such a block instead gets one "exact_mass"
+    record: every draw's block mass must lie within ``PMF_TOL`` of 0 or 1. It
+    takes no mean, variance or covariance z-score.
     """
     rng = as_generator(seed)
     z_threshold = NormalDist().inv_cdf(1.0 - significance / 2.0)
@@ -389,10 +396,19 @@ def dp_gamma_moment_check(spec: DiscreteDpSpec, n_draws: int,
             raise ConfigError("partition must cover the support exactly once")
         masses = np.stack([pmfs[:, b].sum(axis=1) for b in idx_list], axis=1)
         gmass = np.array([spec.base[b].sum() for b in idx_list])
+        inside = np.array([np.count_nonzero(spec.base[b]) for b in idx_list])
+        fixed = (inside == 0) | (inside == np.count_nonzero(spec.base))
         a = spec.alpha
         means = gmass
         variances = gmass * (1.0 - gmass) / (a + 1.0)
         for m in range(len(idx_list)):
+            if fixed[m]:
+                target = float(inside[m] > 0)
+                dev = float(np.max(np.abs(masses[:, m] - target)))
+                records.append({"partition": pi, "block": m, "moment": "exact_mass",
+                                "target": target, "max_abs_dev": dev,
+                                "passed": dev <= PMF_TOL})
+                continue
             z_mean = float((masses[:, m].mean() - means[m])
                            / np.sqrt(max(variances[m], 1e-300) / n_draws))
             records.append({"partition": pi, "block": m, "moment": "mean",
@@ -401,6 +417,8 @@ def dp_gamma_moment_check(spec: DiscreteDpSpec, n_draws: int,
                             "z": _variance_z(masses[:, m], variances[m])})
         for m in range(len(idx_list)):
             for mm in range(m + 1, len(idx_list)):
+                if fixed[m] or fixed[mm]:
+                    continue
                 target = -gmass[m] * gmass[mm] / (a + 1.0)
                 prods = ((masses[:, m] - masses[:, m].mean())
                          * (masses[:, mm] - masses[:, mm].mean()))
@@ -415,8 +433,9 @@ def dp_gamma_moment_check(spec: DiscreteDpSpec, n_draws: int,
                         / np.sqrt(spec.alpha / n_draws)),
         "z_var": _variance_z(totals, spec.alpha),
     }
-    zs = [abs(r["z"]) for r in records] + [abs(norm_z["z_mean"]), abs(norm_z["z_var"])]
-    max_abs = float(max(zs))
+    zs = [abs(r["z"]) for r in records if "z" in r]
+    max_abs = float(max(zs + [abs(norm_z["z_mean"]), abs(norm_z["z_var"])]))
+    exact_ok = all(r["passed"] for r in records if "z" not in r)
     return DpMomentReport(n_draws=n_draws, z_threshold=z_threshold,
                           partition_z=tuple(records), normalizer_z=norm_z,
-                          max_abs_z=max_abs, passed=max_abs <= z_threshold)
+                          max_abs_z=max_abs, passed=max_abs <= z_threshold and exact_ok)

@@ -25,7 +25,7 @@ from .hmm import HmmParams, TransitionMatrix, emission_matrix, simulate
 from .priors import (DiscreteDpSpec, GaussianDpSpec, TruncatedDirichletSpec,
                      sample_dp_discrete, sample_dp_mixture,
                      sample_transition_row, sticks_to_weights)
-from .util import as_generator
+from .util import ValueEquality, as_generator, readonly
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -62,12 +62,17 @@ class GibbsConfig:
         return np.asarray(self.mu, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class PosteriorSample:
+@dataclass(frozen=True, eq=False)
+class PosteriorSample(ValueEquality):
+    """One retained draw: parameters, hidden path, sweep number and chain."""
+
     params: HmmParams
     states: np.ndarray
     iteration: int
     chain_id: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "states", readonly(self.states, dtype=np.int64))
 
 
 def ffbs_states(params: HmmParams, y, seed) -> np.ndarray:

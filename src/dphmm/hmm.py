@@ -63,8 +63,8 @@ class TransitionMatrix(ValueEquality):
         return int(self.rows.shape[0])
 
 
-@dataclass(frozen=True)
-class StationaryLaw:
+@dataclass(frozen=True, eq=False)
+class StationaryLaw(ValueEquality):
     """Left-invariant probability vector of a transition matrix."""
 
     probs: np.ndarray
@@ -133,8 +133,8 @@ class HmmParams(ValueEquality):
         return HmmParams(self.trans, np.asarray(mu, dtype=np.float64), self.emissions)
 
 
-@dataclass(frozen=True)
-class SmoothingTable:
+@dataclass(frozen=True, eq=False)
+class SmoothingTable(ValueEquality):
     """Conditional state laws given a full observation record.
 
     ``marginals[j]`` is the law of the state at position j; ``blocks`` is the

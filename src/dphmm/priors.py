@@ -24,7 +24,7 @@ import numpy as np
 
 from .emissions import DiscreteEmission, GaussianMixtureEmission, PMF_TOL
 from .errors import SamplerBudgetError
-from .util import as_generator, readonly
+from .util import ValueEquality, as_generator, readonly
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -41,8 +41,8 @@ NEAR_DEGENERATE_SLACK = 0.05
 # truncated Dirichlet rows
 
 
-@dataclass(frozen=True)
-class TruncatedDirichletSpec:
+@dataclass(frozen=True, eq=False)
+class TruncatedDirichletSpec(ValueEquality):
     """Concentrations plus the entrywise floor of the support restriction."""
 
     alpha: np.ndarray
@@ -164,8 +164,8 @@ class NormalInvGammaBase:
         return math.exp(math.lgamma(self.shape + 0.5) - math.lgamma(self.shape)) / math.sqrt(self.scale)
 
 
-@dataclass(frozen=True)
-class DiscreteDpSpec:
+@dataclass(frozen=True, eq=False)
+class DiscreteDpSpec(ValueEquality):
     """Dirichlet process on symbols with a truncated base pmf.
 
     ``base`` must be a full probability vector; callers folding an infinite

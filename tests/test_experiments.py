@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dphmm import (DiscreteDpSpec, DiscreteEmission, GibbsConfig, HmmParams,
-                   StarvationError, TransitionMatrix, TruncatedDirichletSpec)
+                   StarvationError, TransitionMatrix, TruncatedDirichletSpec,
+                   experiments, sample_dp_discrete)
 from dphmm.experiments import (ExperimentConfig, consistency_experiment,
                                dp_gamma_moment_check, golden_experiment,
                                kl_lemma_experiment, smoothing_consistency_experiment,
@@ -162,6 +163,34 @@ def test_dp_moment_check_rejects_bad_partition():
     spec = DiscreteDpSpec(2.0, np.array([0.5, 0.5]))
     with pytest.raises(Exception):
         dp_gamma_moment_check(spec, 100, [[[0], [0, 1]]], seed=9)
+
+
+def test_dp_moment_check_whole_support_block(monkeypatch):
+    # a block holding all the base mass has DP mass 1 in every draw: it is
+    # checked exactly, not by a z-score over a zero target variance
+    spec = DiscreteDpSpec(2.0, np.array([0.5, 0.5]))
+    partitions = [[[0], [1]], [[0, 1]]]
+    report = dp_gamma_moment_check(spec, 3000, partitions, seed=0)
+    assert report.passed, f"max |z| = {report.max_abs_z}"
+    exact = [r for r in report.partition_z if r["moment"] == "exact_mass"]
+    assert [(r["partition"], r["target"]) for r in exact] == [(1, 1.0)]
+
+    # draws from the wrong base still fail, by z-score and by exact mass
+    def draws_from(base):
+        def sample(_spec, rng, with_normalizer=False):
+            return sample_dp_discrete(DiscreteDpSpec(2.0, base), rng,
+                                      with_normalizer=with_normalizer)
+        return sample
+
+    monkeypatch.setattr(experiments, "sample_dp_discrete", draws_from(np.array([0.3, 0.7])))
+    assert not dp_gamma_moment_check(spec, 3000, partitions, seed=0).passed
+
+    padded = DiscreteDpSpec(2.0, np.array([0.5, 0.5, 0.0]))
+    monkeypatch.setattr(experiments, "sample_dp_discrete",
+                        draws_from(np.array([0.5, 0.49, 0.01])))
+    report = dp_gamma_moment_check(padded, 3000, [[[0], [1], [2]]], seed=0)
+    assert not report.passed
+    assert report.max_abs_z <= report.z_threshold
 
 
 def test_dp_moment_check_detects_wrong_alpha():

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from dphmm import (DiscreteDpSpec, DiscreteEmission, GaussianDpSpec,
-                   GibbsConfig, HmmParams, NormalInvGammaBase,
+                   GibbsConfig, HmmParams, NormalInvGammaBase, PosteriorSample,
                    TransitionMatrix, TruncatedDirichletSpec,
-                   ZeroLikelihoodError, ffbs_states, geweke_check,
-                   run_chain, simulate, smoothing_exact)
+                   ZeroLikelihoodError, ffbs_states, geweke_check, kernels,
+                   run_chain, simulate, smoothing_exact, stationary_distribution)
 from dphmm.gibbs import (transition_counts, symbol_counts, update_transitions,
                          update_discrete_emissions, update_mixture_emissions)
 from dphmm.modelio import sample_to_record
-from tests.conftest import brute_force_path_probs, random_discrete_params
+from tests import kernel_oracles as oracles
+from tests.conftest import (brute_force_path_probs, random_discrete_params,
+                            random_gaussian_params)
 
 
 @pytest.fixture
@@ -284,6 +286,53 @@ def test_run_chain_fixed_emissions(golden_truth):
                          fixed_emissions=golden_truth.emissions)
     for s in run_chain(y, cfg):
         assert s.params.emissions == golden_truth.emissions
+
+
+@pytest.mark.parametrize("family", ["discrete", "dpm_gaussian"])
+def test_run_chain_same_samples_with_oracle_kernels(family, monkeypatch):
+    # n above the step/scan crossover and a short block put the scan, the
+    # table and their block edges in every sweep
+    monkeypatch.setattr(kernels, "CHUNK", 32)
+    rng = np.random.default_rng(21)
+    n = 3 * kernels.SCAN_MIN_N + 5
+    if family == "discrete":
+        _, y = simulate(random_discrete_params(rng, k=3, support=3, q_floor=0.05), n, rng)
+        cfg = GibbsConfig(n_iter=6, burn_in=2, thin=2, seed=4,
+                          transition_prior=TruncatedDirichletSpec(np.ones(3), 0.05),
+                          emission_prior=DiscreteDpSpec(2.0, np.full(3, 1.0 / 3.0)))
+    else:
+        _, y = simulate(random_gaussian_params(rng, k=2, q_floor=0.1), n, rng)
+        cfg = GibbsConfig(n_iter=6, burn_in=2, thin=2, seed=4,
+                          transition_prior=TruncatedDirichletSpec(np.ones(2), 0.1),
+                          emission_prior=GaussianDpSpec(
+                              1.0, NormalInvGammaBase(0.0, 0.5, 2.0, 1.0), truncation=5))
+    fast = run_chain(y, cfg)
+    monkeypatch.setattr(kernels, "forward_filter", oracles.forward_filter_loops)
+    monkeypatch.setattr(kernels, "backward_messages", oracles.backward_messages_loops)
+    monkeypatch.setattr(kernels, "ffbs", oracles.ffbs_loops)
+    slow = run_chain(y, cfg)
+    assert len(fast) == 2 and fast == slow
+
+
+def test_samples_laws_tables_and_specs_compare_and_hash_by_value(golden_truth):
+    _, y = simulate(golden_truth, 20, 5)
+    pairs = [
+        (lambda: PosteriorSample(golden_truth, np.arange(4) % 2, 3, 0),
+         PosteriorSample(golden_truth, np.array([0, 1, 0, 0]), 3, 0)),
+        (lambda: stationary_distribution(golden_truth.trans),
+         stationary_distribution(TransitionMatrix(np.array([[0.6, 0.4], [0.4, 0.6]]), 0.15))),
+        (lambda: smoothing_exact(golden_truth, y, 2), smoothing_exact(golden_truth, y, 1)),
+        (lambda: TruncatedDirichletSpec(np.ones(2), 0.1), TruncatedDirichletSpec(np.ones(2), 0.2)),
+        (lambda: DiscreteDpSpec(2.0, np.array([0.5, 0.5])),
+         DiscreteDpSpec(2.0, np.array([0.4, 0.6]))),
+        (lambda: GaussianDpSpec(1.0, NormalInvGammaBase(0.0, 1.0, 2.0, 1.0), 5),
+         GaussianDpSpec(1.0, NormalInvGammaBase(0.0, 1.0, 2.0, 2.0), 5)),
+    ]
+    for make, other in pairs:
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other and other != a
+        assert len({a, b, other}) == 2
 
 
 # ---------------------------------------------------------------------------

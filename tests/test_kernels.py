@@ -34,6 +34,94 @@ def test_backend_parity(seed):
     assert np.array_equal(s1, s2)
 
 
+def _assert_parity(n, k):
+    mu, Q, B, u = _problem(100 * k + n, n=n, k=k)
+
+    a1, c1 = kernels.forward_filter(mu, Q, B)
+    a2, c2 = oracles.forward_filter_loops(mu, Q, B)
+    np.testing.assert_allclose(a1, a2, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(c1, c2, rtol=0.0, atol=1e-13)
+
+    b1 = kernels.backward_messages(Q, B, c2)
+    b2 = oracles.backward_messages_loops(Q, B, c2)
+    np.testing.assert_allclose(b1, b2, rtol=0.0, atol=1e-12)
+
+    assert np.array_equal(kernels.ffbs(Q, a2, u), oracles.ffbs_loops(Q, a2, u))
+
+
+def _lengths(block):
+    """Both sides of the step/scan crossover and of the block edges."""
+    return (1, 2, 3, kernels.TABLE_MIN_N - 1, kernels.TABLE_MIN_N,
+            kernels.SCAN_MIN_N - 1, kernels.SCAN_MIN_N,
+            block - 1, block, block + 1, 2 * block + 1)
+
+
+_SMALL_BLOCK = 64
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 9, 16, kernels.SCAN_MAX_K + 1])
+@pytest.mark.parametrize("n", _lengths(_SMALL_BLOCK))
+def test_parity_across_crossover_and_blocks(n, k, monkeypatch):
+    # a short block brings every block edge within reach of the scalar
+    # oracles at k = 16, which take seconds per call at n = 2 * CHUNK + 1
+    monkeypatch.setattr(kernels, "CHUNK", _SMALL_BLOCK)
+    _assert_parity(n, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 9])
+@pytest.mark.parametrize("n", _lengths(kernels.CHUNK)[-4:])
+def test_parity_at_full_block_edges(n, k):
+    _assert_parity(n, k)
+
+
+@pytest.mark.parametrize("t_zero", [0, 100, kernels.CHUNK, kernels.CHUNK + 1])
+def test_zero_likelihood_inside_and_between_blocks(t_zero):
+    # the scanned filter chunks time as [1, C], [C + 1, 2C], ...
+    mu, Q, B, _ = _problem(7, n=2 * kernels.CHUNK + 1, k=3)
+    B[t_zero] = 0.0
+    alpha, c = kernels.forward_filter(mu, Q, B)
+    ref_alpha, ref_c = oracles.forward_filter_loops(mu, Q, B)
+    assert np.all(c[t_zero:] == 0.0) and np.all(alpha[t_zero:] == 0.0)
+    assert np.all(c[:t_zero] > 0.0)
+    np.testing.assert_allclose(alpha, ref_alpha, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(c, ref_c, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n, t", [(4, 1), (8, 2), (kernels.CHUNK + 10, 2)])
+def test_ffbs_zero_weight_column_returns_minus_one(n, t):
+    # state 1 at t + 1 is forced, and no state with mass at t can move to it;
+    # n = 4 draws step by step, and at n = CHUNK + 10 the table meets this in
+    # the second block drawn
+    Q = np.array([[1.0, 0.0], [0.5, 0.5]])
+    alpha = np.full((n, 2), 0.5)
+    alpha[t] = [1.0, 0.0]
+    alpha[t + 1] = [0.0, 1.0]
+    u = np.random.default_rng(0).random(n)
+    assert kernels.ffbs(Q, alpha, u)[0] == -1
+    assert oracles.ffbs_loops(Q, alpha, u)[0] == -1
+
+
+def test_ffbs_table_reduces_like_the_step_loop(monkeypatch):
+    # Uniforms aimed at the running sums make each draw hinge on the last bit
+    # of its total weight. numpy sums a contiguous vector of 8 or more
+    # entries pairwise, so the table must sum contiguous rows as the step
+    # loop's 1-D ``w.sum()`` does. The scalar oracle sums one entry at a time
+    # and so parts from both on these data, which shows that they hinge on
+    # the order.
+    rng = np.random.default_rng(5)
+    n, k = 400, 9
+    alpha = rng.random((n, k)) * 10.0 ** rng.integers(-6, 6, (n, k))
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    Q = np.full((k, k), 1.0 / k)
+    w = alpha * Q[:, 0]
+    totals = np.array([row.sum() for row in w])
+    u = np.cumsum(w, axis=1)[np.arange(n), rng.integers(0, k, n)] / totals
+    table = kernels.ffbs(Q, alpha, u)
+    monkeypatch.setattr(kernels, "SCAN_MAX_K", 0)      # every k steps through time
+    assert np.array_equal(table, kernels.ffbs(Q, alpha, u))
+    assert not np.array_equal(table, oracles.ffbs_loops(Q, alpha, u))
+
+
 def test_forward_matches_enumeration():
     from dphmm import log_likelihood_forward, simulate
 
