@@ -25,7 +25,7 @@ from .hmm import HmmParams, TransitionMatrix, emission_matrix, simulate
 from .priors import (DiscreteDpSpec, GaussianDpSpec, TruncatedDirichletSpec,
                      sample_dp_discrete, sample_dp_mixture,
                      sample_transition_row, sticks_to_weights)
-from .util import ValueEquality, as_generator, readonly
+from .util import ValueEquality, as_generator
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -72,7 +72,10 @@ class PosteriorSample(ValueEquality):
     chain_id: int
 
     def __post_init__(self):
-        object.__setattr__(self, "states", readonly(self.states, dtype=np.int64))
+        # locked but not copied: a path is as long as the data
+        states = np.asarray(self.states, dtype=np.int64).view()
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
 
 
 def ffbs_states(params: HmmParams, y, seed) -> np.ndarray:

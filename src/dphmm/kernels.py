@@ -12,8 +12,8 @@ contiguous, ``s[t, j] = sum_i W[t, j, i]`` and
 ``F[t, j] = #{i : cumsum_i W[t, j, i] < u_t * s[t, j]}`` (capped at k - 1)
 come out of a few whole-block array operations. The path is then the
 integer walk ``x_t = F[t, x_{t+1}]``. With i contiguous each sum reduces in
-the same order as the step loop's 1-D ``w.sum()`` (pairwise once k >= 8),
-so on the same uniforms the path is the same to the bit.
+the same order as a step-by-step draw's 1-D ``w.sum()`` (pairwise once
+k >= 8), so on the same uniforms the path is the same to the bit.
 
 Forward filter and backward messages, as a prefix scan. The filtered law is
 ``alpha_t ∝ alpha_{t-1} Q diag(B_t)``, so the laws of a block are the prefix
@@ -34,24 +34,29 @@ same kind of correction pass follows. Results agree with the step recursion
 to within a few ulps (tests hold them to 1e-13 for alpha and c, 1e-12 for
 beta).
 
-Crossover. Each kernel keeps the plain step recursion in one branch, taken
-below ``SCAN_MIN_N`` steps for the filter and the messages and below
-``TABLE_MIN_N`` steps for the draw (the fixed cost of a few dozen array
-calls), or above ``SCAN_MAX_K`` states (pair products cost k^3 per step,
-the table k^2). Measured on a 2-core x86-64 host with numpy 2.4: at k = 2
-and 4 the scan overtakes the steps at 24-32 steps for the filter and 12-16
-for the messages, the table overtakes the step draw at 4-6 steps; at
-n = 2000 the scan wins at k = 16 and loses from k = 20, the table loses
-from k = 24.
+Guard. The scan needs every product of a block to keep its rows within
+range of each other: normalising a product to sum 1 would otherwise let a
+row far below the largest underflow to 0, and a law carried in on that row's
+state would be lost (with Q = I and every B row [0.1, 0.9], after 512
+steps). When every entry of Q is at least ``SCAN_MIN_Q``, each row of a
+forward product is at least ``Q.min()`` times any other, and each backward
+product stays below ``Q.min() ** -2``, so nothing under- or overflows. A
+smaller entry (a zero in a reducible or left-to-right chain, say) sends the
+filter and the messages through the step recursion instead; the table draw
+needs no guard.
+
+Cost. A pair product costs k^3 per step against the step recursion's k^2,
+and each block pays a fixed cost of a few dozen array calls. Measured on a
+2-core x86-64 host with numpy 2.4 at n = 2000, the scan is ahead of the
+step loop up to k = 16 and behind from k = 20; below a few dozen steps the
+loop is ahead by tens of microseconds per call. Neither is branched on.
 """
 from __future__ import annotations
 
 import numpy as np
 
-CHUNK = 1024        # time steps per vectorised block
-SCAN_MIN_N = 32     # shorter sequences are filtered step by step
-TABLE_MIN_N = 5     # shorter paths are drawn step by step
-SCAN_MAX_K = 16     # more states than this: every kernel steps through time
+CHUNK = 1024            # time steps per vectorised block
+SCAN_MIN_Q = 1e-100     # below this transition entry the filter and messages step
 
 
 def _unit(x, axes):
@@ -108,7 +113,7 @@ def forward_filter(mu, Q, B):
     if s <= 0.0:
         return alpha, c
     alpha[0] = a / s
-    if n < SCAN_MIN_N or k > SCAN_MAX_K:
+    if Q.min() < SCAN_MIN_Q:
         for t in range(1, n):
             a = (alpha[t - 1] @ Q) * B[t]
             s = a.sum()
@@ -141,7 +146,7 @@ def backward_messages(Q, B, c):
     n, k = B.shape
     beta = np.zeros((n, k))
     beta[n - 1] = 1.0
-    if n < SCAN_MIN_N or k > SCAN_MAX_K:
+    if Q.min() < SCAN_MIN_Q:
         for t in range(n - 2, -1, -1):
             beta[t] = (Q @ (B[t + 1] * beta[t + 1])) / c[t + 1]
         return beta
@@ -164,16 +169,6 @@ def ffbs(Q, alpha, u):
     states = np.empty(n, dtype=np.int64)
     cs = np.cumsum(alpha[n - 1])
     states[n - 1] = min(int(np.searchsorted(cs, u[n - 1] * cs[-1])), k - 1)
-    if n < TABLE_MIN_N or k > SCAN_MAX_K:
-        for t in range(n - 2, -1, -1):
-            w = alpha[t] * Q[:, states[t + 1]]
-            s = w.sum()
-            if s <= 0.0:
-                states[0] = -1
-                return states
-            cs = np.cumsum(w)
-            states[t] = min(int(np.searchsorted(cs, u[t] * s)), k - 1)
-        return states
     QT = np.ascontiguousarray(Q.T)
     for t1 in range(n - 1, 0, -CHUNK):
         t0 = max(t1 - CHUNK, 0)

@@ -36,7 +36,8 @@ class ValueEquality:
     and elementwise, other fields by ``==`` (nested parameter objects compare
     by value in turn). The hash agrees with that equality; it hashes array
     values, not bytes, so ``0.0`` and ``-0.0`` hash alike. It is sound because
-    the arrays are copied and locked by ``readonly``.
+    the arrays are locked against writes: copied by ``readonly``, or, for a
+    sampled path, a locked view of an array no one else writes.
     """
 
     __slots__ = ()

@@ -290,11 +290,11 @@ def test_run_chain_fixed_emissions(golden_truth):
 
 @pytest.mark.parametrize("family", ["discrete", "dpm_gaussian"])
 def test_run_chain_same_samples_with_oracle_kernels(family, monkeypatch):
-    # n above the step/scan crossover and a short block put the scan, the
-    # table and their block edges in every sweep
+    # a short block puts the block edges of the scan and the table in every
+    # sweep
     monkeypatch.setattr(kernels, "CHUNK", 32)
     rng = np.random.default_rng(21)
-    n = 3 * kernels.SCAN_MIN_N + 5
+    n = 101
     if family == "discrete":
         _, y = simulate(random_discrete_params(rng, k=3, support=3, q_floor=0.05), n, rng)
         cfg = GibbsConfig(n_iter=6, burn_in=2, thin=2, seed=4,

@@ -50,18 +50,16 @@ def _assert_parity(n, k):
 
 
 def _lengths(block):
-    """Both sides of the step/scan crossover and of the block edges."""
-    return (1, 2, 3, kernels.TABLE_MIN_N - 1, kernels.TABLE_MIN_N,
-            kernels.SCAN_MIN_N - 1, kernels.SCAN_MIN_N,
-            block - 1, block, block + 1, 2 * block + 1)
+    """Short sequences and both sides of the block edges."""
+    return (1, 2, 3, block - 1, block, block + 1, 2 * block + 1)
 
 
 _SMALL_BLOCK = 64
 
 
-@pytest.mark.parametrize("k", [2, 3, 8, 9, 16, kernels.SCAN_MAX_K + 1])
+@pytest.mark.parametrize("k", [2, 3, 8, 9, 16])
 @pytest.mark.parametrize("n", _lengths(_SMALL_BLOCK))
-def test_parity_across_crossover_and_blocks(n, k, monkeypatch):
+def test_parity_across_blocks(n, k, monkeypatch):
     # a short block brings every block edge within reach of the scalar
     # oracles at k = 16, which take seconds per call at n = 2 * CHUNK + 1
     monkeypatch.setattr(kernels, "CHUNK", _SMALL_BLOCK)
@@ -72,6 +70,44 @@ def test_parity_across_crossover_and_blocks(n, k, monkeypatch):
 @pytest.mark.parametrize("n", _lengths(kernels.CHUNK)[-4:])
 def test_parity_at_full_block_edges(n, k):
     _assert_parity(n, k)
+
+
+def _sparse_transition_problem(case):
+    """Laws concentrated on one state, with Q zero or tiny somewhere."""
+    n = 2 * kernels.CHUNK + 1
+    skew = np.tile([0.1, 0.9], (n, 1))
+    tiny = 1e-90
+    if case == "identity":
+        skew[n - 1, 1] = 0.0        # beta of state 1 is 0 before the last step
+        return np.array([1.0, 0.0]), np.eye(2), skew
+    if case == "reducible":
+        return np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.5, 0.5]]), skew
+    if case == "left_to_right":
+        Q = np.array([[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 1.0]])
+        return np.array([1.0, 0.0, 0.0]), Q, np.random.default_rng(11).random((n, 3)) + 0.01
+    return np.array([1.0, 0.0]), np.array([[1.0 - tiny, tiny], [tiny, 1.0 - tiny]]), skew
+
+
+@pytest.mark.parametrize("case", ["identity", "reducible", "left_to_right", "tiny_entries"])
+def test_parity_with_zero_and_tiny_transition_entries(case):
+    # With Q = I the rows of a block's product part by a factor 9 per step.
+    # Scanned, the forward row of state 0, which holds the law, underflows
+    # after 512 steps and the likelihood reads 0 from there on; the backward
+    # row of state 1 overflows after 323 steps and meets beta = 0 as NaN.
+    # Zeros in Q send the filter and the messages step by step;
+    # "tiny_entries" stays on the scan, just above the guard.
+    mu, Q, B = _sparse_transition_problem(case)
+    assert (Q.min() >= kernels.SCAN_MIN_Q) == (case == "tiny_entries")
+    alpha, c = kernels.forward_filter(mu, Q, B)
+    ref_alpha, ref_c = oracles.forward_filter_loops(mu, Q, B)
+    assert np.all(c > 0.0)
+    np.testing.assert_allclose(alpha, ref_alpha, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(c, ref_c, rtol=0.0, atol=1e-13)
+    # beta reaches 1e24 to 1e90 here, so compare the smoothing marginals
+    # alpha * beta, which are probabilities, at the tolerance for beta
+    beta = kernels.backward_messages(Q, B, ref_c)
+    ref_beta = oracles.backward_messages_loops(Q, B, ref_c)
+    np.testing.assert_allclose(ref_alpha * beta, ref_alpha * ref_beta, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("t_zero", [0, 100, kernels.CHUNK, kernels.CHUNK + 1])
@@ -90,8 +126,7 @@ def test_zero_likelihood_inside_and_between_blocks(t_zero):
 @pytest.mark.parametrize("n, t", [(4, 1), (8, 2), (kernels.CHUNK + 10, 2)])
 def test_ffbs_zero_weight_column_returns_minus_one(n, t):
     # state 1 at t + 1 is forced, and no state with mass at t can move to it;
-    # n = 4 draws step by step, and at n = CHUNK + 10 the table meets this in
-    # the second block drawn
+    # at n = CHUNK + 10 the table meets this in the second block drawn
     Q = np.array([[1.0, 0.0], [0.5, 0.5]])
     alpha = np.full((n, 2), 0.5)
     alpha[t] = [1.0, 0.0]
@@ -101,13 +136,27 @@ def test_ffbs_zero_weight_column_returns_minus_one(n, t):
     assert oracles.ffbs_loops(Q, alpha, u)[0] == -1
 
 
-def test_ffbs_table_reduces_like_the_step_loop(monkeypatch):
+def _numpy_step_draw(Q, alpha, u):
+    """The backward draw one step at a time, each weight vector summed by
+    numpy's 1-D ``w.sum()``."""
+    n, k = alpha.shape
+    states = np.empty(n, dtype=np.int64)
+    cs = np.cumsum(alpha[n - 1])
+    states[n - 1] = min(int(np.searchsorted(cs, u[n - 1] * cs[-1])), k - 1)
+    for t in range(n - 2, -1, -1):
+        w = alpha[t] * Q[:, states[t + 1]]
+        cs = np.cumsum(w)
+        states[t] = min(int(np.searchsorted(cs, u[t] * w.sum())), k - 1)
+    return states
+
+
+def test_ffbs_table_reduces_like_the_step_loop():
     # Uniforms aimed at the running sums make each draw hinge on the last bit
     # of its total weight. numpy sums a contiguous vector of 8 or more
-    # entries pairwise, so the table must sum contiguous rows as the step
-    # loop's 1-D ``w.sum()`` does. The scalar oracle sums one entry at a time
-    # and so parts from both on these data, which shows that they hinge on
-    # the order.
+    # entries pairwise, so the table must sum contiguous rows as a 1-D
+    # ``w.sum()`` does. The scalar oracle sums one entry at a time and so
+    # parts from both on these data, which shows that they hinge on the
+    # order.
     rng = np.random.default_rng(5)
     n, k = 400, 9
     alpha = rng.random((n, k)) * 10.0 ** rng.integers(-6, 6, (n, k))
@@ -117,8 +166,7 @@ def test_ffbs_table_reduces_like_the_step_loop(monkeypatch):
     totals = np.array([row.sum() for row in w])
     u = np.cumsum(w, axis=1)[np.arange(n), rng.integers(0, k, n)] / totals
     table = kernels.ffbs(Q, alpha, u)
-    monkeypatch.setattr(kernels, "SCAN_MAX_K", 0)      # every k steps through time
-    assert np.array_equal(table, kernels.ffbs(Q, alpha, u))
+    assert np.array_equal(table, _numpy_step_draw(Q, alpha, u))
     assert not np.array_equal(table, oracles.ffbs_loops(Q, alpha, u))
 
 
