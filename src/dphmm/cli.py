@@ -29,8 +29,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-DEFAULT_METRICS = ("block_l1", "aligned_q", "aligned_emission")
-
 
 def _say(args, msg: str) -> None:
     if not args.quiet:
@@ -95,33 +93,11 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_metrics(theta, truth, names, block_len):
-    out = []
-    align = None
-    if any(n.startswith("aligned") for n in names):
-        align = metrics.align_labels(theta, truth)
-    for name in names:
-        if name == "block_l1":
-            est = metrics.block_l1_distance(theta, truth, block_len)
-            out.append((name, est.value, est.stderr, "exact"))
-        elif name == "aligned_q":
-            out.append((name, align.q_distance, 0.0, "exact"))
-        elif name == "aligned_emission":
-            out.append((name, float(align.emission_distances.max()), 0.0, "exact"))
-        elif name.startswith("weak_gap:"):
-            est = metrics.weak_functional_gap(theta, truth, block_len,
-                                              name.split(":", 1)[1])
-            out.append((name, est.value, est.stderr, "exact"))
-        else:
-            raise ConfigError(f"unknown metric {name!r}")
-    return out
-
-
 def _metric_records(sample_id, theta, truth, names, block_len):
+    estimates = metrics.parameter_metrics(theta, truth, names, block_len)
     return [{"sample": sample_id, "metric": name, "l": block_len,
-             "mode": mode, "value": value, "stderr": stderr}
-            for name, value, stderr, mode in _evaluate_metrics(theta, truth,
-                                                               names, block_len)]
+             "mode": "exact", "value": est.value, "stderr": est.stderr}
+            for name, est in zip(names, estimates)]
 
 
 def cmd_metric(args) -> int:
@@ -129,7 +105,7 @@ def cmd_metric(args) -> int:
     theta = modelio.read_params(args.params)
     if theta.k != cfg.truth.k:
         raise DataError("parameter file and truth disagree on k")
-    names = cfg.metrics.get("names", list(DEFAULT_METRICS))
+    names = cfg.metrics.get("names", list(metrics.CONSISTENCY_METRICS))
     block_len = int(cfg.metrics.get("l", 3))
     records = _metric_records(Path(args.params).stem, theta, cfg.truth,
                               names, block_len)
@@ -147,7 +123,7 @@ def cmd_metric(args) -> int:
 def cmd_report(args) -> int:
     cfg = modelio.read_config(args.config)
     truth = cfg.truth
-    names = cfg.metrics.get("names", list(DEFAULT_METRICS))
+    names = cfg.metrics.get("names", list(metrics.CONSISTENCY_METRICS))
     block_len = int(cfg.metrics.get("l", 3))
     epsilons = cfg.metrics.get("epsilon", {})
     records = []

@@ -31,21 +31,17 @@ from .errors import ConfigError, StarvationError
 from .gibbs import GibbsConfig, run_chain
 from .hmm import (HmmParams, SmoothingTable, TransitionMatrix, simulate, smoothing_exact,
                   stationary_distribution)
-from .metrics import (align_labels, block_l1_distance, emission_log_ratio_term,
-                      kl_rate_bound, kl_rate_exact)
+from .metrics import (CONSISTENCY_METRICS, align_labels, emission_log_ratio_term,
+                      kl_rate_bound, kl_rate_exact, parameter_metrics)
 from .priors import DiscreteDpSpec, TruncatedDirichletSpec, sample_dp_discrete, sample_transition_row
 from .util import as_generator
 
 TREND_SLACK = 0.05
 FINAL_MASS_FLOOR = 0.8
 
-METRIC_BLOCK_L1 = "block_l1"
-METRIC_ALIGNED_Q = "aligned_q"
-METRIC_ALIGNED_EMISSION = "aligned_emission"
 METRIC_SMOOTHING = "smoothing_aligned"
 METRIC_SMOOTHING_RAW = "smoothing_unaligned"
 
-CONSISTENCY_METRICS = (METRIC_BLOCK_L1, METRIC_ALIGNED_Q, METRIC_ALIGNED_EMISSION)
 SMOOTHING_METRICS = (METRIC_SMOOTHING, METRIC_SMOOTHING_RAW)
 ALL_METRICS = CONSISTENCY_METRICS + SMOOTHING_METRICS
 
@@ -86,7 +82,7 @@ class CellResult:
     chain_seed: int
     n_samples: int
     masses: dict
-    values: dict | None = None
+    values: dict
 
 
 @dataclass(frozen=True)
@@ -139,14 +135,14 @@ def smoothing_max_deviation(table: SmoothingTable, ref_table: SmoothingTable,
     return dev
 
 
-def _run_cells(config: ExperimentConfig, metrics: tuple[str, ...],
-               keep_values: bool = False) -> tuple[CellResult, ...]:
+def _run_cells(config: ExperimentConfig, metrics: tuple[str, ...]) -> tuple[CellResult, ...]:
     truth = config.truth
     stationary_truth = truth.with_mu(stationary_distribution(truth.trans).probs)
     master = np.random.default_rng(config.seed)
     cell_seeds = master.integers(0, 2 ** 62,
                                  size=(len(config.n_grid), config.replications, 2))
-    want_smoothing = any(m in metrics for m in SMOOTHING_METRICS)
+    scored = tuple(m for m in metrics if m not in SMOOTHING_METRICS)
+    want_smoothing = len(scored) < len(metrics)
     cells = []
     for gi, n in enumerate(config.n_grid):
         for rep in range(config.replications):
@@ -159,17 +155,11 @@ def _run_cells(config: ExperimentConfig, metrics: tuple[str, ...],
                          if want_smoothing else None)
             values: dict[str, list[float]] = {m: [] for m in metrics}
             for s in samples:
-                align = None
-                if want_smoothing or METRIC_ALIGNED_Q in metrics or METRIC_ALIGNED_EMISSION in metrics:
-                    align = align_labels(s.params, truth)
-                if METRIC_BLOCK_L1 in metrics:
-                    values[METRIC_BLOCK_L1].append(
-                        block_l1_distance(s.params, truth, config.block_len).value)
-                if METRIC_ALIGNED_Q in metrics:
-                    values[METRIC_ALIGNED_Q].append(align.q_distance)
-                if METRIC_ALIGNED_EMISSION in metrics:
-                    values[METRIC_ALIGNED_EMISSION].append(
-                        float(align.emission_distances.max()))
+                align = align_labels(s.params, truth) if want_smoothing else None
+                estimates = parameter_metrics(s.params, truth, scored,
+                                              config.block_len, align)
+                for name, est in zip(scored, estimates):
+                    values[name].append(est.value)
                 if want_smoothing:
                     table = smoothing_exact(s.params, y, config.smoothing_block_len)
                     if METRIC_SMOOTHING in metrics:
@@ -189,9 +179,7 @@ def _run_cells(config: ExperimentConfig, metrics: tuple[str, ...],
                 masses[name] = float(np.mean(vals < eps))
             cells.append(CellResult(n=n, replication=rep, sim_seed=sim_seed,
                                     chain_seed=chain_seed, n_samples=len(samples),
-                                    masses=masses,
-                                    values={k: list(v) for k, v in values.items()}
-                                    if keep_values else None))
+                                    masses=masses, values=values))
     return tuple(cells)
 
 
@@ -211,30 +199,27 @@ def _assemble(config: ExperimentConfig, cells, metrics, tracked) -> ExperimentRe
                             failures=failures)
 
 
-def consistency_experiment(config: ExperimentConfig,
-                           keep_values: bool = False) -> ExperimentReport:
+def consistency_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Posterior mass of block-L1 and relabeled component neighborhoods
     across the sample-size grid."""
-    cells = _run_cells(config, CONSISTENCY_METRICS, keep_values)
+    cells = _run_cells(config, CONSISTENCY_METRICS)
     return _assemble(config, cells, CONSISTENCY_METRICS, CONSISTENCY_METRICS)
 
 
-def smoothing_consistency_experiment(config: ExperimentConfig,
-                                     keep_values: bool = False) -> ExperimentReport:
+def smoothing_consistency_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Posterior mass of small worst-case smoothing-table deviations.
 
     The verdict tracks the relabeling-aligned deviation; the raw one is
     reported for reference (it cannot concentrate, since the posterior is
     exchangeable over labels).
     """
-    cells = _run_cells(config, SMOOTHING_METRICS, keep_values)
+    cells = _run_cells(config, SMOOTHING_METRICS)
     return _assemble(config, cells, SMOOTHING_METRICS, (METRIC_SMOOTHING,))
 
 
-def golden_experiment(config: ExperimentConfig,
-                      keep_values: bool = False) -> ExperimentReport:
+def golden_experiment(config: ExperimentConfig) -> ExperimentReport:
     """All tracked neighborhoods on one shared set of chains."""
-    cells = _run_cells(config, ALL_METRICS, keep_values)
+    cells = _run_cells(config, ALL_METRICS)
     tracked = CONSISTENCY_METRICS + (METRIC_SMOOTHING,)
     return _assemble(config, cells, ALL_METRICS, tracked)
 

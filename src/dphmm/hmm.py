@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .emissions import EmissionModel, TranslatedEmission
-from .errors import DataError, StationarySolveError, ZeroLikelihoodError
+from .errors import DataError, NumericalError, StationarySolveError, ZeroLikelihoodError
 from .util import ValueEquality, as_generator, readonly
 
 CONSTRUCTION_TOL = 1e-12
@@ -237,7 +237,8 @@ def smoothing_exact(params: HmmParams, y, block_len: int = 1) -> SmoothingTable:
     """Forward-backward conditional laws of the hidden states given y.
 
     Produces the marginal at every position and the joint law of the first
-    ``block_len`` states. Zero-likelihood inputs are rejected.
+    ``block_len`` states. Zero-likelihood inputs are rejected, and so are
+    overflowing backward messages (zero transition entries allow them).
     """
     y = np.asarray(y)
     n = y.size
@@ -249,6 +250,8 @@ def smoothing_exact(params: HmmParams, y, block_len: int = 1) -> SmoothingTable:
     if np.any(c <= 0.0):
         raise ZeroLikelihoodError("observations have zero probability under these parameters")
     beta = kernels.backward_messages(Q, B, c)
+    if not np.isfinite(beta).all():
+        raise NumericalError("backward messages overflowed")
     marginals = alpha * beta
     blocks = params.mu * B[0] / c[0]
     for t in range(1, block_len):

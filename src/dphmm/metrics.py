@@ -7,6 +7,8 @@ parameters always do), computed exactly for discrete emissions by block
 enumeration and otherwise by importance sampling against the equal mixture
 of the two block laws.
 
+``parameter_metrics`` is the one dispatch from metric names to these.
+
 Label switching is resolved by exhaustive search over state permutations,
 scoring each by the relabeled transition gap plus the worst per-state
 emission L1 distance. The KL-rate functions give the exact per-observation
@@ -23,7 +25,7 @@ from itertools import permutations
 import numpy as np
 
 from .emissions import DiscreteEmission, l1_distance, max_emission_l1, pad_pmfs
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .hmm import HmmParams, TransitionMatrix, simulate, stationary_distribution
 from .util import Estimate, as_generator, readonly
 
@@ -50,27 +52,60 @@ def relabel(params: HmmParams, sigma) -> HmmParams:
 # block marginal laws
 
 
-def _common_support(*params_list: HmmParams) -> int:
-    sizes = []
-    for p in params_list:
-        for e in p.emissions:
-            if not isinstance(e, DiscreteEmission):
-                raise DataError("exact block enumeration needs discrete emissions")
-            sizes.append(e.support_size)
-    return max(sizes)
+def _common_support(theta: HmmParams, theta_ref: HmmParams, block_len: int) -> int:
+    """Symbol support of two discrete-emission parameters, with its blocks
+    checked against the enumeration budget."""
+    emissions = theta.emissions + theta_ref.emissions
+    if not all(isinstance(e, DiscreteEmission) for e in emissions):
+        raise DataError("exact block enumeration needs discrete emissions")
+    support = max(e.support_size for e in emissions)
+    if support ** block_len > BLOCK_BUDGET:
+        raise ValueError("block enumeration exceeds its budget")
+    return support
 
 
 def _block_densities(params: HmmParams, block_len: int, support: int,
                      mu: np.ndarray) -> np.ndarray:
     """Densities of every symbol block, indexed big-endian (first symbol is
     the most significant digit). Shape (support ** block_len,)."""
-    F = pad_pmfs(*params.emissions)            # (k, support)
+    pmfs = pad_pmfs(*params.emissions)
+    F = np.zeros((params.k, support))          # zero-padded to the common support
+    F[:, :pmfs.shape[1]] = pmfs
     Q = params.trans.rows
     A = (F * mu[:, None]).T                    # (support, k)
     for _ in range(1, block_len):
         AQ = A @ Q
         A = (AQ[:, None, :] * F.T[None, :, :]).reshape(-1, Q.shape[0])
     return A.sum(axis=1)
+
+
+def _exact_block_laws(theta: HmmParams, theta_ref: HmmParams, block_len: int):
+    """Both stationary block laws on the common support, and that support."""
+    support = _common_support(theta, theta_ref, block_len)
+    p = _block_densities(theta, block_len, support,
+                         stationary_distribution(theta.trans).probs)
+    q = _block_densities(theta_ref, block_len, support,
+                         stationary_distribution(theta_ref.trans).probs)
+    return p, q, support
+
+
+def _simulated_blocks(theta: HmmParams, theta_ref: HmmParams, block_len: int,
+                      n_samples: int, seed):
+    """(stationary-started parameter, its blocks) for theta, which draws
+    ``n_samples // 2`` blocks first, then for theta_ref, which draws the rest;
+    one ``simulate`` call per block."""
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
+    rng = as_generator(seed)
+    half = n_samples // 2
+    out = []
+    for source, count in ((theta, half), (theta_ref, n_samples - half)):
+        start = source.with_mu(stationary_distribution(source.trans).probs)
+        blocks = np.empty((count, block_len))
+        for r in range(count):
+            blocks[r] = simulate(start, block_len, rng)[1]
+        out.append((start, blocks))
+    return out
 
 
 def block_l1_distance(theta: HmmParams, theta_ref: HmmParams, block_len: int = 3,
@@ -85,33 +120,15 @@ def block_l1_distance(theta: HmmParams, theta_ref: HmmParams, block_len: int = 3
     """
     if block_len < 1:
         raise ValueError("block_len must be at least 1")
-    mu = stationary_distribution(theta.trans).probs
-    mu_ref = stationary_distribution(theta_ref.trans).probs
     if mode == "exact":
-        support = _common_support(theta, theta_ref)
-        if support ** block_len > BLOCK_BUDGET:
-            raise ValueError("block enumeration exceeds its budget")
-        p = _block_densities(theta, block_len, support, mu)
-        q = _block_densities(theta_ref, block_len, support, mu_ref)
+        p, q, _ = _exact_block_laws(theta, theta_ref, block_len)
         return Estimate(float(np.abs(p - q).sum()), 0.0)
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    rng = as_generator(seed)
-    half = n_samples // 2
-    start = theta.with_mu(mu)
-    start_ref = theta_ref.with_mu(mu_ref)
-
-    def _draw_blocks(source, count):
-        out = np.empty((count, block_len), dtype=np.float64)
-        for r in range(count):
-            _, y = simulate(source, block_len, rng)
-            out[r] = y
-        return out
-
-    blocks = np.vstack([_draw_blocks(start, half),
-                        _draw_blocks(start_ref, n_samples - half)])
+    (start, own), (start_ref, ref) = _simulated_blocks(theta, theta_ref, block_len,
+                                                       n_samples, seed)
+    half = len(own)
+    blocks = np.vstack([own, ref])
     p = _batch_block_density(start, blocks)
     q = _batch_block_density(start_ref, blocks)
     mix = 0.5 * (p + q)
@@ -289,9 +306,7 @@ def kl_rate_exact(theta: HmmParams, theta_ref: HmmParams, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    support = _common_support(theta, theta_ref)
-    if support ** n > BLOCK_BUDGET:
-        raise ValueError("block enumeration exceeds its budget")
+    support = _common_support(theta, theta_ref, n)
     mu_ref = stationary_distribution(theta_ref.trans).probs
     p_ref = _block_densities(theta_ref, n, support, mu_ref)
     p = _block_densities(theta, n, support, np.asarray(theta.mu))
@@ -355,29 +370,45 @@ def weak_functional_gap(theta: HmmParams, theta_ref: HmmParams, block_len: int,
     otherwise (each expectation estimated from its own simulated blocks).
     """
     if mode == "exact":
-        support = _common_support(theta, theta_ref)
-        if support ** block_len > BLOCK_BUDGET:
-            raise ValueError("block enumeration exceeds its budget")
+        p, q, support = _exact_block_laws(theta, theta_ref, block_len)
         h = _h_values_discrete(h_id, support, block_len)
-        mu = stationary_distribution(theta.trans).probs
-        mu_ref = stationary_distribution(theta_ref.trans).probs
-        p = _block_densities(theta, block_len, support, mu)
-        q = _block_densities(theta_ref, block_len, support, mu_ref)
         return Estimate(float(abs(h @ p - h @ q)), 0.0)
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
-    rng = as_generator(seed)
-    half = n_samples // 2
-    vals = []
-    ses = []
-    for source, count in ((theta, half), (theta_ref, n_samples - half)):
-        start = source.with_mu(stationary_distribution(source.trans).probs)
-        blocks = np.empty((count, block_len))
-        for r in range(count):
-            _, y = simulate(start, block_len, rng)
-            blocks[r] = y
-        hv = _h_on_blocks(h_id, blocks)
-        vals.append(hv.mean())
-        ses.append(hv.std(ddof=1) / np.sqrt(count))
-    return Estimate(float(abs(vals[0] - vals[1])),
+    hvs = [_h_on_blocks(h_id, blocks)
+           for _, blocks in _simulated_blocks(theta, theta_ref, block_len, n_samples, seed)]
+    ses = [hv.std(ddof=1) / np.sqrt(hv.size) for hv in hvs]
+    return Estimate(float(abs(hvs[0].mean() - hvs[1].mean())),
                     float(np.sqrt(ses[0] ** 2 + ses[1] ** 2)))
+
+
+# ---------------------------------------------------------------------------
+# one dispatch from metric names to parameter metrics
+
+
+CONSISTENCY_METRICS = ("block_l1", "aligned_q", "aligned_emission")
+
+
+def parameter_metrics(theta: HmmParams, truth: HmmParams, names, block_len: int,
+                      align: AlignmentResult | None = None) -> list[Estimate]:
+    """One estimate per name, in order: ``block_l1``, ``aligned_q``,
+    ``aligned_emission`` or ``weak_gap:<h_id>``, block metrics in exact mode.
+    Aligns at most once, not at all given ``align``. Unknown or repeated
+    names raise ``ConfigError``."""
+    if len(set(names)) != len(names):
+        raise ConfigError(f"metric names must be unique: {list(names)}")
+    out = []
+    for name in names:
+        if name == "block_l1":
+            out.append(block_l1_distance(theta, truth, block_len))
+        elif name in ("aligned_q", "aligned_emission"):
+            if align is None:
+                align = align_labels(theta, truth)
+            out.append(Estimate(align.q_distance if name == "aligned_q"
+                                else float(align.emission_distances.max()), 0.0))
+        elif name.startswith("weak_gap:"):
+            out.append(weak_functional_gap(theta, truth, block_len,
+                                           name.split(":", 1)[1]))
+        else:
+            raise ConfigError(f"unknown metric {name!r}")
+    return out

@@ -1,0 +1,132 @@
+"""The command-line interface end to end on a tiny golden-truth config:
+records equal direct library calls, and each failure exits with its code."""
+import json
+
+import numpy as np
+
+from dphmm import (DiscreteEmission, HmmParams, TransitionMatrix, cli, metrics,
+                   modelio)
+
+NAMES = ["block_l1", "aligned_q", "aligned_emission", "weak_gap:ind_0_1"]
+
+GOLDEN = {
+    "truth": {"k": 2, "q_floor": 0.15, "Q": [0.7, 0.3, 0.4, 0.6], "mu": "stationary",
+              "emissions": [{"family": "discrete", "pmf": [0.9, 0.1]},
+                            {"family": "discrete", "pmf": [0.2, 0.8]}]},
+    "prior": {"transitions": {"alpha": [1.0, 1.0], "q_floor": 0.15},
+              "emissions": {"family": "discrete", "alpha": 2.0, "base": [0.5, 0.5]}},
+    "gibbs": {"n_iter": 30, "burn_in": 10, "thin": 5, "seed": 1},
+    "metrics": {"l": 3, "names": NAMES},
+    "simulate": {"n": 60, "seed": 3},
+}
+
+GAUSSIAN = {
+    **GOLDEN,
+    "truth": {"k": 2, "q_floor": 0.15, "Q": [0.7, 0.3, 0.4, 0.6], "mu": "stationary",
+              "emissions": [{"family": "gaussian_mixture", "weights": [1.0],
+                             "locations": [-1.0], "scales": [1.0]},
+                            {"family": "gaussian_mixture", "weights": [1.0],
+                             "locations": [1.0], "scales": [1.0]}]},
+    "prior": {"transitions": {"alpha": [1.0, 1.0], "q_floor": 0.15},
+              "emissions": {"family": "dpm_gaussian", "alpha": 1.0, "truncation": 5,
+                            "base": {"loc": 0.0, "loc_count": 0.1, "shape": 2.0,
+                                     "scale": 1.0}}},
+    "gibbs": {"n_iter": 6, "burn_in": 2, "thin": 2, "seed": 1},
+    "metrics": {"l": 3},
+}
+
+
+def _config(tmp_path, payload, **metrics_section):
+    payload = {**payload, "metrics": {**payload["metrics"], **metrics_section}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _run(*argv):
+    return cli.main(["--quiet", *map(str, argv)])
+
+
+def _fit(tmp_path, config, chains=2):
+    assert _run("simulate", "--config", config, "--out", tmp_path) == 0
+    assert _run("fit", "--config", config, "--data", tmp_path / "observations.txt",
+                "--chains", chains, "--out", tmp_path) == 0
+    return sorted(tmp_path.glob("samples_chain*.jsonl"))
+
+
+def _records(out):
+    return [json.loads(ln) for ln in (out / "metric_records.jsonl").read_text().splitlines()]
+
+
+def test_report_records_equal_direct_metric_calls(tmp_path):
+    config = _config(tmp_path, GOLDEN)
+    samples = _fit(tmp_path, config)
+    out = tmp_path / "report"
+    assert _run("report", "--config", config, "--samples", *samples, "--out", out) == 0
+    truth = modelio.read_config(config).truth
+    expect = []
+    for path in samples:
+        for s in modelio.read_samples(path):
+            align = metrics.align_labels(s.params, truth)
+            direct = {
+                "block_l1": metrics.block_l1_distance(s.params, truth, 3).value,
+                "aligned_q": align.q_distance,
+                "aligned_emission": float(align.emission_distances.max()),
+                "weak_gap:ind_0_1": metrics.weak_functional_gap(s.params, truth, 3,
+                                                                "ind_0_1").value,
+            }
+            expect += [{"sample": f"{path.stem}:{s.chain_id}:{s.iteration}",
+                        "metric": name, "l": 3, "mode": "exact",
+                        "value": direct[name], "stderr": 0.0} for name in NAMES]
+    assert len(expect) == 2 * 4 * len(NAMES)
+    assert _records(out) == expect
+    summary = (out / "report_summary.txt").read_text().splitlines()
+    assert [ln.split(":")[0] for ln in summary] == ["block_l1", "aligned_q",
+                                                    "aligned_emission", "weak_gap"]
+
+
+def test_metric_on_the_truth_is_zero(tmp_path):
+    config = _config(tmp_path, GOLDEN)
+    params = tmp_path / "truth.json"
+    modelio.write_params(params, modelio.read_config(config).truth)
+    assert _run("metric", "--config", config, "--params", params, "--out", tmp_path) == 0
+    records = _records(tmp_path)
+    assert [r["metric"] for r in records] == NAMES
+    assert all(r["value"] == 0.0 and r["stderr"] == 0.0 and r["mode"] == "exact"
+               for r in records)
+
+
+def test_unknown_metric_name_exits_2(tmp_path, capsys):
+    config = _config(tmp_path, GOLDEN, names=["block_l1", "mystery"])
+    params = tmp_path / "truth.json"
+    modelio.write_params(params, modelio.read_config(config).truth)
+    assert _run("metric", "--config", config, "--params", params, "--out", tmp_path) == 2
+    assert "unknown metric 'mystery'" in capsys.readouterr().err
+
+
+def test_repeated_metric_name_exits_2_without_records(tmp_path, capsys):
+    config = _config(tmp_path, GOLDEN, names=["aligned_q", "block_l1", "aligned_q"])
+    samples = _fit(tmp_path, config, chains=1)
+    out = tmp_path / "report"
+    assert _run("report", "--config", config, "--samples", *samples, "--out", out) == 2
+    assert "unique" in capsys.readouterr().err
+    assert not (out / "metric_records.jsonl").exists()
+
+
+def test_parameter_file_with_other_k_exits_3(tmp_path):
+    config = _config(tmp_path, GOLDEN)
+    three = HmmParams(TransitionMatrix(np.full((3, 3), 1.0 / 3.0), 0.1),
+                      np.full(3, 1.0 / 3.0),
+                      tuple(DiscreteEmission(np.array([0.5, 0.5])) for _ in range(3)))
+    params = tmp_path / "three.json"
+    modelio.write_params(params, three)
+    assert _run("metric", "--config", config, "--params", params, "--out", tmp_path) == 3
+
+
+def test_report_on_gaussian_mixture_samples_exits_3(tmp_path, capsys):
+    # Metrics are exact only; Monte Carlo scoring is not wired into the CLI.
+    config = _config(tmp_path, GAUSSIAN)
+    samples = _fit(tmp_path, config, chains=1)
+    assert _run("report", "--config", config, "--samples", *samples,
+                "--out", tmp_path / "report") == 3
+    assert "discrete emissions" in capsys.readouterr().err

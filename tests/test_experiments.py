@@ -63,7 +63,7 @@ def test_reports_reproducible_bitwise(golden_truth):
 
 def test_mass_monotone_in_radius(golden_truth):
     cfg = _tiny_config(golden_truth)
-    report = consistency_experiment(cfg, keep_values=True)
+    report = consistency_experiment(cfg)
     for cell in report.cells:
         vals = np.asarray(cell.values["block_l1"])
         assert np.mean(vals < 0.1) <= np.mean(vals < 0.3)

@@ -3,8 +3,9 @@ window truncation and simulation."""
 import numpy as np
 import pytest
 
-from dphmm import (DataError, DiscreteEmission, HmmParams, StationarySolveError,
-                   TransitionMatrix, ZeroLikelihoodError, forgetting_bound,
+from dphmm import (DataError, DiscreteEmission, HmmParams, NumericalError,
+                   StationarySolveError, TransitionMatrix, ZeroLikelihoodError,
+                   forgetting_bound,
                    log_likelihood_forward, marginal_density, simulate,
                    smoothing_exact, smoothing_windowed, stationary_distribution)
 from tests.conftest import (brute_force_loglik, brute_force_smoothing,
@@ -233,6 +234,19 @@ def test_smoothing_matches_enumeration():
 def test_smoothing_rejects_zero_likelihood(flat_binary):
     with pytest.raises(ZeroLikelihoodError):
         smoothing_exact(flat_binary, [0, 9], 1)
+
+
+def test_smoothing_rejects_overflowing_backward_messages():
+    # State 1 is never entered (Q = I, mu = e_0) but every 0 favours it 9:1,
+    # so its scaled backward message grows by 9 a step and overflows past
+    # n of about 320; the marginals would be inf * 0 = NaN.
+    params = HmmParams(TransitionMatrix(np.eye(2), 0.0), np.array([1.0, 0.0]),
+                       (DiscreteEmission(np.array([0.1, 0.9])),
+                        DiscreteEmission(np.array([0.9, 0.1]))))
+    table = smoothing_exact(params, np.zeros(300, dtype=np.int64), 2)
+    assert np.isfinite(table.marginals).all() and np.isfinite(table.blocks).all()
+    with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
+        smoothing_exact(params, np.zeros(400, dtype=np.int64), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from dphmm import (DataError, DiscreteEmission, HmmParams, TransitionMatrix,
-                   align_labels, block_l1_distance, block_l1_upper_bound,
+from dphmm import (AlignmentResult, ConfigError, DataError, DiscreteEmission,
+                   HmmParams, TransitionMatrix, align_labels, block_l1_distance,
+                   block_l1_upper_bound,
                    kl_rate_bound, kl_rate_exact, relabel, simulate,
                    stationary_distribution, weak_functional_gap)
-from dphmm.metrics import emission_log_ratio_term, weak_test_functions
+from dphmm.metrics import (emission_log_ratio_term, parameter_metrics,
+                           weak_test_functions)
 from tests.conftest import (all_paths, brute_force_path_probs,
                             random_discrete_params)
 
@@ -19,6 +21,15 @@ from tests.conftest import (all_paths, brute_force_path_probs,
 
 def test_block_l1_zero_on_self(golden_truth):
     assert block_l1_distance(golden_truth, golden_truth, 3).value == 0.0
+
+
+def test_block_metrics_pad_a_smaller_support(golden_truth):
+    wider = HmmParams(golden_truth.trans, golden_truth.mu,
+                      tuple(DiscreteEmission(np.append(e.pmf, 0.0))
+                            for e in golden_truth.emissions))
+    assert block_l1_distance(wider, golden_truth, 3).value == 0.0
+    assert weak_functional_gap(golden_truth, wider, 2, "ind_1_0").value == 0.0
+    assert kl_rate_exact(wider, golden_truth, 3) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_block_l1_nonidentifiable_pair_is_exactly_zero():
@@ -302,3 +313,34 @@ def test_weak_gap_montecarlo_continuous():
     gap = weak_functional_gap(a, a, 2, "sigmoid_0_0.0", mode="montecarlo",
                               n_samples=4000, seed=11)
     assert gap.value <= 4 * gap.stderr + 0.05
+
+
+# ---------------------------------------------------------------------------
+# name dispatch
+
+
+def test_parameter_metrics_match_direct_calls_in_name_order(golden_truth):
+    theta = random_discrete_params(np.random.default_rng(12), k=2, support=2)
+    names = ["weak_gap:ind_1_0", "aligned_emission", "block_l1", "aligned_q"]
+    align = align_labels(theta, golden_truth)
+    expect = [weak_functional_gap(theta, golden_truth, 2, "ind_1_0").value,
+              float(align.emission_distances.max()),
+              block_l1_distance(theta, golden_truth, 2).value,
+              align.q_distance]
+    got = parameter_metrics(theta, golden_truth, names, 2)
+    assert [est.value for est in got] == expect
+    assert all(est.stderr == 0.0 for est in got)
+
+
+def test_parameter_metrics_use_a_given_alignment(golden_truth):
+    given = AlignmentResult((1, 0), 0.5, np.array([0.25, 0.125]))
+    got = parameter_metrics(golden_truth, golden_truth,
+                            ["aligned_q", "aligned_emission"], 3, align=given)
+    assert [est.value for est in got] == [0.5, 0.25]
+
+
+@pytest.mark.parametrize("names", [["block_l1", "mystery"],
+                                   ["aligned_q", "block_l1", "aligned_q"]])
+def test_parameter_metrics_reject_unknown_and_repeated_names(golden_truth, names):
+    with pytest.raises(ConfigError):
+        parameter_metrics(golden_truth, golden_truth, names, 3)
