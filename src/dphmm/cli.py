@@ -6,7 +6,7 @@ a JSON manifest carrying the seeds and input digests needed to reproduce
 them bit for bit; nothing in an output file depends on the clock.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+failure. Any other exception is a bug and ends in a traceback.
 """
 from __future__ import annotations
 
@@ -35,6 +35,12 @@ def _say(args, msg: str) -> None:
         print(msg)
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("a seed must be >= 0")
+    return int(text)
+
+
 def _outdir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -45,11 +51,9 @@ def _manifest(out: Path, name: str, payload: dict) -> None:
     (out / name).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_simulate(args) -> int:
-    cfg = modelio.read_config(args.config)
-    sim = cfg.simulate
-    n = int(sim.get("n", 100))
-    seed = int(args.seed if args.seed is not None else sim.get("seed", 0))
+def cmd_simulate(args, cfg: modelio.RunConfig) -> int:
+    n = cfg.simulate.n
+    seed = cfg.simulate.seed if args.seed is None else args.seed
     truth = cfg.truth
     states, obs = simulate_paths(truth, n, seed)
     out = _outdir(args)
@@ -64,15 +68,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    cfg = modelio.read_config(args.config)
+def cmd_fit(args, cfg: modelio.RunConfig) -> int:
     y = modelio.read_observations(args.data)
-    seed = int(args.seed) if args.seed is not None else None
-    gibbs_cfg = cfg.gibbs_config(seed=seed)
+    gibbs_cfg = cfg.gibbs_config(seed=args.seed)
     out = _outdir(args)
-    chains = int(args.chains)
     written = []
-    for chain_id in range(chains):
+    for chain_id in range(args.chains):
         try:
             samples = run_chain(y, gibbs_cfg, chain_id=chain_id)
         except NumericalError:
@@ -84,7 +85,7 @@ def cmd_fit(args) -> int:
         written.append(path)
         _say(args, f"chain {chain_id}: {len(samples)} samples -> {path}")
     _manifest(out, "fit_manifest.json", {
-        "command": "fit", "chains": chains, "seed": gibbs_cfg.seed,
+        "command": "fit", "chains": args.chains, "seed": gibbs_cfg.seed,
         "n_iter": gibbs_cfg.n_iter, "burn_in": gibbs_cfg.burn_in,
         "thin": gibbs_cfg.thin,
         "data_digest": modelio.digest(np.asarray(y).tolist()),
@@ -100,15 +101,12 @@ def _metric_records(sample_id, theta, truth, names, block_len):
             for name, est in zip(names, estimates)]
 
 
-def cmd_metric(args) -> int:
-    cfg = modelio.read_config(args.config)
+def cmd_metric(args, cfg: modelio.RunConfig) -> int:
     theta = modelio.read_params(args.params)
     if theta.k != cfg.truth.k:
         raise DataError("parameter file and truth disagree on k")
-    names = cfg.metrics.get("names", list(metrics.CONSISTENCY_METRICS))
-    block_len = int(cfg.metrics.get("l", 3))
     records = _metric_records(Path(args.params).stem, theta, cfg.truth,
-                              names, block_len)
+                              cfg.metrics.names, cfg.metrics.l)
     out = _outdir(args)
     modelio.write_records(out / "metric_records.jsonl", records)
     for rec in records:
@@ -120,12 +118,9 @@ def cmd_metric(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    cfg = modelio.read_config(args.config)
+def cmd_report(args, cfg: modelio.RunConfig) -> int:
     truth = cfg.truth
-    names = cfg.metrics.get("names", list(metrics.CONSISTENCY_METRICS))
-    block_len = int(cfg.metrics.get("l", 3))
-    epsilons = cfg.metrics.get("epsilon", {})
+    names = cfg.metrics.names
     records = []
     values = {n: [] for n in names}
     for path in args.samples:
@@ -134,7 +129,7 @@ def cmd_report(args) -> int:
             if s.params.k != truth.k:
                 raise DataError(f"sample in {path} disagrees with truth on k")
             recs = _metric_records(f"{Path(path).stem}:{s.chain_id}:{s.iteration}",
-                                   s.params, truth, names, block_len)
+                                   s.params, truth, names, cfg.metrics.l)
             records.extend(recs)
             for rec in recs:
                 values[rec["metric"]].append(rec["value"])
@@ -143,7 +138,7 @@ def cmd_report(args) -> int:
     lines = []
     for name in names:
         vals = np.asarray(values[name])
-        eps = epsilons.get(name)
+        eps = cfg.metrics.epsilon.get(name)
         mass = float(np.mean(vals < eps)) if eps is not None and vals.size else None
         line = f"{name}: mean={vals.mean():.6g}" if vals.size else f"{name}: no samples"
         if mass is not None:
@@ -158,14 +153,11 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_check_prior(args) -> int:
-    cfg = modelio.read_config(args.config)
+def cmd_check_prior(args, cfg: modelio.RunConfig) -> int:
     truth = cfg.truth
     rows = []
-    k = truth.k
-    floor_ok = cfg.trans_prior is not None and cfg.trans_prior.q_floor * k <= 1.0
     if cfg.trans_prior is not None:
-        feasible = floor_ok and bool(np.all(truth.trans.rows >= cfg.trans_prior.q_floor - 1e-12))
+        feasible = bool(np.all(truth.trans.rows >= cfg.trans_prior.q_floor - 1e-12))
         rows.append(("floor_feasible", "-", "holds" if feasible else "fails",
                      f"q_floor={cfg.trans_prior.q_floor}"))
     if isinstance(cfg.emission_prior, DiscreteDpSpec) and truth.discrete:
@@ -189,75 +181,49 @@ def cmd_check_prior(args) -> int:
     return EXIT_OK
 
 
-def cmd_experiment(args) -> int:
-    cfg = modelio.read_config(args.config)
+def cmd_experiment(args, cfg: modelio.RunConfig) -> int:
     exp = cfg.experiment
-    kind = exp.get("kind", "golden")
-    seed = int(args.seed if args.seed is not None else exp.get("seed", 0))
+    seed = exp.seed if args.seed is None else args.seed
     out = _outdir(args)
-    if kind in ("golden", "consistency", "smoothing"):
-        gibbs_cfg = cfg.gibbs_config()
+    if exp.kind in ("golden", "consistency", "smoothing"):
         config = experiments.ExperimentConfig(
-            truth=cfg.truth,
-            gibbs=gibbs_cfg,
-            n_grid=tuple(exp.get("n_grid", (100, 500, 2000))),
-            replications=int(exp.get("replications", 5)),
-            seed=seed,
-            epsilons=cfg.metrics.get("epsilon", {}),
-            block_len=int(cfg.metrics.get("l", 3)),
-            smoothing_block_len=int(exp.get("smoothing_block_len", 1)),
-        )
+            truth=cfg.truth, gibbs=cfg.gibbs_config(), n_grid=exp.n_grid,
+            replications=exp.replications, seed=seed, epsilons=cfg.metrics.epsilon,
+            block_len=cfg.metrics.l, smoothing_block_len=exp.smoothing_block_len)
         runner = {"golden": experiments.golden_experiment,
                   "consistency": experiments.consistency_experiment,
-                  "smoothing": experiments.smoothing_consistency_experiment}[kind]
+                  "smoothing": experiments.smoothing_consistency_experiment}[exp.kind]
         report = runner(config)
-        modelio.write_records(out / "experiment_records.jsonl", report.to_records())
+        records = report.to_records()
         lines = [f"verdict: {report.verdict}"]
         for name, curve in report.curves.items():
             pts = "  ".join(f"n={n}:{mass:.3f}" for n, mass in curve.items())
             lines.append(f"{name:<20} {pts}")
-        (out / "experiment_summary.txt").write_text("\n".join(lines) + "\n")
-        for line in lines:
-            _say(args, line)
-        code = EXIT_OK
-    elif kind == "kl":
+    elif exp.kind == "kl":
         report = experiments.kl_lemma_experiment(
-            theta_star=cfg.truth,
-            epsilon=float(exp.get("epsilon", 0.01)),
-            n_grid=tuple(exp.get("n_grid", tuple(range(4, 11)))),
-            n_draws=int(exp.get("n_draws", 25)),
-            trans_prior=cfg.trans_prior,
-            emission_prior=cfg.emission_prior,
-            seed=seed)
-        modelio.write_records(out / "experiment_records.jsonl", list(report.rows))
+            theta_star=cfg.truth, epsilon=exp.epsilon, n_grid=exp.n_grid,
+            n_draws=exp.n_draws, trans_prior=cfg.trans_prior,
+            emission_prior=cfg.emission_prior, seed=seed)
+        records = list(report.rows)
         lines = [f"bound violations: {report.bound_violations}",
                  f"conclusion violations: {report.conclusion_violations}",
                  f"threshold 3*eps/q: {report.conclusion_threshold:.4f}"]
-        (out / "experiment_summary.txt").write_text("\n".join(lines) + "\n")
-        for line in lines:
-            _say(args, line)
-        code = EXIT_OK
-    elif kind == "ldir":
-        if not isinstance(cfg.emission_prior, DiscreteDpSpec):
-            raise ConfigError("the moment check needs a discrete emission prior")
-        support = cfg.emission_prior.truncation
-        partitions = exp.get("partitions") or [[[s] for s in range(support)]]
-        report = experiments.dp_gamma_moment_check(
-            cfg.emission_prior, int(exp.get("n_draws", 10000)), partitions,
-            significance=float(exp.get("significance", 0.0027)), seed=seed)
-        modelio.write_records(out / "experiment_records.jsonl", report.to_records())
-        line = (f"max |z| = {report.max_abs_z:.3f} vs threshold "
-                f"{report.z_threshold:.3f}: {'PASS' if report.passed else 'FAIL'}")
-        (out / "experiment_summary.txt").write_text(line + "\n")
-        _say(args, line)
-        code = EXIT_OK
     else:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
+        report = experiments.dp_gamma_moment_check(
+            cfg.emission_prior, exp.n_draws, exp.partitions,
+            significance=exp.significance, seed=seed)
+        records = report.to_records()
+        lines = [f"max |z| = {report.max_abs_z:.3f} vs threshold "
+                 f"{report.z_threshold:.3f}: {'PASS' if report.passed else 'FAIL'}"]
+    modelio.write_records(out / "experiment_records.jsonl", records)
+    (out / "experiment_summary.txt").write_text("\n".join(lines) + "\n")
+    for line in lines:
+        _say(args, line)
     _manifest(out, "experiment_manifest.json", {
-        "command": "experiment", "kind": kind, "seed": seed,
+        "command": "experiment", "kind": exp.kind, "seed": seed,
         "config_digest": cfg.config_digest(),
     })
-    return code
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, data=False, params=False, samples=False):
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", type=_seed, default=None, help="seed override")
         if data:
             p.add_argument("--data", required=True, help="observation file")
         if params:
@@ -304,19 +270,16 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](args)
+        return _HANDLERS[args.subcommand](args, modelio.read_config(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, DphmmError) as exc:
+    except DphmmError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

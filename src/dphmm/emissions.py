@@ -170,12 +170,17 @@ def l1_distance(f: EmissionModel, g: EmissionModel, n_samples: int | None = None
     half = n // 2
     ys = np.concatenate([np.atleast_1d(f.sample(rng, size=half)),
                          np.atleast_1d(g.sample(rng, size=n - half))])
-    df = f.density(ys)
-    dg = g.density(ys)
-    mix = 0.5 * (df + dg)
-    h = np.abs(df - dg) / mix
+    return mixture_l1_estimate(f.density(ys), g.density(ys), half)
+
+
+def mixture_l1_estimate(p: np.ndarray, q: np.ndarray, half: int) -> Estimate:
+    """Importance-sampled L1 distance between two densities against their
+    equal mixture, from their values ``p`` and ``q`` at points of which the
+    first ``half`` were drawn from the first law and the rest from the second."""
+    mix = 0.5 * (p + q)
+    h = np.abs(p - q) / mix
     est = 0.5 * h[:half].mean() + 0.5 * h[half:].mean()
-    var = 0.25 * (h[:half].var() / half + h[half:].var() / (n - half))
+    var = 0.25 * (h[:half].var() / half + h[half:].var() / (p.size - half))
     return Estimate(float(est), float(np.sqrt(var)))
 
 

@@ -1,15 +1,16 @@
-"""Exception hierarchy. The CLI maps these onto distinct exit codes."""
+"""Exception hierarchy. The CLI maps these onto distinct exit codes. Bad
+input errors are also ``ValueError``s, as library callers may expect."""
 
 
 class DphmmError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(DphmmError):
+class ConfigError(DphmmError, ValueError):
     """Invalid configuration or parameter specification."""
 
 
-class DataError(DphmmError):
+class DataError(DphmmError, ValueError):
     """Malformed or out-of-domain input data."""
 
 

@@ -45,6 +45,9 @@ METRIC_SMOOTHING_RAW = "smoothing_unaligned"
 SMOOTHING_METRICS = (METRIC_SMOOTHING, METRIC_SMOOTHING_RAW)
 ALL_METRICS = CONSISTENCY_METRICS + SMOOTHING_METRICS
 
+# fractions of the path whose smoothing marginals the smoothing metrics compare
+SMOOTHING_POSITIONS = (0.0, 0.5, 1.0)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -58,14 +61,16 @@ class ExperimentConfig:
     epsilons: dict
     block_len: int = 3
     smoothing_block_len: int = 1
-    smoothing_positions: tuple[float, ...] = (0.0, 0.5, 1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.truth.q_floor <= 0.0:
             raise ConfigError("the truth must carry a positive transition floor")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])) or not self.n_grid:
-            raise ConfigError("n_grid must be strictly increasing and nonempty")
+        if (not self.n_grid or self.n_grid[0] < 1
+                or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:]))):
+            raise ConfigError("n_grid must be nonempty, positive and strictly increasing")
+        if not 1 <= self.smoothing_block_len <= self.n_grid[0]:
+            raise ConfigError("smoothing_block_len must lie in [1, min(n_grid)]")
         if self.replications < 1:
             raise ConfigError("need at least one replication")
         if any(e <= 0.0 for e in self.epsilons.values()):
@@ -115,10 +120,6 @@ def trend_verdict(curve: Sequence[float], slack: float = TREND_SLACK,
     return monotone and curve[-1] >= final_floor
 
 
-def _smoothing_indices(positions: Sequence[float], n: int) -> list[int]:
-    return sorted({min(int(round(f * (n - 1))), n - 1) for f in positions})
-
-
 def smoothing_max_deviation(table: SmoothingTable, ref_table: SmoothingTable,
                             j_indices: Sequence[int], sigma=None) -> float:
     """Largest absolute gap between two smoothing tables over the block joint
@@ -150,12 +151,14 @@ def _run_cells(config: ExperimentConfig, metrics: tuple[str, ...]) -> tuple[Cell
             _, y = simulate(stationary_truth, n, sim_seed)
             cfg = replace(config.gibbs, seed=chain_seed)
             samples = run_chain(y, cfg)
-            j_idx = _smoothing_indices(config.smoothing_positions, n)
+            align_rng = np.random.default_rng([sim_seed, chain_seed])
+            j_idx = sorted({min(int(round(f * (n - 1))), n - 1) for f in SMOOTHING_POSITIONS})
             ref_table = (smoothing_exact(truth, y, config.smoothing_block_len)
                          if want_smoothing else None)
             values: dict[str, list[float]] = {m: [] for m in metrics}
             for s in samples:
-                align = align_labels(s.params, truth) if want_smoothing else None
+                align = (align_labels(s.params, truth, seed=align_rng)
+                         if want_smoothing else None)
                 estimates = parameter_metrics(s.params, truth, scored,
                                               config.block_len, align)
                 for name, est in zip(scored, estimates):
@@ -363,9 +366,12 @@ def dp_gamma_moment_check(spec: DiscreteDpSpec, n_draws: int,
     record: every draw's block mass must lie within ``PMF_TOL`` of 0 or 1. It
     takes no mean, variance or covariance z-score.
     """
+    support = spec.truncation
+    if any(sorted(s for b in blocks for s in b) != list(range(support))
+           for blocks in partitions):
+        raise ConfigError("partition must cover the support exactly once")
     rng = as_generator(seed)
     z_threshold = NormalDist().inv_cdf(1.0 - significance / 2.0)
-    support = spec.truncation
     pmfs = np.empty((n_draws, support))
     totals = np.empty(n_draws)
     for r in range(n_draws):
@@ -376,9 +382,6 @@ def dp_gamma_moment_check(spec: DiscreteDpSpec, n_draws: int,
     records = []
     for pi, blocks in enumerate(partitions):
         idx_list = [np.asarray(b, dtype=np.int64) for b in blocks]
-        flat = np.concatenate(idx_list)
-        if sorted(flat.tolist()) != list(range(support)):
-            raise ConfigError("partition must cover the support exactly once")
         masses = np.stack([pmfs[:, b].sum(axis=1) for b in idx_list], axis=1)
         gmass = np.array([spec.base[b].sum() for b in idx_list])
         inside = np.array([np.count_nonzero(spec.base[b]) for b in idx_list])

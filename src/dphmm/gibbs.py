@@ -20,8 +20,8 @@ import numpy as np
 
 from . import kernels
 from .emissions import DiscreteEmission, GaussianMixtureEmission, EmissionModel
-from .errors import NumericalError, ZeroLikelihoodError
-from .hmm import HmmParams, TransitionMatrix, emission_matrix, simulate
+from .errors import ConfigError, NumericalError, ZeroLikelihoodError
+from .hmm import CONSTRUCTION_TOL, HmmParams, TransitionMatrix, emission_matrix, simulate
 from .priors import (DiscreteDpSpec, GaussianDpSpec, TruncatedDirichletSpec,
                      sample_dp_discrete, sample_dp_mixture,
                      sample_transition_row, sticks_to_weights)
@@ -46,11 +46,15 @@ class GibbsConfig:
 
     def __post_init__(self):
         if self.thin < 1:
-            raise ValueError("thin must be at least 1")
+            raise ConfigError("thin must be at least 1")
         if not 0 <= self.burn_in < self.n_iter:
-            raise ValueError("need 0 <= burn_in < n_iter")
+            raise ConfigError("need 0 <= burn_in < n_iter")
         if self.emission_prior is None and self.fixed_emissions is None:
-            raise ValueError("provide an emission prior or fixed emissions")
+            raise ConfigError("provide an emission prior or fixed emissions")
+        mu = self.model_mu()
+        if (mu.shape != (self.k,) or not abs(mu.sum() - 1.0) <= CONSTRUCTION_TOL
+                or np.any(mu < self.transition_prior.q_floor - CONSTRUCTION_TOL)):
+            raise ConfigError("mu must be a length-k law with every entry >= q_floor")
 
     @property
     def k(self) -> int:

@@ -24,7 +24,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .emissions import DiscreteEmission, l1_distance, max_emission_l1, pad_pmfs
+from .emissions import (DiscreteEmission, l1_distance, max_emission_l1,
+                        mixture_l1_estimate, pad_pmfs)
 from .errors import ConfigError, DataError
 from .hmm import HmmParams, TransitionMatrix, simulate, stationary_distribution
 from .util import Estimate, as_generator, readonly
@@ -60,7 +61,8 @@ def _common_support(theta: HmmParams, theta_ref: HmmParams, block_len: int) -> i
         raise DataError("exact block enumeration needs discrete emissions")
     support = max(e.support_size for e in emissions)
     if support ** block_len > BLOCK_BUDGET:
-        raise ValueError("block enumeration exceeds its budget")
+        raise ConfigError(f"{support}**{block_len} blocks exceed the enumeration "
+                          f"budget of {BLOCK_BUDGET}")
     return support
 
 
@@ -127,15 +129,9 @@ def block_l1_distance(theta: HmmParams, theta_ref: HmmParams, block_len: int = 3
         raise ValueError(f"unknown mode {mode!r}")
     (start, own), (start_ref, ref) = _simulated_blocks(theta, theta_ref, block_len,
                                                        n_samples, seed)
-    half = len(own)
     blocks = np.vstack([own, ref])
-    p = _batch_block_density(start, blocks)
-    q = _batch_block_density(start_ref, blocks)
-    mix = 0.5 * (p + q)
-    h = np.abs(p - q) / mix
-    est = 0.5 * h[:half].mean() + 0.5 * h[half:].mean()
-    var = 0.25 * (h[:half].var() / half + h[half:].var() / (n_samples - half))
-    return Estimate(float(est), float(np.sqrt(var)))
+    return mixture_l1_estimate(_batch_block_density(start, blocks),
+                               _batch_block_density(start_ref, blocks), len(own))
 
 
 def _batch_block_density(params: HmmParams, blocks: np.ndarray) -> np.ndarray:
@@ -214,7 +210,7 @@ def align_labels(theta: HmmParams, theta_ref: HmmParams,
     if k != theta_ref.k:
         raise DataError("parameters disagree on the number of states")
     if k > ALIGN_MAX_K:
-        raise ValueError(f"alignment search is capped at k = {ALIGN_MAX_K}")
+        raise ConfigError(f"alignment search is capped at k = {ALIGN_MAX_K}")
     rng = as_generator(seed)
     best = None
     for sigma in permutations(range(k)):
@@ -337,12 +333,12 @@ def _h_values_discrete(h_id: str, support: int, block_len: int) -> np.ndarray:
     if h_id == "const":
         return np.ones(idx.size)
     parts = h_id.split("_")
-    if parts[0] == "ind" and len(parts) == 3:
+    if parts[0] == "ind" and len(parts) == 3 and all(p.isdecimal() for p in parts[1:]):
         t, s = int(parts[1]), int(parts[2])
         if 0 <= t < block_len:
             coord = (idx // support ** (block_len - 1 - t)) % support
             return (coord == s).astype(np.float64)
-    raise ValueError(f"unknown test-function id {h_id!r}")
+    raise ConfigError(f"unknown test-function id {h_id!r}")
 
 
 def _h_on_blocks(h_id: str, blocks: np.ndarray) -> np.ndarray:
@@ -358,7 +354,7 @@ def _h_on_blocks(h_id: str, blocks: np.ndarray) -> np.ndarray:
         if parts[0] == "gauss":
             return np.exp(-0.5 * (x - c) ** 2)
         return (x == c).astype(np.float64)
-    raise ValueError(f"unknown test-function id {h_id!r}")
+    raise ConfigError(f"unknown test-function id {h_id!r}")
 
 
 def weak_functional_gap(theta: HmmParams, theta_ref: HmmParams, block_len: int,
@@ -392,11 +388,14 @@ CONSISTENCY_METRICS = ("block_l1", "aligned_q", "aligned_emission")
 def parameter_metrics(theta: HmmParams, truth: HmmParams, names, block_len: int,
                       align: AlignmentResult | None = None) -> list[Estimate]:
     """One estimate per name, in order: ``block_l1``, ``aligned_q``,
-    ``aligned_emission`` or ``weak_gap:<h_id>``, block metrics in exact mode.
-    Aligns at most once, not at all given ``align``. Unknown or repeated
-    names raise ``ConfigError``."""
+    ``aligned_emission`` or ``weak_gap:<h_id>``, all in exact mode, so both
+    parameters need discrete emissions (``DataError`` otherwise). Aligns at
+    most once, not at all given ``align``. Unknown or repeated names raise
+    ``ConfigError``."""
     if len(set(names)) != len(names):
         raise ConfigError(f"metric names must be unique: {list(names)}")
+    if names and not (theta.discrete and truth.discrete):
+        raise DataError("exact metrics need discrete emissions")
     out = []
     for name in names:
         if name == "block_l1":

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .emissions import (DiscreteEmission, EmissionModel, GaussianMixtureEmission
 from .errors import ConfigError, DataError
 from .gibbs import GibbsConfig, PosteriorSample
 from .hmm import HmmParams, TransitionMatrix, stationary_distribution
+from .metrics import BLOCK_BUDGET, CONSISTENCY_METRICS
 from .priors import (DiscreteDpSpec, GaussianDpSpec, NormalInvGammaBase,
                      TruncatedDirichletSpec)
 
@@ -170,7 +173,7 @@ def read_samples(path) -> list[PosteriorSample]:
                                        states=np.asarray(rec["states"], dtype=np.int64),
                                        iteration=int(rec["iteration"]),
                                        chain_id=int(rec["chain"])))
-        except (KeyError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad sample record in {path}: {exc}") from exc
     return out
 
@@ -210,40 +213,99 @@ def _prior_from_payload(payload: dict, k: int):
         raise ConfigError(f"bad prior section: {exc}") from exc
 
 
+EXPERIMENT_KINDS = ("golden", "consistency", "smoothing", "kl", "ldir")
+
+
 class RunConfig:
     """Parsed experiment config: sections truth, prior, gibbs, metrics,
-    experiment, simulate. One document drives every subcommand."""
+    experiment, simulate. Every value is read, cast and range-checked here,
+    with the defaults of SCHEMA.md, and the ``GibbsConfig`` built here checks
+    the gibbs values against each other, so every command rejects a bad value
+    with ``ConfigError`` before any work. The metrics, experiment and
+    simulate sections become namespaces whose attributes are their keys."""
 
     def __init__(self, payload: dict):
-        if "truth" not in payload:
+        if not isinstance(payload, dict) or "truth" not in payload:
             raise ConfigError("config needs a 'truth' section")
         self.payload = payload
         self.truth = params_from_payload(payload["truth"])
-        self.trans_prior = None
-        self.emission_prior = None
+        self.trans_prior = self.emission_prior = None
         if "prior" in payload:
             self.trans_prior, self.emission_prior = _prior_from_payload(
                 payload["prior"], self.truth.k)
-        g = payload.get("gibbs", {})
-        self.gibbs_payload = g
-        self.metrics = payload.get("metrics", {})
-        self.experiment = payload.get("experiment", {})
-        self.simulate = payload.get("simulate", {})
+        read, count = self._read, self._count
+        gibbs = dict(n_iter=count("gibbs", "n_iter", 3000),
+                     burn_in=count("gibbs", "burn_in", 2000, low=0),
+                     thin=count("gibbs", "thin", 5), seed=count("gibbs", "seed", 0, low=0),
+                     mu=read("gibbs", "mu", None,
+                             lambda v: None if v is None else np.asarray(v, dtype=np.float64)))
+        self.gibbs = None
+        if self.trans_prior is not None:
+            self.gibbs = GibbsConfig(transition_prior=self.trans_prior,
+                                     emission_prior=self.emission_prior, **gibbs)
+        self.metrics = SimpleNamespace(
+            l=read("metrics", "l", 3, int, self._blocks_fit,
+                   f"an integer >= 1 giving at most {BLOCK_BUDGET} symbol blocks"),
+            names=read("metrics", "names", CONSISTENCY_METRICS, lambda v: [str(n) for n in v]),
+            epsilon=read("metrics", "epsilon", {},
+                         lambda v: {name: float(e) for name, e in dict(v).items()},
+                         lambda eps: all(e > 0.0 for e in eps.values()), "positive radii"))
+
+        kind = read("experiment", "kind", "golden", str, lambda v: v in EXPERIMENT_KINDS,
+                    f"one of {', '.join(EXPERIMENT_KINDS)}")
+        if kind in ("kl", "ldir") and not isinstance(self.emission_prior, DiscreteDpSpec):
+            raise ConfigError(f"the {kind} experiment needs a discrete emission prior")
+        if kind == "kl" and not (self.truth.discrete and self.truth.q_floor > 0.0):
+            raise ConfigError("the kl experiment needs a discrete truth with q_floor > 0")
+        support = self.emission_prior.truncation if kind == "ldir" else 0
+        self.experiment = SimpleNamespace(
+            kind=kind, seed=count("experiment", "seed", 0, low=0),
+            n_grid=read("experiment", "n_grid",
+                        range(4, 11) if kind == "kl" else (100, 500, 2000),
+                        lambda v: tuple(int(n) for n in v),
+                        lambda grid: min(grid, default=0) >= 1,
+                        "a nonempty list of integers >= 1"),
+            replications=count("experiment", "replications", 5),
+            smoothing_block_len=count("experiment", "smoothing_block_len", 1),
+            epsilon=read("experiment", "epsilon", 0.01, float, lambda v: v > 0.0, "positive"),
+            n_draws=count("experiment", "n_draws", 25 if kind == "kl" else 10000,
+                          low=2 if kind == "ldir" else 1),
+            significance=read("experiment", "significance", 0.0027, float,
+                              lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+            partitions=read("experiment", "partitions", None, lambda v: [
+                [[int(s) for s in block] for block in part]
+                for part in v or [[[s] for s in range(support)]]]))
+        self.simulate = SimpleNamespace(n=count("simulate", "n", 100),
+                                        seed=count("simulate", "seed", 0, low=0))
+
+    def _read(self, section: str, key: str, default, cast, ok=None, need: str = ""):
+        """A key's value, or its default when absent, cast and range-checked."""
+        try:
+            value = cast(self.payload.get(section, {}).get(key, default))
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from exc
+        if ok is not None and not ok(value):
+            raise ConfigError(f"{section}.{key} must be {need}, got {value!r}")
+        return value
+
+    def _count(self, section: str, key: str, default: int, low: int = 1) -> int:
+        return self._read(section, key, default, int, lambda v: v >= low,
+                          f"an integer >= {low}")
+
+    def _blocks_fit(self, block_len: int) -> bool:
+        """Whether block_len >= 1 and, for discrete emissions, the symbol blocks
+        of that length on the largest support of the truth and the emission
+        prior fit the enumeration budget."""
+        sizes = [getattr(e, "support_size", 1) for e in self.truth.emissions]
+        if isinstance(self.emission_prior, DiscreteDpSpec):
+            sizes.append(self.emission_prior.truncation)
+        # any support of 2 or more is over budget long before 64 symbols
+        return block_len >= 1 and max(sizes) ** min(block_len, 64) <= BLOCK_BUDGET
 
     def gibbs_config(self, seed: int | None = None) -> GibbsConfig:
-        if self.trans_prior is None:
+        if self.gibbs is None:
             raise ConfigError("config needs a 'prior' section to run the sampler")
-        g = self.gibbs_payload
-        mu = g.get("mu")
-        return GibbsConfig(
-            n_iter=int(g.get("n_iter", 3000)),
-            burn_in=int(g.get("burn_in", 2000)),
-            thin=int(g.get("thin", 5)),
-            seed=int(g.get("seed", 0) if seed is None else seed),
-            transition_prior=self.trans_prior,
-            emission_prior=self.emission_prior,
-            mu=None if mu is None else np.asarray(mu, dtype=np.float64),
-        )
+        return self.gibbs if seed is None else replace(self.gibbs, seed=seed)
 
     def config_digest(self) -> str:
         return digest(self.payload)

@@ -3,9 +3,10 @@ records equal direct library calls, and each failure exits with its code."""
 import json
 
 import numpy as np
+import pytest
 
-from dphmm import (DiscreteEmission, HmmParams, TransitionMatrix, cli, metrics,
-                   modelio)
+from dphmm import (DiscreteEmission, HmmParams, TransitionMatrix, cli, experiments,
+                   metrics, modelio)
 
 NAMES = ["block_l1", "aligned_q", "aligned_emission", "weak_gap:ind_0_1"]
 
@@ -130,3 +131,89 @@ def test_report_on_gaussian_mixture_samples_exits_3(tmp_path, capsys):
     assert _run("report", "--config", config, "--samples", *samples,
                 "--out", tmp_path / "report") == 3
     assert "discrete emissions" in capsys.readouterr().err
+
+
+def test_aligned_metrics_on_gaussian_mixtures_exit_3(tmp_path, capsys):
+    # exact mode only: the alignment of continuous emissions is not scored
+    config = _config(tmp_path, GAUSSIAN, names=["aligned_q", "aligned_emission"])
+    params = tmp_path / "truth.json"
+    modelio.write_params(params, modelio.read_config(config).truth)
+    assert _run("metric", "--config", config, "--params", params, "--out", tmp_path) == 3
+    assert "discrete emissions" in capsys.readouterr().err
+    assert not (tmp_path / "metric_records.jsonl").exists()
+
+
+# (command, config keys changed by section): each change makes the config bad
+BAD_CONFIGS = [
+    ("simulate", {"simulate": {"n": 0}}),
+    ("simulate", {"simulate": {"n": "abc"}}),
+    ("experiment", {"gibbs": {"n_iter": 30, "burn_in": 30}}),
+    ("experiment", {"gibbs": {"mu": [0.9, 0.9]}}),
+    ("experiment", {"experiment": {"replications": "x"}}),
+    ("experiment", {"metrics": {"l": 0}}),
+    ("experiment", {"metrics": {"l": 40}}),
+    ("experiment", {"experiment": {"n_grid": [2, 5], "smoothing_block_len": 3}}),
+    ("experiment", {"experiment": {"kind": "ldir", "significance": 2.0}}),
+    ("experiment", {"experiment": {"kind": "kl", "n_grid": [0]}}),
+    ("experiment", {"experiment": {"kind": "nope"}}),
+    ("metric", {"metrics": {"names": ["weak_gap:foo"]}}),
+]
+
+
+def _bad_config(tmp_path, changes):
+    payload = {**GOLDEN, **{section: {**GOLDEN.get(section, {}), **values}
+                            for section, values in changes.items()}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("command, changes", BAD_CONFIGS)
+def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, command, changes):
+    config = _bad_config(tmp_path, changes)
+    params = tmp_path / "truth.json"
+    modelio.write_params(params, modelio.params_from_payload(GOLDEN["truth"]))
+    extra = ["--params", params] if command == "metric" else []
+    out = tmp_path / "out"
+    assert _run(command, "--config", config, *extra, "--out", out) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not [path for path in out.rglob("*") if path.is_file()]
+
+
+def test_bad_block_length_fails_before_any_chain(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "run_chain", lambda *a, **kw: calls.append(a))
+    config = _bad_config(tmp_path, {"metrics": {"l": 0}})
+    assert _run("experiment", "--config", config, "--out", tmp_path) == 2
+    assert calls == []
+
+
+def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch):
+    config = _config(tmp_path, GOLDEN)
+    assert _run("simulate", "--config", config, "--out", tmp_path) == 0
+
+    def bug(*args, **kwargs):
+        raise ValueError("a bug, not a bad config")
+
+    monkeypatch.setattr(cli, "run_chain", bug)
+    with pytest.raises(ValueError, match="a bug"):
+        _run("fit", "--config", config, "--data", tmp_path / "observations.txt",
+             "--out", tmp_path)
+
+
+def test_sample_record_with_non_integer_state_exits_3(tmp_path, capsys):
+    config = _config(tmp_path, GOLDEN)
+    samples = tmp_path / "samples_chain0.jsonl"
+    samples.write_text(json.dumps({"iteration": 1, "chain": 0, "params": GOLDEN["truth"],
+                                   "states": [0, "x"]}) + "\n")
+    assert _run("report", "--config", config, "--samples", samples,
+                "--out", tmp_path / "report") == 3
+    assert "bad sample record" in capsys.readouterr().err
+
+
+def test_negative_seed_option_is_a_usage_error(tmp_path):
+    config = _config(tmp_path, GOLDEN)
+    with pytest.raises(SystemExit) as exit_info:
+        _run("simulate", "--config", config, "--seed", -1, "--out", tmp_path)
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "observations.txt").exists()

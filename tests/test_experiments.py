@@ -11,6 +11,7 @@ from dphmm.experiments import (ExperimentConfig, consistency_experiment,
                                kl_lemma_experiment, smoothing_consistency_experiment,
                                smoothing_max_deviation, trend_verdict)
 from dphmm.hmm import smoothing_exact, simulate
+from dphmm.metrics import align_labels
 
 
 def _tiny_config(truth, **kw):
@@ -114,10 +115,20 @@ def test_smoothing_deviation_alignment_cancels_relabeling(golden_truth):
     assert raw > 0.1
 
 
-def test_smoothing_experiment_runs(golden_truth):
+def test_smoothing_experiment_runs(golden_truth, monkeypatch):
+    # the alignment gets a seeded generator, so a Monte Carlo alignment of
+    # continuous emissions would be reproducible too
+    seeds = []
+
+    def spy(theta, theta_ref, n_samples=None, seed=None):
+        seeds.append(seed)
+        return align_labels(theta, theta_ref, n_samples, seed)
+
+    monkeypatch.setattr(experiments, "align_labels", spy)
     report = smoothing_consistency_experiment(_tiny_config(golden_truth))
     assert set(report.curves) == {"smoothing_aligned", "smoothing_unaligned"}
     assert report.tracked == ("smoothing_aligned",)
+    assert seeds and all(seed is not None for seed in seeds)
 
 
 # ---------------------------------------------------------------------------
