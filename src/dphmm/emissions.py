@@ -25,7 +25,14 @@ from .util import Estimate, ValueEquality, as_generator, readonly
 PMF_TOL = 1e-12
 DEFAULT_MC_SAMPLES = 200_000
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def mixture_density(y, weights, locations, scales):
+    """Density of the normal mixture sum_r w_r N(z_r, sigma_r^2) at y, shaped like y."""
+    z = (np.asarray(y, dtype=np.float64)[..., None] - locations) / scales
+    comp = np.exp(-0.5 * z * z) / (SQRT_2PI * scales)
+    return comp @ weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,10 +107,7 @@ class GaussianMixtureEmission(ValueEquality):
         return int(self.weights.size)
 
     def density(self, y):
-        arr = np.asarray(y, dtype=np.float64)
-        z = (arr[..., None] - self.locations) / self.scales
-        comp = np.exp(-0.5 * z * z) / (_SQRT_2PI * self.scales)
-        out = comp @ self.weights
+        out = mixture_density(y, self.weights, self.locations, self.scales)
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng, size=None):

@@ -7,6 +7,13 @@ Gamma-normalized Dirichlet-process draws in the discrete case, one
 truncated stick-breaking block sweep (allocations, sticks, conjugate
 normal-inverse-gamma atoms) in the mixture case.
 
+Between sweeps a chain carries plain arrays, valid by construction and not
+re-checked: the k x k transition rows and an emission array whose row i is
+state i's pmf (shape (k, S)) or its mixture weights, locations and scales
+(shape (k, 3, truncation)). The observations are checked once per chain,
+before the first draw; a validated ``HmmParams`` is built only for a
+retained sample.
+
 The initial law is a fixed constant of the model; it is never resampled.
 Labels are left free to switch; alignment happens post hoc in the metrics.
 Chains are strictly sequential and deterministic under their seed.
@@ -19,15 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .emissions import DiscreteEmission, GaussianMixtureEmission, EmissionModel
-from .errors import ConfigError, NumericalError, ZeroLikelihoodError
-from .hmm import CONSTRUCTION_TOL, HmmParams, TransitionMatrix, emission_matrix, simulate
+from .emissions import SQRT_2PI, DiscreteEmission, GaussianMixtureEmission, mixture_density
+from .errors import ConfigError, DataError, NumericalError, ZeroLikelihoodError
+from .hmm import CONSTRUCTION_TOL, HmmParams, TransitionMatrix, simulate
 from .priors import (DiscreteDpSpec, GaussianDpSpec, TruncatedDirichletSpec,
-                     sample_dp_discrete, sample_dp_mixture,
-                     sample_transition_row, sticks_to_weights)
+                     dp_mixture_arrays, gamma_normalize, sample_transition_row,
+                     sticks_to_weights)
 from .util import ValueEquality, as_generator
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -40,17 +45,16 @@ class GibbsConfig:
     thin: int
     seed: int
     transition_prior: TruncatedDirichletSpec
-    emission_prior: DiscreteDpSpec | GaussianDpSpec | None
+    emission_prior: DiscreteDpSpec | GaussianDpSpec
     mu: np.ndarray | None = None
-    fixed_emissions: tuple[EmissionModel, ...] | None = None
 
     def __post_init__(self):
         if self.thin < 1:
             raise ConfigError("thin must be at least 1")
         if not 0 <= self.burn_in < self.n_iter:
             raise ConfigError("need 0 <= burn_in < n_iter")
-        if self.emission_prior is None and self.fixed_emissions is None:
-            raise ConfigError("provide an emission prior or fixed emissions")
+        if not isinstance(self.emission_prior, (DiscreteDpSpec, GaussianDpSpec)):
+            raise ConfigError("the sampler needs a discrete or dpm_gaussian emission prior")
         mu = self.model_mu()
         if (mu.shape != (self.k,) or not abs(mu.sum() - 1.0) <= CONSTRUCTION_TOL
                 or np.any(mu < self.transition_prior.q_floor - CONSTRUCTION_TOL)):
@@ -59,6 +63,10 @@ class GibbsConfig:
     @property
     def k(self) -> int:
         return self.transition_prior.k
+
+    @property
+    def discrete(self) -> bool:
+        return isinstance(self.emission_prior, DiscreteDpSpec)
 
     def model_mu(self) -> np.ndarray:
         if self.mu is None:
@@ -82,15 +90,14 @@ class PosteriorSample(ValueEquality):
         object.__setattr__(self, "states", states)
 
 
-def ffbs_states(params: HmmParams, y, seed) -> np.ndarray:
-    """Exact draw of the hidden path given parameters and observations."""
-    y = np.asarray(y)
-    B = emission_matrix(params, y)
-    alpha, c = kernels.forward_filter(params.mu, params.trans.rows, B)
+def ffbs_states(mu, rows, B, seed) -> np.ndarray:
+    """Exact draw of the hidden path given the initial law, the transition
+    rows and the per-step likelihoods ``B[t, i]``."""
+    alpha, c = kernels.forward_filter(mu, rows, B)
     if np.any(c <= 0.0):
         raise ZeroLikelihoodError("cannot sample states: zero-likelihood observations")
     rng = as_generator(seed)
-    states = kernels.ffbs(params.trans.rows, alpha, rng.random(y.size))
+    states = kernels.ffbs(rows, alpha, rng.random(B.shape[0]))
     if states[0] < 0:
         raise NumericalError("backward sampling underflowed")
     return states
@@ -105,42 +112,31 @@ def transition_counts(states: np.ndarray, k: int) -> np.ndarray:
 
 
 def update_transitions(counts: np.ndarray, spec: TruncatedDirichletSpec,
-                       seed) -> TransitionMatrix:
-    """Rows drawn independently from the floor-restricted Dirichlet with
-    concentrations alpha + row counts."""
+                       seed) -> np.ndarray:
+    """k x k rows drawn independently from the floor-restricted Dirichlet
+    with concentrations alpha + row counts."""
     rng = as_generator(seed)
-    rows = np.empty((spec.k, spec.k))
-    for i in range(spec.k):
-        row_spec = TruncatedDirichletSpec(spec.alpha + counts[i], spec.q_floor)
-        rows[i] = sample_transition_row(row_spec, rng).row
-    return TransitionMatrix(rows, spec.q_floor)
+    specs = [TruncatedDirichletSpec(spec.alpha + row, spec.q_floor) for row in counts]
+    return np.stack([sample_transition_row(row_spec, rng).row for row_spec in specs])
 
 
 def symbol_counts(states: np.ndarray, y: np.ndarray, k: int, support: int) -> np.ndarray:
     """Per-state symbol counts, shaped (k, support)."""
-    counts = np.zeros((k, support), dtype=np.int64)
-    flat = states * support + y
-    binned = np.bincount(flat, minlength=k * support)
-    return counts + binned.reshape(k, support)
+    return np.bincount(states * support + y, minlength=k * support).reshape(k, support)
 
 
 def update_discrete_emissions(counts: np.ndarray, spec: DiscreteDpSpec,
-                              seed) -> tuple[DiscreteEmission, ...]:
-    """Per-state posterior draws: the DP base gains one atom per observed
-    symbol, so shapes become alpha * base + counts under the Gamma
-    representation."""
+                              seed) -> np.ndarray:
+    """Per-state posterior pmfs, one row per row of ``counts``: draws from the
+    DP with concentration alpha + n_i and base pmf proportional to
+    alpha * base + counts_i, as the base gains one atom per observed symbol."""
     rng = as_generator(seed)
-    support = counts.shape[1]
-    base = spec.base
-    if support > base.size:
-        base = np.concatenate([base, np.zeros(support - base.size)])
-    out = []
-    for i in range(counts.shape[0]):
-        shapes = spec.alpha * base + counts[i]
-        post = DiscreteDpSpec(spec.alpha + counts[i].sum(),
-                              shapes / shapes.sum())
-        out.append(sample_dp_discrete(post, rng))
-    return tuple(out)
+    base = np.pad(spec.base, (0, counts.shape[1] - spec.base.size))
+    pmfs = np.empty(counts.shape)
+    for i, row in enumerate(counts):
+        shapes = spec.alpha * base + row
+        pmfs[i] = gamma_normalize((spec.alpha + row.sum()) * (shapes / shapes.sum()), rng)[0]
+    return pmfs
 
 
 def _conjugate_atom(ys: np.ndarray, base, rng):
@@ -160,22 +156,23 @@ def _conjugate_atom(ys: np.ndarray, base, rng):
     return float(z), float(np.sqrt(var))
 
 
-def update_mixture_emissions(groups: Sequence[np.ndarray],
-                             current: Sequence[GaussianMixtureEmission],
-                             spec: GaussianDpSpec, seed) -> tuple[GaussianMixtureEmission, ...]:
+def update_mixture_emissions(groups: Sequence[np.ndarray], current: np.ndarray,
+                             spec: GaussianDpSpec, seed) -> np.ndarray:
     """One block sweep per state: allocate each observation to a component,
     refresh the stick weights from the allocation counts, then redraw every
-    atom from its conjugate posterior (the base itself for empty ones)."""
+    atom from its conjugate posterior (the base itself for empty ones).
+    ``current`` and the result are emission arrays of shape (k, 3, truncation)."""
     rng = as_generator(seed)
     depth = spec.truncation
-    out = []
-    for ys, mix in zip(groups, current):
+    out = np.empty((len(groups), 3, depth))
+    for i, ys in enumerate(groups):
         ys = np.asarray(ys, dtype=np.float64)
         if ys.size == 0:
-            out.append(sample_dp_mixture(spec, rng))
+            out[i] = dp_mixture_arrays(spec, rng)
             continue
-        z = (ys[:, None] - mix.locations) / mix.scales
-        resp = mix.weights * np.exp(-0.5 * z * z) / (_SQRT_2PI * mix.scales)
+        weights, locations, scales = current[i]
+        z = (ys[:, None] - locations) / scales
+        resp = weights * np.exp(-0.5 * z * z) / (SQRT_2PI * scales)
         totals = resp.sum(axis=1, keepdims=True)
         if np.any(totals <= 0.0):
             raise ZeroLikelihoodError("an observation has zero density under every component")
@@ -183,27 +180,17 @@ def update_mixture_emissions(groups: Sequence[np.ndarray],
         u = rng.random(ys.size)
         alloc = np.minimum((u[:, None] > cum).sum(axis=1), depth - 1)
         occup = np.bincount(alloc, minlength=depth)
-
-        if depth == 1:
-            weights = np.ones(1)
-        else:
-            tail = occup[::-1].cumsum()[::-1]
-            weights = sticks_to_weights(rng.beta(1.0 + occup[:-1], spec.alpha + tail[1:]))
-
-        locs = np.empty(depth)
-        scales = np.empty(depth)
+        tail = occup[::-1].cumsum()[::-1]
+        out[i, 0] = sticks_to_weights(rng.beta(1.0 + occup[:-1], spec.alpha + tail[1:]))
         for r in range(depth):
-            locs[r], scales[r] = _conjugate_atom(ys[alloc == r], spec.base, rng)
-        out.append(GaussianMixtureEmission(weights, locs, scales))
-    return tuple(out)
+            out[i, 1, r], out[i, 2, r] = _conjugate_atom(ys[alloc == r], spec.base, rng)
+    return out
 
 
-def _update_emissions(states, y, emissions, cfg: GibbsConfig, rng):
-    """Emission draws given the path; ``emissions`` are the current ones,
+def _update_emissions(states, y, emissions, cfg: GibbsConfig, rng) -> np.ndarray:
+    """Emission draws given the path; ``emissions`` is the current array,
     which the mixture block sweep starts its allocations from."""
-    if cfg.fixed_emissions is not None:
-        return cfg.fixed_emissions
-    if isinstance(cfg.emission_prior, DiscreteDpSpec):
+    if cfg.discrete:
         support = max(cfg.emission_prior.truncation, int(np.max(y)) + 1)
         counts = symbol_counts(states, y, cfg.k, support)
         return update_discrete_emissions(counts, cfg.emission_prior, rng)
@@ -211,66 +198,80 @@ def _update_emissions(states, y, emissions, cfg: GibbsConfig, rng):
     return update_mixture_emissions(groups, emissions, cfg.emission_prior, rng)
 
 
-def gibbs_sweep(params: HmmParams, y, cfg: GibbsConfig, rng):
-    """One full sweep; returns the new parameters and the sampled path."""
+def gibbs_sweep(rows: np.ndarray, emissions: np.ndarray, y, cfg: GibbsConfig, rng):
+    """One full sweep on observations as ``run_chain`` checks them; returns
+    the new transition rows, the new emission array and the sampled path."""
     rng = as_generator(rng)
-    states = ffbs_states(params, y, rng)
-    trans = update_transitions(transition_counts(states, cfg.k),
-                               cfg.transition_prior, rng)
-    emissions = _update_emissions(states, y, params.emissions, cfg, rng)
-    return HmmParams(trans, params.mu, emissions), states
+    B = (emissions.T[y] if cfg.discrete
+         else np.stack([mixture_density(y, *e) for e in emissions], axis=1))
+    states = ffbs_states(cfg.model_mu(), rows, B, rng)
+    rows = update_transitions(transition_counts(states, cfg.k),
+                              cfg.transition_prior, rng)
+    return rows, _update_emissions(states, y, emissions, cfg, rng), states
 
 
-def init_from_prior(cfg: GibbsConfig, seed) -> HmmParams:
-    """A draw of the full parameter from the prior bundle."""
+def _prior_emissions(cfg: GibbsConfig, rng) -> np.ndarray:
+    """An emission array of k independent prior draws."""
+    prior = cfg.emission_prior
+    if cfg.discrete:
+        return np.stack([gamma_normalize(prior.alpha * prior.base, rng)[0]
+                         for _ in range(cfg.k)])
+    return np.stack([dp_mixture_arrays(prior, rng) for _ in range(cfg.k)])
+
+
+def init_from_prior(cfg: GibbsConfig, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Transition rows and an emission array drawn from the prior bundle."""
     rng = as_generator(seed)
     rows = np.stack([sample_transition_row(cfg.transition_prior, rng).row
                      for _ in range(cfg.k)])
-    trans = TransitionMatrix(rows, cfg.transition_prior.q_floor)
-    if cfg.fixed_emissions is not None:
-        emissions = cfg.fixed_emissions
-    elif isinstance(cfg.emission_prior, DiscreteDpSpec):
-        emissions = tuple(sample_dp_discrete(cfg.emission_prior, rng)
-                          for _ in range(cfg.k))
-    else:
-        emissions = tuple(sample_dp_mixture(cfg.emission_prior, rng)
-                          for _ in range(cfg.k))
-    return HmmParams(trans, cfg.model_mu(), emissions)
+    return rows, _prior_emissions(cfg, rng)
 
 
-def _init_from_states(y, cfg: GibbsConfig, rng) -> HmmParams:
-    """Data-driven start: random state labels, then parameter draws from the
-    conditionals given them. Keeps every observed symbol at positive mass,
-    so the first filtering pass cannot hit zero likelihood."""
-    rng = as_generator(rng)
-    states = rng.integers(0, cfg.k, size=y.size)
-    trans = update_transitions(transition_counts(states, cfg.k),
-                               cfg.transition_prior, rng)
-    start = None
-    if cfg.fixed_emissions is None and isinstance(cfg.emission_prior, GaussianDpSpec):
-        start = tuple(sample_dp_mixture(cfg.emission_prior, rng) for _ in range(cfg.k))
-    emissions = _update_emissions(states, y, start, cfg, rng)
-    return HmmParams(trans, cfg.model_mu(), emissions)
+def to_params(rows: np.ndarray, emissions: np.ndarray, cfg: GibbsConfig) -> HmmParams:
+    """The validated parameter object of a chain's arrays."""
+    make = DiscreteEmission if cfg.discrete else lambda e: GaussianMixtureEmission(*e)
+    return HmmParams(TransitionMatrix(rows, cfg.transition_prior.q_floor),
+                     cfg.model_mu(), tuple(map(make, emissions)))
+
+
+def _observations(y, cfg: GibbsConfig) -> np.ndarray:
+    """The data as the sweeps read them: a nonempty sequence of finite
+    numbers, and nonnegative integers under a discrete prior."""
+    y = np.asarray(y)
+    if y.ndim != 1 or y.size == 0 or y.dtype.kind not in "iuf" or not np.all(np.isfinite(y)):
+        raise DataError("observations must form a nonempty sequence of finite numbers")
+    if not cfg.discrete:
+        return y
+    if np.any(y < 0) or np.any(y != np.floor(y)):
+        raise DataError("a discrete emission prior needs nonnegative integer observations")
+    return y.astype(np.int64, copy=False)
 
 
 def run_chain(y, cfg: GibbsConfig, chain_id: int = 0) -> list[PosteriorSample]:
     """Run one chain and return the thinned post-burn-in samples.
 
-    Step failures surface with their iteration number attached. Identical
-    configs produce identical sample streams.
+    It starts from random state labels and parameter draws given them,
+    which keeps every observed symbol at positive mass, so the first
+    filtering pass cannot hit zero likelihood. Step failures surface with
+    their iteration number attached. Identical configs produce identical
+    sample streams.
     """
-    y = np.asarray(y)
+    y = _observations(y, cfg)
     children = np.random.SeedSequence(entropy=cfg.seed).spawn(chain_id + 1)
     rng = np.random.default_rng(children[chain_id])
-    params = _init_from_states(y, cfg, rng)
+    states = rng.integers(0, cfg.k, size=y.size)
+    rows = update_transitions(transition_counts(states, cfg.k),
+                              cfg.transition_prior, rng)
+    start = None if cfg.discrete else _prior_emissions(cfg, rng)
+    emissions = _update_emissions(states, y, start, cfg, rng)
     samples: list[PosteriorSample] = []
     for it in range(1, cfg.n_iter + 1):
         try:
-            params, states = gibbs_sweep(params, y, cfg, rng)
+            rows, emissions, states = gibbs_sweep(rows, emissions, y, cfg, rng)
         except NumericalError as exc:
             raise NumericalError(f"chain {chain_id}, iteration {it}: {exc}") from exc
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-            samples.append(PosteriorSample(params, states, it, chain_id))
+            samples.append(PosteriorSample(to_params(rows, emissions, cfg), states, it, chain_id))
     return samples
 
 
@@ -323,23 +324,23 @@ def geweke_check(cfg: GibbsConfig, n_obs: int, n_forward: int, n_chain: int,
     stationarity both sides target the same joint law, so every summary
     statistic must agree up to Monte Carlo error.
     """
-    if cfg.k != 2 or not isinstance(cfg.emission_prior, DiscreteDpSpec):
+    if cfg.k != 2 or not cfg.discrete:
         raise ValueError("the joint check is wired for the discrete two-state model")
     rng = as_generator(seed)
-    mu = cfg.model_mu()
 
     fwd = np.empty((n_forward, len(_GEWEKE_STATS)))
     for r in range(n_forward):
-        theta = init_from_prior(cfg, rng)
+        theta = to_params(*init_from_prior(cfg, rng), cfg)
         states, y = simulate(theta, n_obs, rng)
         fwd[r] = _geweke_stats(theta, states, y)
 
     chain = np.empty((n_chain, len(_GEWEKE_STATS)))
-    theta = init_from_prior(cfg, rng)
+    rows, emissions = init_from_prior(cfg, rng)
     for r in range(n_chain):
+        theta = to_params(rows, emissions, cfg)
         states, y = simulate(theta, n_obs, rng)
         chain[r] = _geweke_stats(theta, states, y)
-        theta, _ = gibbs_sweep(theta, y, cfg, rng)
+        rows, emissions, _ = gibbs_sweep(rows, emissions, y, cfg, rng)
 
     f_mean = fwd.mean(axis=0)
     f_se = fwd.std(axis=0, ddof=1) / np.sqrt(n_forward)

@@ -345,10 +345,10 @@ def _h_on_blocks(h_id: str, blocks: np.ndarray) -> np.ndarray:
     if h_id == "const":
         return np.ones(blocks.shape[0])
     parts = h_id.split("_")
-    if len(parts) == 3 and parts[0] in ("sigmoid", "gauss", "ind"):
-        t = int(parts[1])
+    if (len(parts) == 3 and parts[0] in ("sigmoid", "gauss", "ind")
+            and parts[1].isdecimal() and int(parts[1]) < blocks.shape[1]):
+        x = blocks[:, int(parts[1])]
         c = float(parts[2])
-        x = blocks[:, t]
         if parts[0] == "sigmoid":
             return 1.0 / (1.0 + np.exp(-(x - c)))
         if parts[0] == "gauss":

@@ -169,8 +169,11 @@ def read_samples(path) -> list[PosteriorSample]:
             continue
         try:
             rec = json.loads(ln)
-            out.append(PosteriorSample(params=params_from_payload(rec["params"]),
-                                       states=np.asarray(rec["states"], dtype=np.int64),
+            params = params_from_payload(rec["params"])
+            states = np.asarray(rec["states"], dtype=np.float64)
+            if not np.isin(states, np.arange(params.k)).all():
+                raise DataError(f"states must be integers in [0, {params.k})")
+            out.append(PosteriorSample(params=params, states=states.astype(np.int64),
                                        iteration=int(rec["iteration"]),
                                        chain_id=int(rec["chain"])))
         except (KeyError, TypeError, ValueError) as exc:

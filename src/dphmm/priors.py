@@ -215,6 +215,19 @@ def truncate_base(pmf_values, tail_mass: float | None = None) -> np.ndarray:
     return np.concatenate([head, [tail]])
 
 
+def gamma_normalize(shapes: np.ndarray, seed, budget: int = RESAMPLE_BUDGET):
+    """(pmf, normalizer) of independent Gamma(shapes_l, 1) draws, zero for zero
+    shapes; an all-zero draw is redrawn, up to ``budget`` draws in all."""
+    rng = as_generator(seed)
+    for _ in range(budget):
+        z = rng.gamma(np.maximum(shapes, 0.0))
+        z[shapes == 0.0] = 0.0
+        total = z.sum()
+        if total > 0.0:
+            return z / total, float(total)
+    raise SamplerBudgetError("gamma normalization produced only zero draws")
+
+
 def sample_dp_discrete(spec: DiscreteDpSpec, seed, budget: int = RESAMPLE_BUDGET,
                        with_normalizer: bool = False):
     """Draw a pmf from the discrete DP by Gamma normalization.
@@ -226,16 +239,8 @@ def sample_dp_discrete(spec: DiscreteDpSpec, seed, budget: int = RESAMPLE_BUDGET
     every shape parameter is tiny) is resampled a few times before failing.
     With ``with_normalizer`` the (emission, normalizer) pair is returned.
     """
-    rng = as_generator(seed)
-    shapes = spec.alpha * spec.base
-    for _ in range(budget):
-        z = rng.gamma(np.maximum(shapes, 0.0))
-        z[shapes == 0.0] = 0.0
-        total = z.sum()
-        if total > 0.0:
-            emission = DiscreteEmission(z / total)
-            return (emission, float(total)) if with_normalizer else emission
-    raise SamplerBudgetError("gamma normalization produced only zero draws")
+    pmf, total = gamma_normalize(spec.alpha * spec.base, seed, budget)
+    return (DiscreteEmission(pmf), total) if with_normalizer else DiscreteEmission(pmf)
 
 
 def sticks_to_weights(v) -> np.ndarray:
@@ -262,18 +267,21 @@ def stick_breaking_weights(alpha: float, depth: int, rng) -> np.ndarray:
     """Beta(1, alpha) stick fractions truncated at ``depth``; the last weight
     absorbs the remaining mass so the vector sums to one."""
     rng = as_generator(rng)
-    if depth == 1:
-        return np.ones(1)
     return sticks_to_weights(rng.beta(1.0, alpha, size=depth - 1))
 
 
-def sample_dp_mixture(spec: GaussianDpSpec, seed) -> GaussianMixtureEmission:
-    """Truncated stick-breaking draw: weights from Beta(1, alpha) sticks,
-    atoms i.i.d. from the conjugate base."""
+def dp_mixture_arrays(spec: GaussianDpSpec, seed) -> np.ndarray:
+    """Truncated stick-breaking draw as rows (weights, locations, scales):
+    weights from Beta(1, alpha) sticks, atoms i.i.d. from the conjugate base."""
     rng = as_generator(seed)
     w = stick_breaking_weights(spec.alpha, spec.truncation, rng)
     z, s = spec.base.sample(rng, spec.truncation)
-    return GaussianMixtureEmission(w, z, s)
+    return np.stack([w, z, s])
+
+
+def sample_dp_mixture(spec: GaussianDpSpec, seed) -> GaussianMixtureEmission:
+    """``dp_mixture_arrays`` as a validated emission."""
+    return GaussianMixtureEmission(*dp_mixture_arrays(spec, seed))
 
 
 # ---------------------------------------------------------------------------

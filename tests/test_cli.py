@@ -201,11 +201,38 @@ def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch):
              "--out", tmp_path)
 
 
-def test_sample_record_with_non_integer_state_exits_3(tmp_path, capsys):
+# observations a discrete emission prior cannot read: (command, data file, config changes)
+BAD_OBSERVATIONS = [
+    ("fit", "0.0\n1.5\n0.0\n1.0\n", {}),
+    ("fit", "-3\n", {}),
+    ("experiment", None, {"truth": GAUSSIAN["truth"],
+                          "experiment": {"n_grid": [20], "replications": 1}}),
+]
+
+
+@pytest.mark.parametrize("command, data, changes", BAD_OBSERVATIONS,
+                         ids=["real-valued", "negative", "gaussian-truth"])
+def test_observations_unfit_for_a_discrete_prior_exit_3(tmp_path, capsys, command,
+                                                         data, changes):
+    config = _bad_config(tmp_path, changes)
+    out = tmp_path / "out"
+    extra = []
+    if data is not None:
+        (tmp_path / "observations.txt").write_text(data)
+        extra = ["--data", tmp_path / "observations.txt"]
+    assert _run(command, "--config", config, *extra, "--out", out) == 3
+    assert "data error" in capsys.readouterr().err
+    assert not list(out.glob("samples_chain*.jsonl"))
+    assert not (out / "experiment_records.jsonl").exists()
+
+
+@pytest.mark.parametrize("states", [[0, "x"], [0, 1.5], [0, 7]],
+                         ids=["string", "fraction", "out-of-range"])
+def test_sample_record_with_bad_state_exits_3(tmp_path, capsys, states):
     config = _config(tmp_path, GOLDEN)
     samples = tmp_path / "samples_chain0.jsonl"
     samples.write_text(json.dumps({"iteration": 1, "chain": 0, "params": GOLDEN["truth"],
-                                   "states": [0, "x"]}) + "\n")
+                                   "states": states}) + "\n")
     assert _run("report", "--config", config, "--samples", samples,
                 "--out", tmp_path / "report") == 3
     assert "bad sample record" in capsys.readouterr().err

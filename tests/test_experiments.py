@@ -85,7 +85,7 @@ def test_degenerate_single_state_truth_concentrates_trivially():
                       (DiscreteEmission(np.array([0.3, 0.7])),))
     gibbs = GibbsConfig(n_iter=60, burn_in=20, thin=2, seed=2,
                         transition_prior=TruncatedDirichletSpec(np.ones(1), 1.0),
-                        emission_prior=None, fixed_emissions=truth.emissions)
+                        emission_prior=DiscreteDpSpec(1e9, np.array([0.3, 0.7])))
     cfg = ExperimentConfig(truth=truth, gibbs=gibbs, n_grid=(20, 40),
                            replications=2, seed=5,
                            epsilons={"block_l1": 0.2, "aligned_q": 0.15,

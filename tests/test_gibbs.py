@@ -10,7 +10,9 @@ from dphmm import (DiscreteDpSpec, DiscreteEmission, GaussianDpSpec,
                    run_chain, simulate, smoothing_exact, stationary_distribution)
 from dphmm.gibbs import (transition_counts, symbol_counts, update_transitions,
                          update_discrete_emissions, update_mixture_emissions)
+from dphmm.hmm import emission_matrix
 from dphmm.modelio import sample_to_record
+from dphmm.priors import dp_mixture_arrays
 from tests import kernel_oracles as oracles
 from tests.conftest import (brute_force_path_probs, random_discrete_params,
                             random_gaussian_params)
@@ -31,7 +33,9 @@ def flat_binary() -> HmmParams:
 def test_ffbs_single_step_bayes(flat_binary):
     rng = np.random.default_rng(0)
     R = 20_000
-    hits = sum(ffbs_states(flat_binary, [0], rng)[0] == 0 for _ in range(R))
+    B = emission_matrix(flat_binary, [0])
+    hits = sum(ffbs_states(flat_binary.mu, flat_binary.trans.rows, B, rng)[0] == 0
+               for _ in range(R))
     p = 9.0 / 11.0
     assert abs(hits / R - p) <= 3 * np.sqrt(p * (1 - p) / R)
 
@@ -43,7 +47,8 @@ def test_ffbs_identical_emissions_prior_marginal():
                        (DiscreteEmission(pmf), DiscreteEmission(pmf)))
     rng = np.random.default_rng(1)
     R = 20_000
-    draws = np.stack([ffbs_states(params, [0, 1, 0], rng) for _ in range(R)])
+    B = emission_matrix(params, [0, 1, 0])
+    draws = np.stack([ffbs_states(params.mu, params.trans.rows, B, rng) for _ in range(R)])
     prior = params.mu.copy()
     for t in range(3):
         emp = np.mean(draws[:, t] == 0)
@@ -60,8 +65,9 @@ def test_ffbs_path_frequencies_match_enumeration():
     post = probs / probs.sum()
     R = 50_000
     counts = {}
+    B = emission_matrix(params, y)
     for _ in range(R):
-        key = tuple(ffbs_states(params, y, rng))
+        key = tuple(ffbs_states(params.mu, params.trans.rows, B, rng))
         counts[key] = counts.get(key, 0) + 1
     for path, p in zip(map(tuple, paths), post):
         se = np.sqrt(p * (1 - p) / R)
@@ -74,7 +80,8 @@ def test_ffbs_marginals_match_smoothing():
     _, y = simulate(params, 6, rng)
     table = smoothing_exact(params, y, 1)
     R = 30_000
-    draws = np.stack([ffbs_states(params, y, rng) for _ in range(R)])
+    B = emission_matrix(params, y)
+    draws = np.stack([ffbs_states(params.mu, params.trans.rows, B, rng) for _ in range(R)])
     for t in range(6):
         for i in range(3):
             p = table.marginals[t, i]
@@ -84,7 +91,8 @@ def test_ffbs_marginals_match_smoothing():
 
 def test_ffbs_rejects_zero_likelihood(flat_binary):
     with pytest.raises(ZeroLikelihoodError):
-        ffbs_states(flat_binary, [0, 7], 0)
+        ffbs_states(flat_binary.mu, flat_binary.trans.rows,
+                    emission_matrix(flat_binary, [0, 7]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +109,7 @@ def test_transition_counts():
 def test_update_transitions_prior_mean_with_zero_counts():
     spec = TruncatedDirichletSpec(np.ones(2), 0.15)
     rng = np.random.default_rng(4)
-    draws = np.stack([update_transitions(np.zeros((2, 2), dtype=np.int64), spec, rng).rows
+    draws = np.stack([update_transitions(np.zeros((2, 2), dtype=np.int64), spec, rng)
                       for _ in range(5000)])
     # affine image of a flat Dirichlet: mean 0.5, var scaled by (1-2q)^2
     var = (1 - 2 * 0.15) ** 2 / 12.0
@@ -113,7 +121,7 @@ def test_update_transitions_boundary_concentration():
     spec = TruncatedDirichletSpec(np.ones(2), 0.1)
     counts = np.array([[10 ** 6, 0], [0, 10 ** 6]], dtype=np.int64)
     rng = np.random.default_rng(5)
-    draws = np.array([update_transitions(counts, spec, rng).rows[0, 0]
+    draws = np.array([update_transitions(counts, spec, rng)[0, 0]
                       for _ in range(1000)])
     assert 0.88 <= draws.mean() <= 0.90
     assert draws.max() <= 0.9 + 1e-12  # floor on the complementary entry
@@ -123,7 +131,7 @@ def test_update_transitions_no_floor_is_plain_dirichlet():
     spec = TruncatedDirichletSpec(np.array([2.0, 3.0]), 0.0)
     counts = np.array([[5, 10], [0, 0]], dtype=np.int64)
     rng = np.random.default_rng(6)
-    draws = np.array([update_transitions(counts, spec, rng).rows[0, 0]
+    draws = np.array([update_transitions(counts, spec, rng)[0, 0]
                       for _ in range(20_000)])
     a, b = 2.0 + 5, 3.0 + 10
     mean = a / (a + b)
@@ -139,7 +147,7 @@ def test_update_discrete_emissions_moments():
     draws = np.empty((R, 2, 2))
     for r in range(R):
         f0, f1 = update_discrete_emissions(counts, spec, rng)
-        draws[r, 0], draws[r, 1] = f0.pmf, f1.pmf
+        draws[r, 0], draws[r, 1] = f0, f1
     total = 2.0 + 40
     mean = (2.0 * 0.5 + 30) / total
     var = mean * (1 - mean) / (total + 1)
@@ -153,7 +161,7 @@ def test_update_discrete_emissions_dominating_symbol():
     spec = DiscreteDpSpec(alpha, np.array([0.5, 0.5]))
     counts = np.array([[10_000, 0]], dtype=np.int64)
     rng = np.random.default_rng(8)
-    draws = np.array([update_discrete_emissions(counts, spec, rng)[0].pmf[0]
+    draws = np.array([update_discrete_emissions(counts, spec, rng)[0, 0]
                       for _ in range(2000)])
     assert draws.mean() >= 0.99
 
@@ -162,31 +170,28 @@ def test_update_discrete_emissions_extends_support():
     spec = DiscreteDpSpec(2.0, np.array([0.5, 0.5]))
     counts = np.array([[3, 2, 7]], dtype=np.int64)  # symbol 2 beyond the base
     rng = np.random.default_rng(9)
-    pmf = update_discrete_emissions(counts, spec, rng)[0].pmf
+    pmf = update_discrete_emissions(counts, spec, rng)[0]
     assert pmf.size == 3 and pmf[2] > 0
 
 
 def test_update_mixture_empty_state_draws_from_prior():
     spec = GaussianDpSpec(1.0, NormalInvGammaBase(0.0, 1.0, 3.0, 2.0), truncation=8)
-    current = (None,)  # unused for an empty group
-    out = update_mixture_emissions([np.array([])], [None], spec, 10)
-    mix = out[0]
-    assert mix.n_atoms == 8 and mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    out = update_mixture_emissions([np.array([])], None, spec, 10)  # no current needed
+    weights = out[0, 0]
+    assert weights.size == 8 and weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_update_mixture_concentrates_on_constant_data():
-    from dphmm import sample_dp_mixture
-
     spec = GaussianDpSpec(1.0, NormalInvGammaBase(0.0, 1.0, 4.0, 0.5), truncation=6)
     rng = np.random.default_rng(11)
     c = 3.0
     ys = np.full(1000, c)
-    start = sample_dp_mixture(spec, rng)
+    start = dp_mixture_arrays(spec, rng)[None]
     means = []
     mix = start
     for _ in range(200):
-        mix = update_mixture_emissions([ys], [mix], spec, rng)[0]
-        means.append(float(mix.weights @ mix.locations))
+        mix = update_mixture_emissions([ys], mix, spec, rng)
+        means.append(float(mix[0, 0] @ mix[0, 1]))
     assert abs(np.mean(means[50:]) - c) <= 0.05
 
 
@@ -201,16 +206,13 @@ def test_update_mixture_single_atom_is_conjugate_posterior():
     shape = base.shape + n / 2
     scale = (base.scale + 0.5 * np.sum((ys - ybar) ** 2)
              + 0.5 * base.loc_count * n * (ybar - base.loc) ** 2 / count)
-    start = (None,)
-    from dphmm import sample_dp_mixture
-
-    mix = sample_dp_mixture(spec, rng)
+    mix = dp_mixture_arrays(spec, rng)[None]
     locs = []
     vars_ = []
     for _ in range(5000):
-        mix = update_mixture_emissions([ys], [mix], spec, rng)[0]
-        locs.append(mix.locations[0])
-        vars_.append(mix.scales[0] ** 2)
+        mix = update_mixture_emissions([ys], mix, spec, rng)
+        locs.append(mix[0, 1, 0])
+        vars_.append(mix[0, 2, 0] ** 2)
     locs, vars_ = np.asarray(locs), np.asarray(vars_)
     assert abs(locs.mean() - loc) <= 3 * locs.std(ddof=1) / np.sqrt(locs.size)
     expect_var = scale / (shape - 1)
@@ -279,13 +281,36 @@ def test_run_chain_config_validation():
         GibbsConfig(10, 2, 1, 0, spec, None)     # nothing to update
 
 
-def test_run_chain_fixed_emissions(golden_truth):
-    _, y = simulate(golden_truth, 60, 3)
-    cfg = _binary_config(n_iter=30, burn_in=20, thin=2,
-                         emission_prior=None,
-                         fixed_emissions=golden_truth.emissions)
-    for s in run_chain(y, cfg):
-        assert s.params.emissions == golden_truth.emissions
+def _family_chain(family):
+    """Data of 101 steps and a 6-sweep chain config retaining 2 samples."""
+    rng = np.random.default_rng(21)
+    n = 101
+    if family == "discrete":
+        _, y = simulate(random_discrete_params(rng, k=3, support=3, q_floor=0.05), n, rng)
+        return y, GibbsConfig(n_iter=6, burn_in=2, thin=2, seed=4,
+                              transition_prior=TruncatedDirichletSpec(np.ones(3), 0.05),
+                              emission_prior=DiscreteDpSpec(2.0, np.full(3, 1.0 / 3.0)))
+    _, y = simulate(random_gaussian_params(rng, k=2, q_floor=0.1), n, rng)
+    return y, GibbsConfig(n_iter=6, burn_in=2, thin=2, seed=4,
+                          transition_prior=TruncatedDirichletSpec(np.ones(2), 0.1),
+                          emission_prior=GaussianDpSpec(
+                              1.0, NormalInvGammaBase(0.0, 0.5, 2.0, 1.0), truncation=5))
+
+
+@pytest.mark.parametrize("family", ["discrete", "dpm_gaussian"])
+def test_run_chain_validates_only_retained_samples(family, monkeypatch):
+    # between sweeps the chain carries plain arrays: one validated parameter
+    # object per retained sample, none per sweep
+    y, cfg = _family_chain(family)
+    built = {"HmmParams": 0, "TransitionMatrix": 0}
+    for cls in (HmmParams, TransitionMatrix):
+        def counting(self, _check=cls.__post_init__):
+            built[type(self).__name__] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    samples = run_chain(y, cfg)
+    assert len(samples) == 2
+    assert built == {"HmmParams": 2, "TransitionMatrix": 2}
 
 
 @pytest.mark.parametrize("family", ["discrete", "dpm_gaussian"])
@@ -293,19 +318,7 @@ def test_run_chain_same_samples_with_oracle_kernels(family, monkeypatch):
     # a short block puts the block edges of the scan and the table in every
     # sweep
     monkeypatch.setattr(kernels, "CHUNK", 32)
-    rng = np.random.default_rng(21)
-    n = 101
-    if family == "discrete":
-        _, y = simulate(random_discrete_params(rng, k=3, support=3, q_floor=0.05), n, rng)
-        cfg = GibbsConfig(n_iter=6, burn_in=2, thin=2, seed=4,
-                          transition_prior=TruncatedDirichletSpec(np.ones(3), 0.05),
-                          emission_prior=DiscreteDpSpec(2.0, np.full(3, 1.0 / 3.0)))
-    else:
-        _, y = simulate(random_gaussian_params(rng, k=2, q_floor=0.1), n, rng)
-        cfg = GibbsConfig(n_iter=6, burn_in=2, thin=2, seed=4,
-                          transition_prior=TruncatedDirichletSpec(np.ones(2), 0.1),
-                          emission_prior=GaussianDpSpec(
-                              1.0, NormalInvGammaBase(0.0, 0.5, 2.0, 1.0), truncation=5))
+    y, cfg = _family_chain(family)
     fast = run_chain(y, cfg)
     monkeypatch.setattr(kernels, "forward_filter", oracles.forward_filter_loops)
     monkeypatch.setattr(kernels, "backward_messages", oracles.backward_messages_loops)

@@ -298,9 +298,16 @@ def test_weak_gap_bounded_by_block_l1():
             assert gap <= d + 1e-12
 
 
-def test_weak_gap_unknown_id(golden_truth):
-    with pytest.raises(ValueError):
-        weak_functional_gap(golden_truth, golden_truth, 2, "mystery_3")
+@pytest.mark.parametrize("h_id, mode", [
+    ("mystery_3", "exact"),
+    ("sigmoid_5_0.0", "montecarlo"),
+    ("sigmoid_-1_0.0", "montecarlo"),
+    ("gauss_x_0.0", "montecarlo"),
+])
+def test_weak_gap_unknown_id(golden_truth, h_id, mode):
+    with pytest.raises(ConfigError):
+        weak_functional_gap(golden_truth, golden_truth, 2, h_id, mode=mode,
+                            n_samples=100, seed=0)
 
 
 def test_weak_gap_montecarlo_continuous():
