@@ -28,6 +28,16 @@ DEFAULT_MC_SAMPLES = 200_000
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
+def _draw_index(rng, p, size):
+    """Indices drawn from the pmf ``p`` by inverse CDF: the steps
+    ``Generator.choice(p.size, size, p=p)`` takes, without its re-check of
+    ``p`` (the emission constructors check it), so it consumes the same
+    uniforms and returns the same indices."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def mixture_density(y, weights, locations, scales):
     """Density of the normal mixture sum_r w_r N(z_r, sigma_r^2) at y, shaped like y."""
     z = (np.asarray(y, dtype=np.float64)[..., None] - locations) / scales
@@ -74,8 +84,7 @@ class DiscreteEmission(ValueEquality):
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng, size=None):
-        rng = as_generator(rng)
-        return rng.choice(self.pmf.size, size=size, p=self.pmf)
+        return _draw_index(as_generator(rng), self.pmf, size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +121,8 @@ class GaussianMixtureEmission(ValueEquality):
 
     def sample(self, rng, size=None):
         rng = as_generator(rng)
-        n = 1 if size is None else int(np.prod(size))
-        comp = rng.choice(self.n_atoms, size=n, p=self.weights)
-        draws = rng.normal(self.locations[comp], self.scales[comp])
-        if size is None:
-            return float(draws[0])
-        return draws.reshape(size)
+        comp = _draw_index(rng, self.weights, size)
+        return self.locations[comp] + self.scales[comp] * rng.standard_normal(size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ operation takes an explicit seed or generator.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,20 +295,29 @@ def smoothing_windowed(params: HmmParams, y, j: int, window_len: int):
 
 def simulate(params: HmmParams, n: int, seed):
     """Draw a hidden path and observations: x_1 ~ mu, transitions by Q rows,
-    y_t from the emission of x_t. Deterministic under a fixed seed."""
+    y_t from the emission of x_t. Deterministic under a fixed seed.
+
+    Draw rule: first one uniform per step, ``u = rng.random(n)``. State x_t
+    is the first index whose cumulative probability in its row (``mu`` for
+    t = 1) is >= u_t, as ``searchsorted(side="left")`` finds it, capped at
+    k - 1 for a row whose sum rounds below u_t. Then the emissions are drawn
+    state by state in label order, each state's draws filling its visits in
+    time order.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = as_generator(seed)
     k = params.k
-    u = rng.random(n)
-    row_cums = np.cumsum(params.trans.rows, axis=1)
-    states = np.empty(n, dtype=np.int64)
-    states[0] = min(int(np.searchsorted(np.cumsum(params.mu), u[0])), k - 1)
-    for t in range(1, n):
-        states[t] = min(int(np.searchsorted(row_cums[states[t - 1]], u[t])), k - 1)
+    u = rng.random(n).tolist()
+    # row k holds mu's cumulative sums so the walk starts from it; hi = k - 1
+    # leaves the last entry uncompared, which is the cap at k - 1
+    cums = params.trans.rows.cumsum(axis=1).tolist()
+    cums.append(params.mu.cumsum().tolist())
+    x, last = k, k - 1
+    states = np.array([x := bisect_left(cums[x], v, 0, last) for v in u], dtype=np.int64)
     obs = np.empty(n, dtype=np.int64 if params.discrete else np.float64)
     for i in range(k):
-        idx = np.nonzero(states == i)[0]
+        idx = (states == i).nonzero()[0]
         if idx.size:
             obs[idx] = params.emissions[i].sample(rng, size=idx.size)
     return states, obs

@@ -348,7 +348,10 @@ def _h_on_blocks(h_id: str, blocks: np.ndarray) -> np.ndarray:
     if (len(parts) == 3 and parts[0] in ("sigmoid", "gauss", "ind")
             and parts[1].isdecimal() and int(parts[1]) < blocks.shape[1]):
         x = blocks[:, int(parts[1])]
-        c = float(parts[2])
+        try:
+            c = float(parts[2])
+        except ValueError:
+            raise ConfigError(f"test-function id {h_id!r} has a non-numeric constant") from None
         if parts[0] == "sigmoid":
             return 1.0 / (1.0 + np.exp(-(x - c)))
         if parts[0] == "gauss":

@@ -1,10 +1,15 @@
-"""Scalar-loop reference versions of the ``dphmm.kernels`` functions.
+"""Scalar-loop reference versions of the ``dphmm.kernels`` functions and
+of ``dphmm.hmm.simulate``.
 
-Each loop runs over time steps and states one scalar at a time, with no
-vectorised numpy call, so it serves as an independent oracle for the
-vectorised kernels in the parity tests.
+Each kernel loop runs over time steps and states one scalar at a time, with
+no vectorised numpy call, so it serves as an independent oracle for the
+vectorised kernels in the parity tests. The simulation loop steps the
+hidden path with one scalar ``searchsorted`` per step and draws emissions
+with ``Generator.choice`` and ``Generator.normal``.
 """
 import numpy as np
+
+from dphmm import TranslatedEmission
 
 
 def forward_filter_loops(mu, Q, B):
@@ -91,3 +96,28 @@ def ffbs_loops(Q, alpha, u):
                 break
         states[t] = idx
     return states
+
+
+def simulate_loops(params, n, rng):
+    k = params.k
+    u = rng.random(n)
+    row_cums = np.cumsum(params.trans.rows, axis=1)
+    states = np.empty(n, dtype=np.int64)
+    states[0] = min(int(np.searchsorted(np.cumsum(params.mu), u[0])), k - 1)
+    for t in range(1, n):
+        states[t] = min(int(np.searchsorted(row_cums[states[t - 1]], u[t])), k - 1)
+    obs = np.empty(n, dtype=np.int64 if params.discrete else np.float64)
+    for i in range(k):
+        idx = np.nonzero(states == i)[0]
+        if idx.size:
+            obs[idx] = _emission_loops(params.emissions[i], rng, idx.size)
+    return states, obs
+
+
+def _emission_loops(e, rng, size):
+    if isinstance(e, TranslatedEmission):
+        return _emission_loops(e.base, rng, size) + e.shift
+    if e.discrete:
+        return rng.choice(e.pmf.size, size=size, p=e.pmf)
+    comp = rng.choice(e.n_atoms, size=size, p=e.weights)
+    return rng.normal(e.locations[comp], e.scales[comp])

@@ -85,7 +85,8 @@ def test_continuous_density_integrates_to_one():
                                 np.array([0.7, 1.2]))
     # Monte Carlo against its own draws: E[1] = 1 trivially, so integrate on a grid
     grid = np.linspace(-12, 14, 20001)
-    total = np.trapezoid(e.density(grid), grid)
+    d = e.density(grid)
+    total = np.sum((d[1:] + d[:-1]) * np.diff(grid)) / 2  # np.trapezoid needs numpy >= 2
     assert total == pytest.approx(1.0, abs=1e-6)
 
 

@@ -1,15 +1,18 @@
 """Core HMM objects: construction invariants, likelihood, smoothing,
 window truncation and simulation."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from dphmm import (DataError, DiscreteEmission, HmmParams, NumericalError,
-                   StationarySolveError, TransitionMatrix, ZeroLikelihoodError,
-                   forgetting_bound,
+from dphmm import (DataError, DiscreteEmission, GaussianMixtureEmission, HmmParams,
+                   NumericalError, StationarySolveError, TransitionMatrix,
+                   TranslatedEmission, ZeroLikelihoodError, forgetting_bound,
                    log_likelihood_forward, marginal_density, simulate,
                    smoothing_exact, smoothing_windowed, stationary_distribution)
+from tests import kernel_oracles as oracles
 from tests.conftest import (brute_force_loglik, brute_force_smoothing,
-                            random_discrete_params)
+                            random_discrete_params, random_gaussian_params)
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +345,73 @@ def test_simulate_stationary_marginals(golden_truth):
         emp = counts[t, 0] / R
         se = np.sqrt(law[0] * (1 - law[0]) / R)
         assert abs(emp - law[0]) <= 3 * se
+
+
+# ---------------------------------------------------------------------------
+# simulation against the step-loop oracle: the same bytes out and the same
+# uniforms consumed
+
+
+SIM_SIZES = (1, 2, 3, 1023, 1025, 5000)
+
+
+def family_params(family, rng):
+    if family == "discrete":
+        return random_discrete_params(rng, k=3, support=4)
+    params = random_gaussian_params(rng, k=3)
+    if family == "gaussian":
+        return params
+    return HmmParams(params.trans, params.mu,
+                     tuple(TranslatedEmission(params.emissions[0], m) for m in (0.0, 1.0, 2.5)))
+
+
+def zero_entry_params(family):
+    """Zero transition, initial and emission masses, so cumulative sums tie."""
+    tm = TransitionMatrix(np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]]))
+    if family == "discrete":
+        f = tuple(DiscreteEmission(np.array(p)) for p in
+                  ([0.3, 0.0, 0.7, 0.0], [0.0, 0.0, 1.0, 0.0], [0.5, 0.5, 0.0, 0.0]))
+    else:
+        f = tuple(GaussianMixtureEmission(np.array(w), np.array([-1.0, 0.0, 2.0]),
+                                          np.array([0.5, 1.0, 0.7]))
+                  for w in ([0.4, 0.0, 0.6], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]))
+    return HmmParams(tm, np.array([0.5, 0.0, 0.5]), f)
+
+
+def assert_simulate_matches_loops(params, sizes, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in sizes:
+        x, y = simulate(params, n, rng)
+        x_ref, y_ref = oracles.simulate_loops(params, n, ref_rng)
+        assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+        assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("family", ["discrete", "gaussian", "translated"])
+def test_simulate_matches_step_loop(family):
+    params = family_params(family, np.random.default_rng(40))
+    assert_simulate_matches_loops(params, SIM_SIZES, 41)
+
+
+@pytest.mark.parametrize("family", ["discrete", "gaussian", "translated"])
+def test_simulate_matches_step_loop_on_many_short_calls(family):
+    params = family_params(family, np.random.default_rng(42))
+    assert_simulate_matches_loops(params, [3] * 300, 43)
+
+
+@pytest.mark.parametrize("family", ["discrete", "gaussian"])
+def test_simulate_matches_step_loop_on_tied_cumulative_sums(family):
+    assert_simulate_matches_loops(zero_entry_params(family), SIM_SIZES, 44)
+
+
+@pytest.mark.parametrize("family", ["discrete", "gaussian", "translated"])
+def test_simulate_matches_step_loop_at_the_last_state_cap(family):
+    # a validated row sums to within 1e-12 of 1, so a uniform above its
+    # cumulative sum is too rare to draw; a stand-in scales mu and the rows
+    # to sum to 0.8, and about a fifth of the uniforms hit the cap at k - 1
+    params = family_params(family, np.random.default_rng(45))
+    short = SimpleNamespace(k=params.k, mu=params.mu * 0.8,
+                            trans=SimpleNamespace(rows=params.trans.rows * 0.8),
+                            discrete=params.discrete, emissions=params.emissions)
+    assert_simulate_matches_loops(short, SIM_SIZES, 46)

@@ -12,7 +12,7 @@ from dphmm import (AlignmentResult, ConfigError, DataError, DiscreteEmission,
 from dphmm.metrics import (emission_log_ratio_term, parameter_metrics,
                            weak_test_functions)
 from tests.conftest import (all_paths, brute_force_path_probs,
-                            random_discrete_params)
+                            random_discrete_params, random_gaussian_params)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +303,10 @@ def test_weak_gap_bounded_by_block_l1():
     ("sigmoid_5_0.0", "montecarlo"),
     ("sigmoid_-1_0.0", "montecarlo"),
     ("gauss_x_0.0", "montecarlo"),
+    ("gauss_0_x", "montecarlo"),
 ])
 def test_weak_gap_unknown_id(golden_truth, h_id, mode):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=repr(h_id)):
         weak_functional_gap(golden_truth, golden_truth, 2, h_id, mode=mode,
                             n_samples=100, seed=0)
 
@@ -320,6 +321,31 @@ def test_weak_gap_montecarlo_continuous():
     gap = weak_functional_gap(a, a, 2, "sigmoid_0_0.0", mode="montecarlo",
                               n_samples=4000, seed=11)
     assert gap.value <= 4 * gap.stderr + 0.05
+
+
+@pytest.mark.parametrize("discrete", [True, False])
+@pytest.mark.parametrize("n_samples", [4, 9, 200])
+def test_montecarlo_block_metrics_simulate_one_block_per_call(monkeypatch, discrete,
+                                                              n_samples):
+    # perfbench's traced ``hmm.simulate.calls`` counts one call per block
+    from dphmm import metrics
+
+    rng = np.random.default_rng(47)
+    make = random_discrete_params if discrete else random_gaussian_params
+    a, b = make(rng, k=2), make(rng, k=2)
+    lengths = []
+
+    def counting_simulate(params, n, seed):
+        lengths.append(n)
+        return simulate(params, n, seed)
+
+    monkeypatch.setattr(metrics, "simulate", counting_simulate)
+    block_l1_distance(a, b, 3, mode="montecarlo", n_samples=n_samples, seed=0)
+    assert lengths == [3] * n_samples
+    lengths.clear()
+    h_id = "ind_0_1" if discrete else "sigmoid_0_0.0"
+    weak_functional_gap(a, b, 3, h_id, mode="montecarlo", n_samples=n_samples, seed=0)
+    assert lengths == [3] * n_samples
 
 
 # ---------------------------------------------------------------------------
