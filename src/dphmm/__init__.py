@@ -6,25 +6,21 @@ experiment harness that checks the asymptotic claims empirically.
 """
 
 from .emissions import (DiscreteEmission, GaussianMixtureEmission,
-                        TranslatedEmission, l1_distance, max_emission_l1)
+                        TranslatedEmission, l1_distance)
 from .errors import (ConfigError, DataError, DphmmError, NumericalError,
                      SamplerBudgetError, StarvationError, StationarySolveError,
                      ZeroLikelihoodError)
 from .gibbs import (GibbsConfig, PosteriorSample, ffbs_states, geweke_check,
                     run_chain)
 from .hmm import (HmmParams, SmoothingTable, StationaryLaw, TransitionMatrix,
-                  forgetting_bound, log_likelihood_forward, marginal_density,
-                  simulate, smoothing_exact, smoothing_windowed,
+                  log_likelihood_forward, simulate, smoothing_exact,
                   stationary_distribution)
 from .metrics import (AlignmentResult, align_labels, block_l1_distance,
-                      block_l1_upper_bound, kl_rate_bound, kl_rate_exact,
-                      relabel, weak_functional_gap)
-from .priors import (DiscreteDpSpec, GaussianDpSpec, GeometricTailPmf,
-                     NormalInvGammaBase, SequencePmf, TruncatedDirichletSpec,
-                     check_entropy_finite, check_inverse_scale_integrable,
-                     check_ratio_summable, geometric_pmf, sample_dp_discrete,
-                     sample_dp_mixture, sample_transition_row,
-                     truncated_dirichlet_logpdf)
+                      kl_rate_bound, kl_rate_exact, weak_functional_gap)
+from .priors import (DiscreteDpSpec, GaussianDpSpec, NormalInvGammaBase,
+                     TruncatedDirichletSpec, check_entropy_finite,
+                     check_inverse_scale_integrable, check_ratio_summable,
+                     sample_dp_discrete, sample_transition_row)
 
 __version__ = "0.1.0"
 

@@ -160,7 +160,9 @@ def cmd_check_prior(args, cfg: modelio.RunConfig) -> int:
         feasible = bool(np.all(truth.trans.rows >= cfg.trans_prior.q_floor - 1e-12))
         rows.append(("floor_feasible", "-", "holds" if feasible else "fails",
                      f"q_floor={cfg.trans_prior.q_floor}"))
-    if isinstance(cfg.emission_prior, DiscreteDpSpec) and truth.discrete:
+    if isinstance(cfg.emission_prior, DiscreteDpSpec):
+        if not truth.discrete:
+            raise DataError("a discrete emission prior needs a discrete truth")
         for i, emission in enumerate(truth.emissions):
             r = check_ratio_summable(emission, cfg.emission_prior.base)
             rows.append(("ratio_summable", str(i), r.verdict, r.detail))

@@ -24,6 +24,7 @@ from .util import Estimate, ValueEquality, as_generator, readonly
 
 PMF_TOL = 1e-12
 DEFAULT_MC_SAMPLES = 200_000
+MIN_MC_SAMPLES = 4
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -173,13 +174,21 @@ def l1_distance(f: EmissionModel, g: EmissionModel, n_samples: int | None = None
         pmfs = pad_pmfs(f, g)
         return Estimate(float(np.abs(pmfs[0] - pmfs[1]).sum()), 0.0)
     n = DEFAULT_MC_SAMPLES if n_samples is None else int(n_samples)
-    if n <= 0:
-        raise ValueError("n_samples must be positive for Monte Carlo mode")
+    half = mc_half(n)
     rng = as_generator(seed)
-    half = n // 2
     ys = np.concatenate([np.atleast_1d(f.sample(rng, size=half)),
                          np.atleast_1d(g.sample(rng, size=n - half))])
     return mixture_l1_estimate(f.density(ys), g.density(ys), half)
+
+
+def mc_half(n_samples: int) -> int:
+    """Draws for the first side of a two-sided Monte Carlo estimate, which
+    the second side tops up to ``n_samples``. Each side needs two draws for
+    a mean and a standard error, so ``n_samples`` must be at least 4."""
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"Monte Carlo mode needs n_samples >= {MIN_MC_SAMPLES} "
+                         f"(2 draws per side), got {n_samples}")
+    return n_samples // 2
 
 
 def mixture_l1_estimate(p: np.ndarray, q: np.ndarray, half: int) -> Estimate:
@@ -191,16 +200,3 @@ def mixture_l1_estimate(p: np.ndarray, q: np.ndarray, half: int) -> Estimate:
     est = 0.5 * h[:half].mean() + 0.5 * h[half:].mean()
     var = 0.25 * (h[:half].var() / half + h[half:].var() / (p.size - half))
     return Estimate(float(est), float(np.sqrt(var)))
-
-
-def max_emission_l1(f_vec, g_vec, n_samples: int | None = None, seed=None) -> Estimate:
-    """Max over states of the componentwise L1 distance between emission vectors."""
-    if len(f_vec) != len(g_vec):
-        raise ValueError("emission vectors must have equal length")
-    rng = as_generator(seed)
-    best = Estimate(-1.0, 0.0)
-    for f, g in zip(f_vec, g_vec):
-        cand = l1_distance(f, g, n_samples=n_samples, seed=rng)
-        if cand.value > best.value:
-            best = cand
-    return best

@@ -306,7 +306,7 @@ def kl_lemma_experiment(theta_star: HmmParams, epsilon: float,
         attempted += used
         for n in n_grid:
             exact = kl_rate_exact(theta, theta_star, int(n))
-            bound = kl_rate_bound(theta, theta_star, int(n), epsilon=epsilon)
+            bound = kl_rate_bound(theta, theta_star, int(n))
             over_bound = exact > bound.total
             over_threshold = exact > threshold
             bound_viol += int(over_bound)

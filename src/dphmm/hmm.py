@@ -3,8 +3,8 @@
 The parameterization is a row-stochastic transition matrix with an
 entrywise floor ``q_floor`` (which forces geometric ergodicity when
 positive), an initial law, and one emission density per state. On top of
-it sit the stationary law, the scaled forward likelihood, exact and
-window-truncated smoothing, and path simulation.
+it sit the stationary law, the scaled forward likelihood, exact smoothing
+and path simulation.
 
 Construction tolerances are 1e-12; algorithmic checks (stationarity
 residual, smoothing normalization) use 1e-10. All values are immutable
@@ -35,8 +35,8 @@ class TransitionMatrix(ValueEquality):
     """k x k row-stochastic matrix whose entries all sit at or above q_floor.
 
     The floor implies the entrywise upper bound 1 - (k-1) * q_floor, which is
-    validated too. q_floor is carried as data so downstream bounds (forgetting
-    rates, KL denominators) can read it off the matrix.
+    validated too. q_floor is carried as data so downstream bounds (the KL
+    denominators) can read it off the matrix.
     """
 
     rows: np.ndarray
@@ -227,13 +227,6 @@ def log_likelihood_forward(params: HmmParams, y) -> float:
     return float(np.log(c).sum())
 
 
-def marginal_density(params: HmmParams, y_block) -> float:
-    """Density of a block of consecutive observations under the stationary start."""
-    law = stationary_distribution(params.trans)
-    ll = log_likelihood_forward(params.with_mu(law.probs), y_block)
-    return float(np.exp(ll))
-
-
 def smoothing_exact(params: HmmParams, y, block_len: int = 1) -> SmoothingTable:
     """Forward-backward conditional laws of the hidden states given y.
 
@@ -261,36 +254,6 @@ def smoothing_exact(params: HmmParams, y, block_len: int = 1) -> SmoothingTable:
     blocks = blocks * beta[block_len - 1]
     return SmoothingTable(n=int(n), block_len=int(block_len),
                           marginals=marginals, blocks=blocks)
-
-
-def forgetting_bound(q_floor: float, gap: int) -> float:
-    """Worst-case effect of truncating the smoothing window ``gap`` steps
-    after the queried position: 2 r / (q_floor + r) with r = (1-q_floor)^gap."""
-    if q_floor <= 0.0:
-        raise ValueError("the forgetting bound is vacuous for q_floor = 0")
-    if gap < 1:
-        raise ValueError("gap must be at least 1")
-    r = (1.0 - q_floor) ** gap
-    return 2.0 * r / (q_floor + r)
-
-
-def smoothing_windowed(params: HmmParams, y, j: int, window_len: int):
-    """Smoothing marginal at position j using only the first ``window_len``
-    observations, plus the analytic bound on its distance to the full-record
-    marginal.
-
-    Requires q_floor > 0 (the bound decays at rate 1 - q_floor per step of
-    the gap window_len - j). The windowed law is exact on the truncated
-    record; when window_len == n it coincides with exact smoothing and the
-    measured deviation is 0.
-    """
-    y = np.asarray(y)
-    n = y.size
-    if not 0 <= j < window_len <= n:
-        raise ValueError("need 0 <= j < window_len <= n")
-    bound = forgetting_bound(params.q_floor, window_len - j)
-    table = smoothing_exact(params, y[:window_len], block_len=1)
-    return table.marginals[j].copy(), float(bound)
 
 
 def simulate(params: HmmParams, n: int, seed):

@@ -24,10 +24,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .emissions import (DiscreteEmission, l1_distance, max_emission_l1,
-                        mixture_l1_estimate, pad_pmfs)
+from .emissions import (DiscreteEmission, l1_distance, mc_half, mixture_l1_estimate,
+                        pad_pmfs)
 from .errors import ConfigError, DataError
-from .hmm import HmmParams, TransitionMatrix, simulate, stationary_distribution
+from .hmm import HmmParams, simulate, stationary_distribution
 from .util import Estimate, as_generator, readonly
 
 BLOCK_BUDGET = 10_000_000
@@ -37,16 +37,6 @@ ALIGN_MAX_K = 8
 def matrix_gap(A, B) -> float:
     """Largest entrywise absolute difference."""
     return float(np.max(np.abs(np.asarray(A) - np.asarray(B))))
-
-
-def relabel(params: HmmParams, sigma) -> HmmParams:
-    """Apply a state relabeling: row/column-permuted transitions, permuted
-    initial law and emissions. The observed process is unchanged."""
-    sigma = np.asarray(sigma, dtype=np.int64)
-    Q = params.trans.rows[np.ix_(sigma, sigma)]
-    return HmmParams(TransitionMatrix(Q, params.q_floor),
-                     params.mu[sigma],
-                     tuple(params.emissions[s] for s in sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +86,8 @@ def _simulated_blocks(theta: HmmParams, theta_ref: HmmParams, block_len: int,
     """(stationary-started parameter, its blocks) for theta, which draws
     ``n_samples // 2`` blocks first, then for theta_ref, which draws the rest;
     one ``simulate`` call per block."""
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+    half = mc_half(n_samples)
     rng = as_generator(seed)
-    half = n_samples // 2
     out = []
     for source, count in ((theta, half), (theta_ref, n_samples - half)):
         start = source.with_mu(stationary_distribution(source.trans).probs)
@@ -154,24 +142,6 @@ def _batch_block_density(params: HmmParams, blocks: np.ndarray) -> np.ndarray:
         dens *= c
         a /= np.where(c > 0.0, c, 1.0)[:, None]
     return dens
-
-
-def block_l1_upper_bound(theta: HmmParams, theta_ref: HmmParams,
-                         block_len: int = 3, n_samples: int | None = None,
-                         seed=None) -> float:
-    """Closed-form majorant of the block L1 distance:
-
-        |stationary gap|_1 + k (block_len - 1) |Q gap|_max
-                           + block_len * max-state emission L1.
-    """
-    mu = stationary_distribution(theta.trans).probs
-    mu_ref = stationary_distribution(theta_ref.trans).probs
-    k = theta.k
-    emis = max_emission_l1(theta.emissions, theta_ref.emissions,
-                           n_samples=n_samples, seed=seed).value
-    return (float(np.abs(mu - mu_ref).sum())
-            + k * (block_len - 1) * matrix_gap(theta.trans.rows, theta_ref.trans.rows)
-            + block_len * emis)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +204,11 @@ def align_labels(theta: HmmParams, theta_ref: HmmParams,
 
 @dataclass(frozen=True)
 class KlRateBound:
-    """Three-term upper bound on the per-observation KL divergence, plus the
-    asymptotic neighborhood threshold 3 epsilon / q_floor when a radius is
-    supplied."""
+    """Three-term upper bound on the per-observation KL divergence."""
 
     initial_term: float
     transition_term: float
     emission_term: float
-    conclusion_threshold: float | None = None
 
     @property
     def total(self) -> float:
@@ -270,8 +237,7 @@ def emission_log_ratio_term(emissions, emissions_ref) -> float:
     return best
 
 
-def kl_rate_bound(theta: HmmParams, theta_ref: HmmParams, n: int,
-                  epsilon: float | None = None) -> KlRateBound:
+def kl_rate_bound(theta: HmmParams, theta_ref: HmmParams, n: int) -> KlRateBound:
     """Closed-form bound on (1/n) KL(reference chain, candidate chain).
 
     The reference chain starts from its stationary law; the candidate from
@@ -289,8 +255,7 @@ def kl_rate_bound(theta: HmmParams, theta_ref: HmmParams, n: int,
     init = float(np.max(np.abs(theta.mu - mu_ref))) / (n * q)
     trans = (n - 1) / (n * q) * matrix_gap(theta.trans.rows, theta_ref.trans.rows)
     emis = emission_log_ratio_term(theta.emissions, theta_ref.emissions)
-    threshold = None if epsilon is None else 3.0 * epsilon / q
-    return KlRateBound(init, trans, emis, threshold)
+    return KlRateBound(init, trans, emis)
 
 
 def kl_rate_exact(theta: HmmParams, theta_ref: HmmParams, n: int) -> float:
@@ -317,17 +282,6 @@ def kl_rate_exact(theta: HmmParams, theta_ref: HmmParams, n: int) -> float:
 # weak-topology functionals
 
 
-def weak_test_functions(discrete: bool, block_len: int, support: int = 2):
-    """Identifiers of the built-in bounded test functions on blocks."""
-    ids = ["const"]
-    if discrete:
-        ids += [f"ind_{t}_{s}" for t in range(block_len) for s in range(support)]
-    else:
-        ids += [f"sigmoid_{t}_{c}" for t in range(block_len) for c in (-1.0, 0.0, 1.0)]
-        ids += [f"gauss_{t}_{c}" for t in range(block_len) for c in (-1.0, 0.0, 1.0)]
-    return ids
-
-
 def _h_values_discrete(h_id: str, support: int, block_len: int) -> np.ndarray:
     idx = np.arange(support ** block_len)
     if h_id == "const":
@@ -341,22 +295,24 @@ def _h_values_discrete(h_id: str, support: int, block_len: int) -> np.ndarray:
     raise ConfigError(f"unknown test-function id {h_id!r}")
 
 
-def _h_on_blocks(h_id: str, blocks: np.ndarray) -> np.ndarray:
+def _h_on_blocks(h_id: str, block_len: int):
+    """The test function ``h_id`` as a map from an (m, block_len) array of
+    blocks to their m values; an unknown id raises ``ConfigError``."""
     if h_id == "const":
-        return np.ones(blocks.shape[0])
+        return lambda blocks: np.ones(blocks.shape[0])
     parts = h_id.split("_")
     if (len(parts) == 3 and parts[0] in ("sigmoid", "gauss", "ind")
-            and parts[1].isdecimal() and int(parts[1]) < blocks.shape[1]):
-        x = blocks[:, int(parts[1])]
+            and parts[1].isdecimal() and int(parts[1]) < block_len):
+        t = int(parts[1])
         try:
             c = float(parts[2])
         except ValueError:
             raise ConfigError(f"test-function id {h_id!r} has a non-numeric constant") from None
         if parts[0] == "sigmoid":
-            return 1.0 / (1.0 + np.exp(-(x - c)))
+            return lambda blocks: 1.0 / (1.0 + np.exp(-(blocks[:, t] - c)))
         if parts[0] == "gauss":
-            return np.exp(-0.5 * (x - c) ** 2)
-        return (x == c).astype(np.float64)
+            return lambda blocks: np.exp(-0.5 * (blocks[:, t] - c) ** 2)
+        return lambda blocks: (blocks[:, t] == c).astype(np.float64)
     raise ConfigError(f"unknown test-function id {h_id!r}")
 
 
@@ -374,7 +330,8 @@ def weak_functional_gap(theta: HmmParams, theta_ref: HmmParams, block_len: int,
         return Estimate(float(abs(h @ p - h @ q)), 0.0)
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
-    hvs = [_h_on_blocks(h_id, blocks)
+    h = _h_on_blocks(h_id, block_len)
+    hvs = [h(blocks)
            for _, blocks in _simulated_blocks(theta, theta_ref, block_len, n_samples, seed)]
     ses = [hv.std(ddof=1) / np.sqrt(hv.size) for hv in hvs]
     return Estimate(float(abs(hvs[0].mean() - hvs[1].mean())),

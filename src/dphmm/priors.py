@@ -7,28 +7,26 @@ normalizing independent Gamma(alpha * G0(l), 1) variables, and a DP mixture
 of Gaussians drawn by truncated stick-breaking over a normal-inverse-gamma
 base.
 
-The checkers decide, where a number can decide it, whether a candidate base
-measure is adequate for a given truth: summability of truth/base mass
-ratios, finiteness of the truth's entropy series, and integrability of the
-inverse scale under the mixture base. Convergence of an infinite series is
-not generally decidable numerically, so verdicts are three-valued; the
-partial-sum heuristic only ever claims divergence, never convergence.
+The checkers decide whether a base measure is adequate for a given truth,
+exactly, on what a config can name: a finitely supported truth pmf against
+a base pmf (summability of the truth/base mass ratios, which fails where the
+base misses a supported symbol, and the finite entropy sum), and the
+normal-inverse-gamma mixture base (its closed-form mean inverse scale).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .emissions import DiscreteEmission, GaussianMixtureEmission, PMF_TOL
+from .emissions import DiscreteEmission, PMF_TOL
 from .errors import SamplerBudgetError
 from .util import ValueEquality, as_generator, readonly
 
 HOLDS = "holds"
 FAILS = "fails"
-INCONCLUSIVE = "inconclusive"
 
 REJECTION_BUDGET = 1000
 RESAMPLE_BUDGET = 10
@@ -77,11 +75,6 @@ class RowDraw(NamedTuple):
     method: str  # degenerate | affine_exact | rejection | affine_fallback
 
 
-class LogDensity(NamedTuple):
-    value: float
-    normalized: bool
-
-
 def sample_transition_row(spec: TruncatedDirichletSpec, seed,
                           budget: int = REJECTION_BUDGET) -> RowDraw:
     """One draw from the floor-restricted Dirichlet row law.
@@ -121,19 +114,6 @@ def sample_transition_row(spec: TruncatedDirichletSpec, seed,
     return RowDraw(q + (1.0 - k * q) * w, "affine_fallback")
 
 
-def truncated_dirichlet_logpdf(spec: TruncatedDirichletSpec, x) -> LogDensity:
-    """Unnormalized log density: sum (alpha_j - 1) log x_j on the restricted
-    simplex, -inf off it. The normalizing constant is unknown; the flag says so."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size != spec.k or abs(float(x.sum()) - 1.0) > 1e-9 or np.any(x < 0.0):
-        raise ValueError("x must lie on the probability simplex")
-    if x.min() < spec.q_floor:
-        return LogDensity(float("-inf"), False)
-    with np.errstate(divide="ignore"):
-        val = float(np.sum((spec.alpha - 1.0) * np.log(x)))
-    return LogDensity(val, False)
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet-process emission priors
 
@@ -168,9 +148,7 @@ class NormalInvGammaBase:
 class DiscreteDpSpec(ValueEquality):
     """Dirichlet process on symbols with a truncated base pmf.
 
-    ``base`` must be a full probability vector; callers folding an infinite
-    base into a finite one should reserve the last index for the tail block
-    (see ``truncate_base``).
+    ``base`` must be a full probability vector.
     """
 
     alpha: float
@@ -202,17 +180,6 @@ class GaussianDpSpec:
             raise ValueError("alpha must be positive")
         if self.truncation < 1:
             raise ValueError("truncation depth must be at least 1")
-
-
-def truncate_base(pmf_values, tail_mass: float | None = None) -> np.ndarray:
-    """Fold residual mass of an infinite base into one final tail symbol."""
-    head = np.asarray(pmf_values, dtype=np.float64)
-    tail = 1.0 - float(head.sum()) if tail_mass is None else float(tail_mass)
-    if tail < -PMF_TOL:
-        raise ValueError("head mass already exceeds 1")
-    if tail <= PMF_TOL:
-        return head
-    return np.concatenate([head, [tail]])
 
 
 def gamma_normalize(shapes: np.ndarray, seed, budget: int = RESAMPLE_BUDGET):
@@ -279,77 +246,8 @@ def dp_mixture_arrays(spec: GaussianDpSpec, seed) -> np.ndarray:
     return np.stack([w, z, s])
 
 
-def sample_dp_mixture(spec: GaussianDpSpec, seed) -> GaussianMixtureEmission:
-    """``dp_mixture_arrays`` as a validated emission."""
-    return GaussianMixtureEmission(*dp_mixture_arrays(spec, seed))
-
-
 # ---------------------------------------------------------------------------
-# pmf descriptors for the condition checkers
-
-
-@dataclass(frozen=True)
-class GeometricTailPmf:
-    """Pmf with explicit head values and a geometric continuation:
-    p(H-1+j) = head[-1] * ratio^j for j >= 1, H = len(head)."""
-
-    head: np.ndarray
-    ratio: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "head", readonly(self.head))
-        object.__setattr__(self, "ratio", float(self.ratio))
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError("ratio must lie in (0, 1)")
-        h = self.head
-        if h.ndim != 1 or h.size == 0 or np.any(h < 0.0) or h[-1] <= 0.0:
-            raise ValueError("head must be nonnegative with a positive last value")
-        total = float(h.sum()) + float(h[-1]) * self.ratio / (1.0 - self.ratio)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("head plus geometric tail must total mass 1")
-
-    def terms(self, upto: int) -> np.ndarray:
-        h = self.head
-        if upto <= h.size:
-            return h[:upto].copy()
-        j = np.arange(1, upto - h.size + 1)
-        return np.concatenate([h, h[-1] * self.ratio ** j])
-
-
-def geometric_pmf(ratio: float) -> GeometricTailPmf:
-    """Fully geometric pmf p(l) = (1 - ratio) * ratio^l."""
-    return GeometricTailPmf(np.array([1.0 - ratio]), ratio)
-
-
-@dataclass(frozen=True)
-class SequencePmf:
-    """Pmf given only through a term callable; no analytic tail is known,
-    so checkers can at most apply the partial-sum heuristic to it."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str = "sequence"
-
-    def terms(self, upto: int) -> np.ndarray:
-        return np.asarray(self.fn(np.arange(upto)), dtype=np.float64)
-
-
-def _tail_info(obj):
-    """Normalize a pmf-like object to (kind, terms(upto), extra).
-
-    kind is 'finite' (extra = support size), 'geometric' (extra = (tail start,
-    ratio)) or 'unknown'.
-    """
-    if isinstance(obj, DiscreteEmission):
-        pmf = obj.pmf
-        return "finite", (lambda upto: pmf[:upto] if upto <= pmf.size
-                          else np.concatenate([pmf, np.zeros(upto - pmf.size)])), pmf.size
-    if isinstance(obj, GeometricTailPmf):
-        return "geometric", obj.terms, (obj.head.size, obj.ratio)
-    if isinstance(obj, SequencePmf):
-        return "unknown", obj.terms, None
-    arr = np.asarray(obj, dtype=np.float64)
-    return "finite", (lambda upto: arr[:upto] if upto <= arr.size
-                      else np.concatenate([arr, np.zeros(upto - arr.size)])), arr.size
+# prior-adequacy checkers
 
 
 @dataclass(frozen=True)
@@ -357,7 +255,6 @@ class ConditionReport:
     condition: str
     verdict: str
     value: float | None
-    partial_sums: np.ndarray
     detail: str
 
     @property
@@ -365,160 +262,33 @@ class ConditionReport:
         return self.verdict == HOLDS
 
 
-def _partial_heuristic(terms: np.ndarray) -> tuple[str, str]:
-    """Divergence heuristic on raw series terms: monotone unbounded growth of
-    the partial sums (non-decreasing block sums) reads as divergence;
-    anything else stays inconclusive."""
-    n = terms.size
-    if n < 8:
-        return INCONCLUSIVE, "budget too small for the heuristic"
-    quarters = np.array_split(np.asarray(terms, dtype=np.float64), 4)
-    block_sums = np.array([b.sum() for b in quarters])
-    if block_sums[-1] > 0.0 and np.all(np.diff(block_sums) >= -1e-300):
-        return FAILS, "partial sums grow without slowing (block sums non-decreasing)"
-    return INCONCLUSIVE, "partial sums neither clearly diverge nor admit an analytic tail"
-
-
-def check_ratio_summable(truth, base, tail_budget: int = 10_000) -> ConditionReport:
-    """Decide whether sum_l truth(l) / base(l) is finite.
-
-    Exact for finitely supported truths (the base must be positive on the
-    truth's support, else an immediate fail). Geometric tails on both sides
-    reduce to a ratio test. Otherwise partial sums up to the budget feed the
-    divergence heuristic; inconclusive is a first-class outcome.
-    """
+def check_ratio_summable(truth: DiscreteEmission, base) -> ConditionReport:
+    """Decide whether sum_l truth(l) / base(l) is finite: an exact sum over
+    the truth's finite support, which fails at the first supported symbol
+    where the base pmf, zero-padded to that support, has no mass."""
     cond = "ratio_summable"
-    t_kind, t_terms, t_extra = _tail_info(truth)
-    b_kind, b_terms, b_extra = _tail_info(base)
-
-    span = t_extra if t_kind == "finite" else tail_budget
-    if b_kind == "finite" and t_kind != "finite":
-        span = max(span, b_extra + 1)
-    span = min(max(span, 8), tail_budget)
-    f = t_terms(span)
-    g = b_terms(span)
-    bad = (f > 0.0) & (g == 0.0)
-    if np.any(bad):
-        where = int(np.nonzero(bad)[0][0])
-        return ConditionReport(cond, FAILS, None, np.array([np.inf]),
-                               f"base has zero mass at supported symbol {where}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(f > 0.0, f / np.where(g > 0.0, g, 1.0), 0.0)
-    partial = np.cumsum(terms)
-
-    if t_kind == "finite":
-        return ConditionReport(cond, HOLDS, float(partial[-1]), partial,
-                               "finite support: exact sum")
-    if t_kind == "geometric" and b_kind == "geometric":
-        (t_start, rf), (b_start, rg) = t_extra, b_extra
-        if rf < rg:
-            start = max(t_start, b_start)
-            head = float(np.cumsum(terms[:start])[-1]) if start else 0.0
-            q = rf / rg
-            tail_exact = float(terms[start]) / (1.0 - q) if start < terms.size else 0.0
-            return ConditionReport(cond, HOLDS, head + tail_exact, partial,
-                                   f"ratio test: truth tail {rf} < base tail {rg}")
-        return ConditionReport(cond, FAILS, None, partial,
-                               f"ratio test: truth tail {rf} >= base tail {rg}, terms do not vanish")
-    verdict, why = _partial_heuristic(terms)
-    return ConditionReport(cond, verdict, None, partial, why)
+    f = truth.pmf
+    g = np.zeros(f.size)
+    head = np.asarray(base, dtype=np.float64)[:f.size]
+    g[:head.size] = head
+    bad = np.nonzero((f > 0.0) & (g == 0.0))[0]
+    if bad.size:
+        return ConditionReport(cond, FAILS, None,
+                               f"base has zero mass at supported symbol {int(bad[0])}")
+    sel = f > 0.0
+    return ConditionReport(cond, HOLDS, float(np.sum(f[sel] / g[sel])),
+                           "finite support: exact sum")
 
 
-def check_entropy_finite(truth, tail_budget: int = 10_000) -> ConditionReport:
-    """Decide whether sum_l truth(l) * (-log truth(l)) is finite.
-
-    Exact for finite supports; closed form for geometric tails (always
-    finite); heuristic otherwise.
-    """
-    cond = "entropy_finite"
-    kind, term_fn, extra = _tail_info(truth)
-    span = extra if kind == "finite" else tail_budget
-    span = min(max(span, 8), tail_budget)
-    p = term_fn(span)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, -p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    partial = np.cumsum(terms)
-    if kind == "finite":
-        return ConditionReport(cond, HOLDS, float(partial[-1]), partial,
-                               "finite support: exact entropy sum")
-    if kind == "geometric":
-        start, r = extra
-        q = float(truth.head[-1])
-        head = float(partial[start - 1]) if start >= 1 else 0.0
-        # sum_{j>=1} q r^j (-log(q r^j)) = -q log q * r/(1-r) - q log r * r/(1-r)^2
-        tail = (-q * np.log(q)) * r / (1.0 - r) + (-q * np.log(r)) * r / (1.0 - r) ** 2
-        return ConditionReport(cond, HOLDS, head + float(tail), partial,
-                               "geometric tail: closed-form entropy")
-    verdict, why = _partial_heuristic(terms)
-    return ConditionReport(cond, verdict, None, partial, why)
+def check_entropy_finite(truth: DiscreteEmission) -> ConditionReport:
+    """The truth's entropy sum_l truth(l) * (-log truth(l)), exact over its
+    finite support."""
+    p = truth.pmf[truth.pmf > 0.0]
+    return ConditionReport("entropy_finite", HOLDS, float(-np.sum(p * np.log(p))),
+                           "finite support: exact entropy sum")
 
 
-# descriptors for the scale marginal of a mixture base
-
-
-@dataclass(frozen=True)
-class AtomicScaleBase:
-    weights: np.ndarray
-    scales: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", readonly(self.weights))
-        object.__setattr__(self, "scales", readonly(self.scales))
-        if np.any(self.scales <= 0.0) or np.any(self.weights < 0.0):
-            raise ValueError("need positive scales and nonnegative weights")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-
-
-@dataclass(frozen=True)
-class InvGammaScale:
-    """sigma itself inverse-gamma: E[1/sigma] = shape / scale."""
-    shape: float
-    scale: float
-
-
-@dataclass(frozen=True)
-class LogNormalScale:
-    """log sigma ~ N(mean, sd^2): E[1/sigma] = exp(-mean + sd^2 / 2)."""
-    mean: float
-    sd: float
-
-
-@dataclass(frozen=True)
-class GammaScale:
-    """sigma ~ Gamma(shape, scale): E[1/sigma] finite only for shape > 1."""
-    shape: float
-    scale: float
-
-
-def check_inverse_scale_integrable(base) -> ConditionReport:
-    """Evaluate the mean inverse scale of a mixture base, or flag divergence.
-
-    Exact weighted sums for atomic bases; closed-form moments for the
-    supported parametric scale marginals. Unsupported descriptors come back
-    inconclusive.
-    """
-    cond = "inverse_scale_integrable"
-    empty = np.array([])
-    if isinstance(base, AtomicScaleBase):
-        val = float(np.sum(base.weights / base.scales))
-        return ConditionReport(cond, HOLDS, val, empty, "atomic base: exact sum")
-    if isinstance(base, InvGammaScale):
-        if base.shape <= 0.0 or base.scale <= 0.0:
-            raise ValueError("inverse-gamma parameters must be positive")
-        return ConditionReport(cond, HOLDS, base.shape / base.scale, empty,
-                               "inverse-gamma scale: mean inverse is shape/scale")
-    if isinstance(base, LogNormalScale):
-        val = float(np.exp(-base.mean + 0.5 * base.sd ** 2))
-        return ConditionReport(cond, HOLDS, val, empty, "lognormal scale: closed-form moment")
-    if isinstance(base, GammaScale):
-        if base.shape > 1.0:
-            return ConditionReport(cond, HOLDS, 1.0 / (base.scale * (base.shape - 1.0)),
-                                   empty, "gamma scale with shape > 1")
-        return ConditionReport(cond, FAILS, None, empty,
-                               "gamma scale with shape <= 1 has no mean inverse")
-    if isinstance(base, NormalInvGammaBase):
-        return ConditionReport(cond, HOLDS, base.mean_inverse_scale(), empty,
-                               "inverse-gamma variance: closed-form moment")
-    return ConditionReport(cond, INCONCLUSIVE, None, empty,
-                           f"unsupported base descriptor {type(base).__name__}")
+def check_inverse_scale_integrable(base: NormalInvGammaBase) -> ConditionReport:
+    """E[1/sigma] under the mixture base, in closed form."""
+    return ConditionReport("inverse_scale_integrable", HOLDS, base.mean_inverse_scale(),
+                           "inverse-gamma variance: closed-form moment")

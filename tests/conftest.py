@@ -46,6 +46,16 @@ def random_gaussian_params(rng, k=None, q_floor=None) -> HmmParams:
     return HmmParams(TransitionMatrix(rows, q_floor), mu, tuple(emissions))
 
 
+def relabel(params: HmmParams, sigma) -> HmmParams:
+    """Apply a state relabeling: row/column-permuted transitions, permuted
+    initial law and emissions. The observed process is unchanged."""
+    sigma = np.asarray(sigma, dtype=np.int64)
+    Q = params.trans.rows[np.ix_(sigma, sigma)]
+    return HmmParams(TransitionMatrix(Q, params.q_floor),
+                     params.mu[sigma],
+                     tuple(params.emissions[s] for s in sigma))
+
+
 def all_paths(k, n):
     return np.array(list(itertools.product(range(k), repeat=n)), dtype=np.int64)
 

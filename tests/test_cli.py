@@ -1,6 +1,7 @@
 """The command-line interface end to end on a tiny golden-truth config:
 records equal direct library calls, and each failure exits with its code."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +245,53 @@ def test_negative_seed_option_is_a_usage_error(tmp_path):
         _run("simulate", "--config", config, "--seed", -1, "--out", tmp_path)
     assert exit_info.value.code == 2
     assert not (tmp_path / "observations.txt").exists()
+
+
+GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "golden.json"
+FLOOR_ROW = "floor_feasible             state=-   holds         q_floor=0.15"
+EXACT_ROWS = ["ratio_summable             state={i}   holds         finite support: exact sum",
+              "entropy_finite             state={i}   holds         finite support: exact entropy sum"]
+NIG_ROW = ("inverse_scale_integrable   state=-   holds         "
+           "inverse-gamma variance: closed-form moment")
+
+# (config changes, exit code, stdout lines); state 0's pmf in "wider" has a
+# symbol the base [0.5, 0.5] does not carry
+CHECK_PRIOR_CASES = {
+    "golden": ({}, 0, [FLOOR_ROW] + [r.format(i=i) for i in (0, 1) for r in EXACT_ROWS]),
+    "truth-wider-than-base": (
+        {"truth": {"emissions": [{"family": "discrete", "pmf": [0.5, 0.3, 0.2]},
+                                 {"family": "discrete", "pmf": [0.2, 0.8]}]}}, 0,
+        [FLOOR_ROW,
+         "ratio_summable             state=0   fails         "
+         "base has zero mass at supported symbol 2",
+         EXACT_ROWS[1].format(i=0)] + [r.format(i=1) for r in EXACT_ROWS]),
+    "dpm-gaussian-truth": ({"truth": GAUSSIAN["truth"], "prior": GAUSSIAN["prior"]}, 0,
+                           [FLOOR_ROW, NIG_ROW]),
+    "dpm-discrete-truth": ({"prior": GAUSSIAN["prior"]}, 0, [FLOOR_ROW, NIG_ROW]),
+    "discrete-prior-gaussian-truth": ({"truth": GAUSSIAN["truth"]}, 3, []),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECK_PRIOR_CASES))
+def test_check_prior_table(tmp_path, capsys, case):
+    changes, code, lines = CHECK_PRIOR_CASES[case]
+    payload = json.loads(GOLDEN_CONFIG.read_text())
+    for section, values in changes.items():
+        payload[section] = {**payload[section], **values}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert _run("check-prior", "--config", config, "--out", out) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    if code:
+        assert captured.err.startswith("data error: ")
+        assert not (out / "check_prior.jsonl").exists()
+        return
+    records = []
+    for line in lines:
+        condition, state, verdict, detail = line.split(None, 3)
+        records.append({"condition": condition, "state": state.removeprefix("state="),
+                        "verdict": verdict, "detail": detail})
+    rows = (out / "check_prior.jsonl").read_text().splitlines()
+    assert [json.loads(row) for row in rows] == records

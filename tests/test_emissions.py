@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dphmm import (DataError, DiscreteEmission, GaussianMixtureEmission,
-                   TranslatedEmission, l1_distance, max_emission_l1)
+                   TranslatedEmission, l1_distance)
 
 
 def test_discrete_density_lookup():
@@ -117,8 +117,9 @@ def test_l1_domain_mismatch_rejected():
 def test_l1_montecarlo_rejects_zero_budget():
     g = GaussianMixtureEmission(np.array([1.0]), np.array([0.0]), np.array([1.0]))
     h = GaussianMixtureEmission(np.array([1.0]), np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        l1_distance(g, h, n_samples=0)
+    for n_samples in (0, 1, 3):  # fewer than 2 draws on a side
+        with pytest.raises(ValueError, match="n_samples >= 4"):
+            l1_distance(g, h, n_samples=n_samples)
 
 
 def test_l1_montecarlo_accuracy_on_known_gap():
@@ -153,17 +154,6 @@ def test_l1_translation_invariance_paired_seed():
                         n_samples=20_000, seed=42)
     # identical generator stream shifts every draw by the same offset
     assert moved.value == pytest.approx(plain.value, abs=1e-12)
-
-
-def test_max_emission_l1():
-    f = (DiscreteEmission(np.array([0.9, 0.1])), DiscreteEmission(np.array([0.5, 0.5])))
-    g = (DiscreteEmission(np.array([0.2, 0.8])), DiscreteEmission(np.array([0.4, 0.6])))
-    est = max_emission_l1(f, g)
-    assert est.value == pytest.approx(1.4, abs=1e-12)
-    assert max_emission_l1(f, f).value == 0.0
-    assert max_emission_l1(f[:1], g[:1]).value == pytest.approx(1.4, abs=1e-12)
-    with pytest.raises(ValueError):
-        max_emission_l1(f, g[:1])
 
 
 def test_sampling_moments():

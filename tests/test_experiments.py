@@ -12,6 +12,7 @@ from dphmm.experiments import (ExperimentConfig, consistency_experiment,
                                smoothing_max_deviation, trend_verdict)
 from dphmm.hmm import smoothing_exact, simulate
 from dphmm.metrics import align_labels
+from tests.conftest import relabel
 
 
 def _tiny_config(truth, **kw):
@@ -104,8 +105,6 @@ def test_smoothing_deviation_zero_on_same_table(golden_truth):
 
 
 def test_smoothing_deviation_alignment_cancels_relabeling(golden_truth):
-    from dphmm import relabel
-
     _, y = simulate(golden_truth, 12, 1)
     table = smoothing_exact(golden_truth, y, 1)
     moved = smoothing_exact(relabel(golden_truth, (1, 0)), y, 1)

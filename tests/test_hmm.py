@@ -1,5 +1,6 @@
-"""Core HMM objects: construction invariants, likelihood, smoothing,
-window truncation and simulation."""
+"""Core HMM objects: construction invariants, likelihood, stationary block
+densities, smoothing and its forgetting under window truncation, and
+simulation."""
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from dphmm import (DataError, DiscreteEmission, GaussianMixtureEmission, HmmParams,
                    NumericalError, StationarySolveError, TransitionMatrix,
-                   TranslatedEmission, ZeroLikelihoodError, forgetting_bound,
-                   log_likelihood_forward, marginal_density, simulate,
-                   smoothing_exact, smoothing_windowed, stationary_distribution)
+                   TranslatedEmission, ZeroLikelihoodError, log_likelihood_forward,
+                   simulate, smoothing_exact, stationary_distribution)
+from dphmm.metrics import _block_densities
 from tests import kernel_oracles as oracles
 from tests.conftest import (brute_force_loglik, brute_force_smoothing,
                             random_discrete_params, random_gaussian_params)
@@ -177,8 +178,21 @@ def test_loglik_chain_rule():
         assert prefix + conditional == pytest.approx(full, abs=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# stationary block densities
+
+
+def block_density(params, y_block) -> float:
+    """Density of a block under the stationary start, read off the block law
+    that the block metrics enumerate (big-endian block index)."""
+    support = max(e.support_size for e in params.emissions)
+    law = stationary_distribution(params.trans).probs
+    dens = _block_densities(params, len(y_block), support, law)
+    return float(dens[np.ravel_multi_index(y_block, (support,) * len(y_block))])
+
+
 def test_marginal_density_hand_values(flat_binary):
-    assert marginal_density(flat_binary, [0]) == pytest.approx(0.55, abs=1e-12)
+    assert block_density(flat_binary, [0]) == pytest.approx(0.55, abs=1e-12)
 
 
 def test_marginal_density_one_step_mixture():
@@ -187,7 +201,7 @@ def test_marginal_density_one_step_mixture():
     law = stationary_distribution(params.trans).probs
     for s in range(3):
         expect = sum(law[i] * params.emissions[i].pmf[s] for i in range(3))
-        assert marginal_density(params, [s]) == pytest.approx(expect, abs=1e-12)
+        assert block_density(params, [s]) == pytest.approx(expect, abs=1e-12)
 
 
 def test_marginal_density_identical_emissions_factorizes():
@@ -197,7 +211,7 @@ def test_marginal_density_identical_emissions_factorizes():
                        (DiscreteEmission(pmf), DiscreteEmission(pmf)))
     y = [0, 1, 1, 0]
     expect = float(np.prod(pmf[y]))
-    assert marginal_density(params, y) == pytest.approx(expect, abs=1e-12)
+    assert block_density(params, y) == pytest.approx(expect, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -253,46 +267,24 @@ def test_smoothing_rejects_overflowing_backward_messages():
 
 
 # ---------------------------------------------------------------------------
-# windowed smoothing
-
-
-def test_forgetting_bound_value():
-    assert forgetting_bound(0.2, 10) == pytest.approx(
-        2 * 0.8 ** 10 / (0.2 + 0.8 ** 10), abs=1e-15)
-    assert forgetting_bound(0.2, 10) == pytest.approx(0.6987, abs=5e-5)
-
-
-def test_forgetting_bound_monotone_in_floor():
-    vals = [forgetting_bound(q, 10) for q in (0.05, 0.1, 0.2, 0.3)]
-    assert all(b > a for a, b in zip(vals[::-1], vals[::-1][1:]))
-
-
-def test_forgetting_bound_rejects_zero_floor():
-    with pytest.raises(ValueError):
-        forgetting_bound(0.0, 5)
-
-
-def test_windowed_equals_exact_at_full_window():
-    rng = np.random.default_rng(4)
-    params = random_discrete_params(rng, k=2, q_floor=0.1)
-    _, y = simulate(params, 12, rng)
-    vec, bound = smoothing_windowed(params, y, 3, 12)
-    table = smoothing_exact(params, y, 1)
-    assert np.allclose(vec, table.marginals[3], atol=1e-12)
-    assert bound > 0
+# forgetting: smoothing on a window of the record
 
 
 def test_windowed_deviation_within_bound_randomly():
+    # smoothing on the first N observations moves the marginal at j < N by at
+    # most 2 r / (q_floor + r), r = (1 - q_floor)^(N - j)
     rng = np.random.default_rng(8)
     for _ in range(40):
-        params = random_discrete_params(rng, q_floor=float(rng.uniform(0.05, 0.3)))
+        q = float(rng.uniform(0.05, 0.3))
+        params = random_discrete_params(rng, q_floor=q)
         n = int(rng.integers(4, 25))
         _, y = simulate(params, n, rng)
         N = int(rng.integers(2, n + 1))
         j = int(rng.integers(0, N))
-        vec, bound = smoothing_windowed(params, y, j, N)
+        windowed = smoothing_exact(params, y[:N], 1).marginals[j]
         exact = smoothing_exact(params, y, 1).marginals[j]
-        assert np.max(np.abs(vec - exact)) <= bound + 1e-12
+        r = (1.0 - q) ** (N - j)
+        assert np.max(np.abs(windowed - exact)) <= 2.0 * r / (q + r) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,11 @@ import pytest
 
 from dphmm import (AlignmentResult, ConfigError, DataError, DiscreteEmission,
                    HmmParams, TransitionMatrix, align_labels, block_l1_distance,
-                   block_l1_upper_bound,
-                   kl_rate_bound, kl_rate_exact, relabel, simulate,
+                   kl_rate_bound, kl_rate_exact, metrics, simulate,
                    stationary_distribution, weak_functional_gap)
-from dphmm.metrics import (emission_log_ratio_term, parameter_metrics,
-                           weak_test_functions)
+from dphmm.metrics import emission_log_ratio_term, parameter_metrics
 from tests.conftest import (all_paths, brute_force_path_probs,
-                            random_discrete_params, random_gaussian_params)
+                            random_discrete_params, random_gaussian_params, relabel)
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +77,20 @@ def test_block_l1_symmetry_and_triangle():
 
 
 def test_block_l1_decomposition_bound():
+    # |stationary gap|_1 + k (l - 1) |Q gap|_max + l * max-state emission L1
+    # majorizes the block L1 distance (here k = 2, l = 3)
     rng = np.random.default_rng(2)
     for _ in range(50):
         q = float(rng.uniform(0.02, 0.25))
         a = random_discrete_params(rng, k=2, support=3, q_floor=q)
         b = random_discrete_params(rng, k=2, support=3, q_floor=q)
         d = block_l1_distance(a, b, 3).value
-        assert d <= block_l1_upper_bound(a, b, 3) + 1e-10
+        law_gap = np.abs(stationary_distribution(a.trans).probs
+                         - stationary_distribution(b.trans).probs).sum()
+        q_gap = np.abs(a.trans.rows - b.trans.rows).max()
+        emission_gap = max(np.abs(f.pmf - g.pmf).sum()
+                           for f, g in zip(a.emissions, b.emissions))
+        assert d <= law_gap + 2 * 2 * q_gap + 3 * emission_gap + 1e-10
 
 
 def test_block_l1_montecarlo_agrees_with_exact():
@@ -167,6 +172,9 @@ def test_alignment_caps_k():
     big = random_discrete_params(rng, k=3)
     with pytest.raises(DataError):
         align_labels(big, random_discrete_params(rng, k=2))
+    nine = random_discrete_params(rng, k=9)
+    with pytest.raises(ConfigError, match="capped at k = 8"):
+        align_labels(nine, nine)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +197,6 @@ def test_kl_bound_transition_term_limit():
     n = 10 ** 7
     b = kl_rate_bound(moved, ref, n)
     assert b.total == pytest.approx(0.25, abs=1e-6)
-    assert b.conclusion_threshold is None
-    with_eps = kl_rate_bound(moved, ref, n, epsilon=0.01)
-    assert with_eps.conclusion_threshold == pytest.approx(0.15, abs=1e-12)
 
 
 def test_kl_bound_requires_shared_floor(golden_truth):
@@ -293,7 +298,7 @@ def test_weak_gap_bounded_by_block_l1():
         a = random_discrete_params(rng, k=2, support=2)
         b = random_discrete_params(rng, k=2, support=2)
         d = block_l1_distance(a, b, 2).value
-        for h_id in weak_test_functions(True, 2, 2):
+        for h_id in ("const", "ind_0_0", "ind_0_1", "ind_1_0", "ind_1_1"):
             gap = weak_functional_gap(a, b, 2, h_id).value
             assert gap <= d + 1e-12
 
@@ -309,6 +314,30 @@ def test_weak_gap_unknown_id(golden_truth, h_id, mode):
     with pytest.raises(ConfigError, match=repr(h_id)):
         weak_functional_gap(golden_truth, golden_truth, 2, h_id, mode=mode,
                             n_samples=100, seed=0)
+
+
+@pytest.mark.parametrize("h_id", ["gauss_0_x", "sigmoid_5_0.0", "mystery_3"])
+def test_weak_gap_checks_the_id_before_drawing_blocks(golden_truth, monkeypatch, h_id):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a block was drawn before the id was checked")
+
+    monkeypatch.setattr(metrics, "simulate", no_draws)
+    with pytest.raises(ConfigError, match=repr(h_id)):
+        weak_functional_gap(golden_truth, golden_truth, 2, h_id, mode="montecarlo",
+                            n_samples=20_000, seed=0)
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, 3])
+@pytest.mark.parametrize("metric", ["block_l1", "weak_gap"])
+def test_montecarlo_block_metrics_reject_budgets_below_two_per_side(golden_truth,
+                                                                   metric, n_samples):
+    with pytest.raises(ValueError, match="n_samples >= 4"):
+        if metric == "block_l1":
+            block_l1_distance(golden_truth, golden_truth, 2, mode="montecarlo",
+                              n_samples=n_samples, seed=0)
+        else:
+            weak_functional_gap(golden_truth, golden_truth, 2, "ind_0_1",
+                                mode="montecarlo", n_samples=n_samples, seed=0)
 
 
 def test_weak_gap_montecarlo_continuous():

@@ -3,15 +3,12 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
-from dphmm import (DiscreteDpSpec, GaussianDpSpec, GeometricTailPmf,
-                   NormalInvGammaBase, SamplerBudgetError, SequencePmf,
-                   TruncatedDirichletSpec, check_entropy_finite,
-                   check_inverse_scale_integrable, check_ratio_summable,
-                   geometric_pmf, sample_dp_discrete, sample_dp_mixture,
-                   sample_transition_row, truncated_dirichlet_logpdf)
+from dphmm import (DiscreteDpSpec, GaussianDpSpec, GaussianMixtureEmission,
+                   NormalInvGammaBase, SamplerBudgetError, TruncatedDirichletSpec,
+                   check_entropy_finite, check_inverse_scale_integrable,
+                   check_ratio_summable, sample_dp_discrete, sample_transition_row)
 from dphmm.emissions import DiscreteEmission
-from dphmm.priors import (AtomicScaleBase, GammaScale, InvGammaScale,
-                          LogNormalScale, stick_breaking_weights, truncate_base)
+from dphmm.priors import dp_mixture_arrays, stick_breaking_weights
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +79,6 @@ def test_fallback_away_from_corner():
     assert draw.row.min() >= 0.4
 
 
-def test_logpdf_cases():
-    spec = TruncatedDirichletSpec(np.array([2.0, 1.0]), 0.1)
-    below = truncated_dirichlet_logpdf(spec, np.array([0.95, 0.05]))
-    assert below.value == float("-inf")
-    flat = truncated_dirichlet_logpdf(TruncatedDirichletSpec(np.ones(2), 0.1),
-                                      np.array([0.6, 0.4]))
-    assert flat.value == 0.0 and not flat.normalized
-    val = truncated_dirichlet_logpdf(spec, np.array([0.6, 0.4]))
-    assert val.value == pytest.approx(np.log(0.6), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # discrete DP via Gamma normalization
 
@@ -136,12 +122,6 @@ def test_dp_all_zero_draws_fail_loudly():
         sample_dp_discrete(spec, 8)
 
 
-def test_truncate_base_folds_tail():
-    folded = truncate_base([0.5, 0.3], tail_mass=0.2)
-    assert np.allclose(folded, [0.5, 0.3, 0.2])
-    assert truncate_base([0.5, 0.5]).size == 2
-
-
 # ---------------------------------------------------------------------------
 # stick breaking
 
@@ -174,11 +154,12 @@ def test_stick_breaking_tiny_alpha_front_loads():
 
 def test_dp_mixture_draw_shape():
     spec = GaussianDpSpec(1.0, NormalInvGammaBase(0.0, 1.0, 3.0, 2.0), truncation=12)
-    mix = sample_dp_mixture(spec, 12)
+    mix = GaussianMixtureEmission(*dp_mixture_arrays(spec, 12))
     assert mix.n_atoms == 12
     assert mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(mix.scales > 0)
-    single = sample_dp_mixture(GaussianDpSpec(1.0, spec.base, truncation=1), 13)
+    single = GaussianMixtureEmission(
+        *dp_mixture_arrays(GaussianDpSpec(1.0, spec.base, truncation=1), 13))
     assert single.n_atoms == 1 and single.weights[0] == 1.0
 
 
@@ -199,31 +180,11 @@ def test_ratio_summable_support_violation_fails():
     truth = DiscreteEmission(np.array([0.5, 0.5]))
     rep = check_ratio_summable(truth, np.array([1.0, 0.0]))
     assert rep.verdict == "fails"
-
-
-def test_ratio_summable_geometric_ratio_test():
-    lighter = geometric_pmf(1.0 / 3.0)
-    heavier = geometric_pmf(1.0 / 2.0)
-    assert check_ratio_summable(lighter, heavier).holds
-    rep = check_ratio_summable(heavier, lighter)
-    assert rep.verdict == "fails"
-    closed = check_ratio_summable(lighter, heavier)
-    # sum_l (2/3)(1/3)^l / ((1/2)(1/2)^l) = (4/3) sum (2/3)^l = 4
-    assert closed.value == pytest.approx(4.0, rel=1e-9)
-
-
-def test_ratio_summable_heuristic_divergence():
-    f = SequencePmf(lambda l: 0.5 ** (l + 1), "geometric-without-descriptor")
-    g = geometric_pmf(0.2)
-    rep = check_ratio_summable(f, g, tail_budget=200)
-    assert rep.verdict == "fails"
-
-
-def test_ratio_summable_heuristic_inconclusive():
-    f = SequencePmf(lambda l: 0.8 * 0.2 ** l, "light-tail-without-descriptor")
-    g = SequencePmf(lambda l: 0.5 * 0.5 ** l, "heavy-base-without-descriptor")
-    rep = check_ratio_summable(f, g, tail_budget=200)
-    assert rep.verdict == "inconclusive"
+    # a base shorter than the truth's support counts as zero past its end
+    wider = DiscreteEmission(np.array([0.5, 0.3, 0.2]))
+    rep = check_ratio_summable(wider, np.array([0.5, 0.5]))
+    assert (rep.verdict, rep.value) == ("fails", None)
+    assert rep.detail == "base has zero mass at supported symbol 2"
 
 
 def test_entropy_uniform_closed_form():
@@ -232,31 +193,13 @@ def test_entropy_uniform_closed_form():
     assert rep.holds and rep.value == pytest.approx(np.log(M), abs=1e-12)
 
 
-def test_entropy_geometric_closed_form():
-    rep = check_entropy_finite(geometric_pmf(0.5))
-    assert rep.holds
-    assert rep.value == pytest.approx(2 * np.log(2), rel=1e-9)
-
-
-def test_entropy_matches_partial_sums_high_budget():
-    pmf = geometric_pmf(0.7)
-    rep = check_entropy_finite(pmf)
-    terms = pmf.terms(4000)
-    brute = float(np.sum(-terms[terms > 0] * np.log(terms[terms > 0])))
-    assert rep.value == pytest.approx(brute, abs=1e-8)
-
-
 def test_inverse_scale_values():
-    atom = check_inverse_scale_integrable(
-        AtomicScaleBase(np.array([1.0]), np.array([2.0])))
-    assert atom.holds and atom.value == 0.5
-    two = check_inverse_scale_integrable(
-        AtomicScaleBase(np.array([0.5, 0.5]), np.array([1.0, 4.0])))
-    assert two.value == pytest.approx(0.625, abs=1e-12)
-    ig = check_inverse_scale_integrable(InvGammaScale(3.0, 2.0))
-    assert ig.holds and ig.value == pytest.approx(1.5, abs=1e-12)
-    unknown = check_inverse_scale_integrable(object())
-    assert unknown.verdict == "inconclusive"
+    # E[1/sigma] = Gamma(shape + 1/2) / Gamma(shape) / sqrt(scale)
+    one = check_inverse_scale_integrable(NormalInvGammaBase(0.0, 1.0, 1.0, 1.0))
+    assert one.holds and one.value == pytest.approx(np.sqrt(np.pi) / 2, abs=1e-12)
+    three = check_inverse_scale_integrable(NormalInvGammaBase(5.0, 2.0, 3.0, 4.0))
+    assert three.value == pytest.approx(15 * np.sqrt(np.pi) / 32, abs=1e-12)
+    assert three.detail == "inverse-gamma variance: closed-form moment"
 
 
 def test_inverse_scale_nig_moment_matches_monte_carlo():
@@ -267,10 +210,3 @@ def test_inverse_scale_nig_moment_matches_monte_carlo():
     inv = 1.0 / sigma
     se = inv.std(ddof=1) / np.sqrt(inv.size)
     assert abs(inv.mean() - rep.value) <= 3 * se
-
-
-def test_geometric_tail_pmf_validation():
-    with pytest.raises(ValueError):
-        GeometricTailPmf(np.array([0.9]), 0.5)  # mass != 1
-    pmf = geometric_pmf(0.25)
-    assert pmf.terms(3) == pytest.approx([0.75, 0.1875, 0.046875])
