@@ -187,15 +187,12 @@ def cmd_experiment(args, cfg: modelio.RunConfig) -> int:
     exp = cfg.experiment
     seed = exp.seed if args.seed is None else args.seed
     out = _outdir(args)
-    if exp.kind in ("golden", "consistency", "smoothing"):
-        config = experiments.ExperimentConfig(
+    if exp.kind in experiments.KIND_METRICS:
+        report = experiments.golden_experiment(experiments.ExperimentConfig(
             truth=cfg.truth, gibbs=cfg.gibbs_config(), n_grid=exp.n_grid,
             replications=exp.replications, seed=seed, epsilons=cfg.metrics.epsilon,
-            block_len=cfg.metrics.l, smoothing_block_len=exp.smoothing_block_len)
-        runner = {"golden": experiments.golden_experiment,
-                  "consistency": experiments.consistency_experiment,
-                  "smoothing": experiments.smoothing_consistency_experiment}[exp.kind]
-        report = runner(config)
+            block_len=cfg.metrics.l, smoothing_block_len=exp.smoothing_block_len,
+            kind=exp.kind))
         records = report.to_records()
         lines = [f"verdict: {report.verdict}"]
         for name, curve in report.curves.items():

@@ -20,7 +20,7 @@ process draws.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Sequence
 
@@ -45,13 +45,22 @@ METRIC_SMOOTHING_RAW = "smoothing_unaligned"
 SMOOTHING_METRICS = (METRIC_SMOOTHING, METRIC_SMOOTHING_RAW)
 ALL_METRICS = CONSISTENCY_METRICS + SMOOTHING_METRICS
 
+# the chain kinds of ``dphmm experiment`` and the neighborhood masses each records
+KIND_METRICS = {"golden": ALL_METRICS, "consistency": CONSISTENCY_METRICS,
+                "smoothing": SMOOTHING_METRICS}
+
 # fractions of the path whose smoothing marginals the smoothing metrics compare
 SMOOTHING_POSITIONS = (0.0, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Truth, sampler template and grid for a posterior-concentration run."""
+    """Truth, sampler template and grid for a posterior-concentration run.
+
+    ``kind`` picks the recorded metrics from ``KIND_METRICS``. Their radii
+    are resolved here, once, into ``radii``; ``smoothing_unaligned`` falls
+    back to the ``smoothing_aligned`` radius, and a metric with no radius
+    raises ``ConfigError`` before any chain runs."""
 
     truth: HmmParams
     gibbs: GibbsConfig
@@ -61,6 +70,8 @@ class ExperimentConfig:
     epsilons: dict
     block_len: int = 3
     smoothing_block_len: int = 1
+    kind: str = "golden"
+    radii: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -77,6 +88,17 @@ class ExperimentConfig:
             raise ConfigError("neighborhood radii must be positive")
         if self.truth.k ** self.smoothing_block_len > 64:
             raise ConfigError("smoothing block table capped at 64 entries")
+        if self.kind not in KIND_METRICS:
+            raise ConfigError(f"no chain kind {self.kind!r}")
+        eps = {METRIC_SMOOTHING_RAW: self.epsilons.get(METRIC_SMOOTHING), **self.epsilons}
+        for name in self.metrics:
+            if eps.get(name) is None:
+                raise ConfigError(f"no radius configured for metric {name!r}")
+        object.__setattr__(self, "radii", {name: eps[name] for name in self.metrics})
+
+    @property
+    def metrics(self) -> tuple[str, ...]:
+        return KIND_METRICS[self.kind]
 
 
 @dataclass(frozen=True)
@@ -136,95 +158,68 @@ def smoothing_max_deviation(table: SmoothingTable, ref_table: SmoothingTable,
     return dev
 
 
-def _run_cells(config: ExperimentConfig, metrics: tuple[str, ...]) -> tuple[CellResult, ...]:
+def run_cell(config: ExperimentConfig, n: int, replication: int,
+             sim_seed: int, chain_seed: int) -> CellResult:
+    """One grid cell, a function of its arguments alone: n observations
+    simulated from the stationary truth with ``sim_seed``, one chain run with
+    ``chain_seed``, and each recorded metric's value on every retained sample
+    with the fraction of them inside its radius. Label alignments draw from
+    a generator seeded by both seeds."""
     truth = config.truth
+    metrics = config.metrics
     stationary_truth = truth.with_mu(stationary_distribution(truth.trans).probs)
-    master = np.random.default_rng(config.seed)
-    cell_seeds = master.integers(0, 2 ** 62,
-                                 size=(len(config.n_grid), config.replications, 2))
+    _, y = simulate(stationary_truth, n, sim_seed)
+    samples = run_chain(y, replace(config.gibbs, seed=chain_seed))
+    align_rng = np.random.default_rng([sim_seed, chain_seed])
     scored = tuple(m for m in metrics if m not in SMOOTHING_METRICS)
     want_smoothing = len(scored) < len(metrics)
-    cells = []
-    for gi, n in enumerate(config.n_grid):
-        for rep in range(config.replications):
-            sim_seed, chain_seed = (int(s) for s in cell_seeds[gi, rep])
-            _, y = simulate(stationary_truth, n, sim_seed)
-            cfg = replace(config.gibbs, seed=chain_seed)
-            samples = run_chain(y, cfg)
-            align_rng = np.random.default_rng([sim_seed, chain_seed])
-            j_idx = sorted({min(int(round(f * (n - 1))), n - 1) for f in SMOOTHING_POSITIONS})
-            ref_table = (smoothing_exact(truth, y, config.smoothing_block_len)
-                         if want_smoothing else None)
-            values: dict[str, list[float]] = {m: [] for m in metrics}
-            for s in samples:
-                align = (align_labels(s.params, truth, seed=align_rng)
-                         if want_smoothing else None)
-                estimates = parameter_metrics(s.params, truth, scored,
-                                              config.block_len, align)
-                for name, est in zip(scored, estimates):
-                    values[name].append(est.value)
-                if want_smoothing:
-                    table = smoothing_exact(s.params, y, config.smoothing_block_len)
-                    if METRIC_SMOOTHING in metrics:
-                        values[METRIC_SMOOTHING].append(
-                            smoothing_max_deviation(table, ref_table, j_idx, align.sigma))
-                    if METRIC_SMOOTHING_RAW in metrics:
-                        values[METRIC_SMOOTHING_RAW].append(
-                            smoothing_max_deviation(table, ref_table, j_idx))
-            masses = {}
-            for name in metrics:
-                eps = config.epsilons.get(name)
-                if eps is None and name == METRIC_SMOOTHING_RAW:
-                    eps = config.epsilons.get(METRIC_SMOOTHING)
-                if eps is None:
-                    raise ConfigError(f"no radius configured for metric {name!r}")
-                vals = np.asarray(values[name])
-                masses[name] = float(np.mean(vals < eps))
-            cells.append(CellResult(n=n, replication=rep, sim_seed=sim_seed,
-                                    chain_seed=chain_seed, n_samples=len(samples),
-                                    masses=masses, values=values))
-    return tuple(cells)
-
-
-def _assemble(config: ExperimentConfig, cells, metrics, tracked) -> ExperimentReport:
-    curves = {}
-    for name in metrics:
-        curves[name] = {
-            n: float(np.mean([c.masses[name] for c in cells if c.n == n]))
-            for n in config.n_grid
-        }
-    failures = tuple(
-        name for name in tracked
-        if not trend_verdict([curves[name][n] for n in config.n_grid])
-    )
-    return ExperimentReport(cells=tuple(cells), curves=curves, tracked=tuple(tracked),
-                            verdict="PASS" if not failures else "FAIL",
-                            failures=failures)
-
-
-def consistency_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Posterior mass of block-L1 and relabeled component neighborhoods
-    across the sample-size grid."""
-    cells = _run_cells(config, CONSISTENCY_METRICS)
-    return _assemble(config, cells, CONSISTENCY_METRICS, CONSISTENCY_METRICS)
-
-
-def smoothing_consistency_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Posterior mass of small worst-case smoothing-table deviations.
-
-    The verdict tracks the relabeling-aligned deviation; the raw one is
-    reported for reference (it cannot concentrate, since the posterior is
-    exchangeable over labels).
-    """
-    cells = _run_cells(config, SMOOTHING_METRICS)
-    return _assemble(config, cells, SMOOTHING_METRICS, (METRIC_SMOOTHING,))
+    j_idx = sorted({min(int(round(f * (n - 1))), n - 1) for f in SMOOTHING_POSITIONS})
+    ref_table = (smoothing_exact(truth, y, config.smoothing_block_len)
+                 if want_smoothing else None)
+    values: dict[str, list[float]] = {m: [] for m in metrics}
+    for s in samples:
+        align = (align_labels(s.params, truth, seed=align_rng)
+                 if want_smoothing else None)
+        estimates = parameter_metrics(s.params, truth, scored, config.block_len, align)
+        for name, est in zip(scored, estimates):
+            values[name].append(est.value)
+        if want_smoothing:   # every kind records both smoothing metrics or neither
+            table = smoothing_exact(s.params, y, config.smoothing_block_len)
+            values[METRIC_SMOOTHING].append(
+                smoothing_max_deviation(table, ref_table, j_idx, align.sigma))
+            values[METRIC_SMOOTHING_RAW].append(
+                smoothing_max_deviation(table, ref_table, j_idx))
+    masses = {name: float(np.mean(np.asarray(values[name]) < config.radii[name]))
+              for name in metrics}
+    return CellResult(n=n, replication=replication, sim_seed=sim_seed,
+                      chain_seed=chain_seed, n_samples=len(samples),
+                      masses=masses, values=values)
 
 
 def golden_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """All tracked neighborhoods on one shared set of chains."""
-    cells = _run_cells(config, ALL_METRICS)
-    tracked = CONSISTENCY_METRICS + (METRIC_SMOOTHING,)
-    return _assemble(config, cells, ALL_METRICS, tracked)
+    """Posterior mass of the neighborhoods of ``config.kind`` in every cell
+    of the grid, and their mean over replications at each n.
+
+    The cell seeds are drawn here, all at once, from ``config.seed``. The
+    verdict tracks every recorded metric except ``smoothing_unaligned``,
+    which is reported for reference only: it cannot concentrate, since the
+    posterior is exchangeable over labels.
+    """
+    master = np.random.default_rng(config.seed)
+    cell_seeds = master.integers(0, 2 ** 62,
+                                 size=(len(config.n_grid), config.replications, 2))
+    cells = tuple(run_cell(config, n, rep, *(int(s) for s in cell_seeds[gi, rep]))
+                  for gi, n in enumerate(config.n_grid)
+                  for rep in range(config.replications))
+    curves = {name: {n: float(np.mean([c.masses[name] for c in cells if c.n == n]))
+                     for n in config.n_grid}
+              for name in config.metrics}
+    tracked = tuple(name for name in config.metrics if name != METRIC_SMOOTHING_RAW)
+    failures = tuple(name for name in tracked
+                     if not trend_verdict(curves[name].values()))
+    return ExperimentReport(cells=cells, curves=curves, tracked=tracked,
+                            verdict="PASS" if not failures else "FAIL",
+                            failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +245,12 @@ class KlLemmaReport:
 def draw_near_truth(theta_star: HmmParams, epsilon: float,
                     trans_prior: TruncatedDirichletSpec,
                     emission_prior: DiscreteDpSpec, rng,
-                    mu=None, budget: int = 200_000) -> tuple[HmmParams, int]:
+                    budget: int = 200_000) -> tuple[HmmParams, int]:
     """One prior draw restricted to the epsilon-neighborhood of the truth:
     every transition row within epsilon of its counterpart (sup norm, rows
     rejected independently) and emission log-ratio term below epsilon
-    (vector rejected jointly). Returns the draw and the number of prior
+    (vector rejected jointly), started from the stationary law of the truth.
+    Returns the draw and the number of prior
     draws consumed; starves loudly when the neighborhood has no prior mass
     within the budget."""
     rng = as_generator(rng)
@@ -278,7 +274,7 @@ def draw_near_truth(theta_star: HmmParams, epsilon: float,
             break
     else:
         raise StarvationError("no emission vector landed in the neighborhood")
-    init = stationary_distribution(theta_star.trans).probs if mu is None else mu
+    init = stationary_distribution(theta_star.trans).probs
     return HmmParams(TransitionMatrix(rows, trans_prior.q_floor), init, emissions), used
 
 
@@ -286,7 +282,7 @@ def kl_lemma_experiment(theta_star: HmmParams, epsilon: float,
                         n_grid: Sequence[int], n_draws: int,
                         trans_prior: TruncatedDirichletSpec,
                         emission_prior: DiscreteDpSpec,
-                        seed, mu=None, budget: int = 200_000) -> KlLemmaReport:
+                        seed, budget: int = 200_000) -> KlLemmaReport:
     """Exact KL rate versus its closed-form bound on neighborhood draws.
 
     For each draw and each n, records the exact rate, the bound, and whether
@@ -302,7 +298,7 @@ def kl_lemma_experiment(theta_star: HmmParams, epsilon: float,
     attempted = 0
     for d in range(n_draws):
         theta, used = draw_near_truth(theta_star, epsilon, trans_prior,
-                                      emission_prior, rng, mu=mu, budget=budget)
+                                      emission_prior, rng, budget=budget)
         attempted += used
         for n in n_grid:
             exact = kl_rate_exact(theta, theta_star, int(n))

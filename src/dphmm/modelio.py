@@ -18,6 +18,7 @@ import numpy as np
 from .emissions import (DiscreteEmission, EmissionModel, GaussianMixtureEmission,
                         TranslatedEmission)
 from .errors import ConfigError, DataError
+from .experiments import KIND_METRICS
 from .gibbs import GibbsConfig, PosteriorSample
 from .hmm import HmmParams, TransitionMatrix, stationary_distribution
 from .metrics import BLOCK_BUDGET, CONSISTENCY_METRICS
@@ -216,7 +217,7 @@ def _prior_from_payload(payload: dict, k: int):
         raise ConfigError(f"bad prior section: {exc}") from exc
 
 
-EXPERIMENT_KINDS = ("golden", "consistency", "smoothing", "kl", "ldir")
+EXPERIMENT_KINDS = (*KIND_METRICS, "kl", "ldir")
 
 
 class RunConfig:
@@ -261,17 +262,20 @@ class RunConfig:
         if kind == "kl" and not (self.truth.discrete and self.truth.q_floor > 0.0):
             raise ConfigError("the kl experiment needs a discrete truth with q_floor > 0")
         support = self.emission_prior.truncation if kind == "ldir" else 0
+        # the kl kind's exact KL rate enumerates the symbol blocks of each grid length
+        kl = kind == "kl"
+        point_ok = self._blocks_fit if kl else (lambda n: n >= 1)
         self.experiment = SimpleNamespace(
             kind=kind, seed=count("experiment", "seed", 0, low=0),
-            n_grid=read("experiment", "n_grid",
-                        range(4, 11) if kind == "kl" else (100, 500, 2000),
+            n_grid=read("experiment", "n_grid", range(4, 11) if kl else (100, 500, 2000),
                         lambda v: tuple(int(n) for n in v),
-                        lambda grid: min(grid, default=0) >= 1,
-                        "a nonempty list of integers >= 1"),
+                        lambda grid: bool(grid) and all(map(point_ok, grid)),
+                        "a nonempty list of integers >= 1" + (
+                            f", each giving at most {BLOCK_BUDGET} symbol blocks" if kl else "")),
             replications=count("experiment", "replications", 5),
             smoothing_block_len=count("experiment", "smoothing_block_len", 1),
             epsilon=read("experiment", "epsilon", 0.01, float, lambda v: v > 0.0, "positive"),
-            n_draws=count("experiment", "n_draws", 25 if kind == "kl" else 10000,
+            n_draws=count("experiment", "n_draws", 25 if kl else 10000,
                           low=2 if kind == "ldir" else 1),
             significance=read("experiment", "significance", 0.0027, float,
                               lambda v: 0.0 < v < 1.0, "in (0, 1)"),

@@ -75,17 +75,16 @@ class RowDraw(NamedTuple):
     method: str  # degenerate | affine_exact | rejection | affine_fallback
 
 
-def sample_transition_row(spec: TruncatedDirichletSpec, seed,
-                          budget: int = REJECTION_BUDGET) -> RowDraw:
+def sample_transition_row(spec: TruncatedDirichletSpec, seed) -> RowDraw:
     """One draw from the floor-restricted Dirichlet row law.
 
     Flat concentrations map exactly through the affine reparameterization
     x = q_floor + (1 - k q_floor) w with w standard Dirichlet. Otherwise
     draws are rejected from the unrestricted Dirichlet until they satisfy
-    the floor; if the budget runs out the affine map is used as a documented
-    fallback, except very close to the degenerate corner where it would
-    misrepresent the law and we fail instead. The method that produced the
-    draw is always reported.
+    the floor; if ``REJECTION_BUDGET`` draws fail, the affine map is used as
+    a documented fallback, except very close to the degenerate corner where
+    it would misrepresent the law and we fail instead. The method that
+    produced the draw is always reported.
     """
     rng = as_generator(seed)
     k = spec.k
@@ -99,8 +98,8 @@ def sample_transition_row(spec: TruncatedDirichletSpec, seed,
     if x.min() >= q:
         return RowDraw(x, "rejection")
     used = 1
-    while used < budget:
-        m = min(64, budget - used)
+    while used < REJECTION_BUDGET:
+        m = min(64, REJECTION_BUDGET - used)
         cand = rng.dirichlet(spec.alpha, size=m)
         ok = np.nonzero(cand.min(axis=1) >= q)[0]
         if ok.size:
@@ -182,11 +181,11 @@ class GaussianDpSpec:
             raise ValueError("truncation depth must be at least 1")
 
 
-def gamma_normalize(shapes: np.ndarray, seed, budget: int = RESAMPLE_BUDGET):
+def gamma_normalize(shapes: np.ndarray, seed):
     """(pmf, normalizer) of independent Gamma(shapes_l, 1) draws, zero for zero
-    shapes; an all-zero draw is redrawn, up to ``budget`` draws in all."""
+    shapes; an all-zero draw is redrawn, up to ``RESAMPLE_BUDGET`` draws in all."""
     rng = as_generator(seed)
-    for _ in range(budget):
+    for _ in range(RESAMPLE_BUDGET):
         z = rng.gamma(np.maximum(shapes, 0.0))
         z[shapes == 0.0] = 0.0
         total = z.sum()
@@ -195,8 +194,7 @@ def gamma_normalize(shapes: np.ndarray, seed, budget: int = RESAMPLE_BUDGET):
     raise SamplerBudgetError("gamma normalization produced only zero draws")
 
 
-def sample_dp_discrete(spec: DiscreteDpSpec, seed, budget: int = RESAMPLE_BUDGET,
-                       with_normalizer: bool = False):
+def sample_dp_discrete(spec: DiscreteDpSpec, seed, with_normalizer: bool = False):
     """Draw a pmf from the discrete DP by Gamma normalization.
 
     Independent Z_l ~ Gamma(alpha * base_l, 1) are normalized by their sum;
@@ -206,7 +204,7 @@ def sample_dp_discrete(spec: DiscreteDpSpec, seed, budget: int = RESAMPLE_BUDGET
     every shape parameter is tiny) is resampled a few times before failing.
     With ``with_normalizer`` the (emission, normalizer) pair is returned.
     """
-    pmf, total = gamma_normalize(spec.alpha * spec.base, seed, budget)
+    pmf, total = gamma_normalize(spec.alpha * spec.base, seed)
     return (DiscreteEmission(pmf), total) if with_normalizer else DiscreteEmission(pmf)
 
 

@@ -189,6 +189,33 @@ def test_bad_block_length_fails_before_any_chain(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_missing_radius_fails_before_any_chain(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "run_chain", lambda *a, **kw: calls.append(a) or [])
+    payload = json.loads(GOLDEN_CONFIG.read_text())
+    del payload["metrics"]["epsilon"]["smoothing_aligned"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    assert _run("experiment", "--config", config, "--out", tmp_path / "out") == 2
+    assert "no radius configured for metric 'smoothing_aligned'" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_kl_grid_over_block_budget_fails_before_any_draw(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return draw_near_truth(*args, **kwargs)
+
+    draw_near_truth = experiments.draw_near_truth
+    monkeypatch.setattr(experiments, "draw_near_truth", spy)
+    config = _bad_config(tmp_path, {"experiment": {"kind": "kl", "n_grid": [100, 300]}})
+    assert _run("experiment", "--config", config, "--out", tmp_path / "out") == 2
+    assert "experiment.n_grid" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch):
     config = _config(tmp_path, GOLDEN)
     assert _run("simulate", "--config", config, "--out", tmp_path) == 0
@@ -207,6 +234,9 @@ BAD_OBSERVATIONS = [
     ("fit", "0.0\n1.5\n0.0\n1.0\n", {}),
     ("fit", "-3\n", {}),
     ("experiment", None, {"truth": GAUSSIAN["truth"],
+                          "metrics": {"epsilon": {"block_l1": 0.2, "aligned_q": 0.15,
+                                                  "aligned_emission": 0.15,
+                                                  "smoothing_aligned": 0.15}},
                           "experiment": {"n_grid": [20], "replications": 1}}),
 ]
 

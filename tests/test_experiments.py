@@ -6,9 +6,9 @@ import pytest
 from dphmm import (DiscreteDpSpec, DiscreteEmission, GibbsConfig, HmmParams,
                    StarvationError, TransitionMatrix, TruncatedDirichletSpec,
                    experiments, sample_dp_discrete)
-from dphmm.experiments import (ExperimentConfig, consistency_experiment,
-                               dp_gamma_moment_check, golden_experiment,
-                               kl_lemma_experiment, smoothing_consistency_experiment,
+from dphmm.errors import ConfigError
+from dphmm.experiments import (KIND_METRICS, ExperimentConfig, dp_gamma_moment_check,
+                               golden_experiment, kl_lemma_experiment,
                                smoothing_max_deviation, trend_verdict)
 from dphmm.hmm import smoothing_exact, simulate
 from dphmm.metrics import align_labels
@@ -35,6 +35,17 @@ def test_config_validation(golden_truth):
         _tiny_config(golden_truth, replications=0)
     with pytest.raises(Exception):
         _tiny_config(golden_truth, epsilons={"block_l1": -1.0})
+    with pytest.raises(ConfigError, match="no radius configured for metric 'aligned_q'"):
+        _tiny_config(golden_truth, kind="consistency", epsilons={"block_l1": 0.2})
+    with pytest.raises(ConfigError, match="no chain kind"):
+        _tiny_config(golden_truth, kind="kl")
+    # smoothing_unaligned takes the smoothing_aligned radius unless it has its own
+    assert _tiny_config(golden_truth, kind="smoothing").radii == {
+        "smoothing_aligned": 0.15, "smoothing_unaligned": 0.15}
+    assert _tiny_config(golden_truth, kind="smoothing",
+                        epsilons={"smoothing_aligned": 0.15,
+                                  "smoothing_unaligned": 0.3}).radii == {
+        "smoothing_aligned": 0.15, "smoothing_unaligned": 0.3}
 
 
 def test_trend_verdict():
@@ -45,7 +56,7 @@ def test_trend_verdict():
 
 
 def test_consistency_report_structure(golden_truth):
-    report = consistency_experiment(_tiny_config(golden_truth))
+    report = golden_experiment(_tiny_config(golden_truth, kind="consistency"))
     assert len(report.cells) == 4
     for cell in report.cells:
         assert cell.n_samples == 40
@@ -57,15 +68,15 @@ def test_consistency_report_structure(golden_truth):
 
 
 def test_reports_reproducible_bitwise(golden_truth):
-    cfg = _tiny_config(golden_truth)
-    a = consistency_experiment(cfg)
-    b = consistency_experiment(cfg)
+    cfg = _tiny_config(golden_truth, kind="consistency")
+    a = golden_experiment(cfg)
+    b = golden_experiment(cfg)
     assert a == b
 
 
 def test_mass_monotone_in_radius(golden_truth):
-    cfg = _tiny_config(golden_truth)
-    report = consistency_experiment(cfg)
+    cfg = _tiny_config(golden_truth, kind="consistency")
+    report = golden_experiment(cfg)
     for cell in report.cells:
         vals = np.asarray(cell.values["block_l1"])
         assert np.mean(vals < 0.1) <= np.mean(vals < 0.3)
@@ -124,10 +135,32 @@ def test_smoothing_experiment_runs(golden_truth, monkeypatch):
         return align_labels(theta, theta_ref, n_samples, seed)
 
     monkeypatch.setattr(experiments, "align_labels", spy)
-    report = smoothing_consistency_experiment(_tiny_config(golden_truth))
+    report = golden_experiment(_tiny_config(golden_truth, kind="smoothing"))
     assert set(report.curves) == {"smoothing_aligned", "smoothing_unaligned"}
     assert report.tracked == ("smoothing_aligned",)
     assert seeds and all(seed is not None for seed in seeds)
+
+
+def test_chain_kinds_restrict_the_golden_run(golden_truth):
+    # each kind records the golden run's masses for its own metrics, in the
+    # same cells and order, and its verdict reads its own tracked metrics:
+    # every radius but smoothing_aligned covers the whole space
+    eps = {"block_l1": 2.5, "aligned_q": 2.5, "aligned_emission": 2.5,
+           "smoothing_aligned": 1e-12}
+    golden = golden_experiment(_tiny_config(golden_truth, epsilons=eps))
+    verdicts = {}
+    for kind, metrics in KIND_METRICS.items():
+        report = golden_experiment(_tiny_config(golden_truth, epsilons=eps, kind=kind))
+        assert report.to_records() == [r for r in golden.to_records()
+                                       if r["metric"] in metrics]
+        for cell, whole in zip(report.cells, golden.cells, strict=True):
+            assert cell.masses == {m: whole.masses[m] for m in metrics}
+            assert cell.values == {m: whole.values[m] for m in metrics}
+        assert report.tracked == tuple(m for m in metrics if m != "smoothing_unaligned")
+        verdicts[kind] = (report.verdict, report.failures)
+    assert verdicts == {"golden": ("FAIL", ("smoothing_aligned",)),
+                        "consistency": ("PASS", ()),
+                        "smoothing": ("FAIL", ("smoothing_aligned",))}
 
 
 # ---------------------------------------------------------------------------
