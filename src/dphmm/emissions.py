@@ -16,6 +16,7 @@ continuous ones, with the equal mixture of the two densities as proposal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,20 +30,34 @@ MIN_MC_SAMPLES = 4
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
-def _draw_index(rng, p, size):
-    """Indices drawn from the pmf ``p`` by inverse CDF: the steps
+def _inverse_cdf(p):
+    """The read-only table for drawing indices from the pmf ``p`` by inverse
+    CDF, as ``cdf.searchsorted(rng.random(size), side="right")``: the steps
     ``Generator.choice(p.size, size, p=p)`` takes, without its re-check of
-    ``p`` (the emission constructors check it), so it consumes the same
+    ``p`` (the emission constructors check it), so a draw consumes the same
     uniforms and returns the same indices."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(size), side="right")
+    cdf.flags.writeable = False
+    return cdf
+
+
+def gaussian_kernels(y, locations, scales):
+    """exp(-z * z / 2) for z = (y - z_r) / sigma_r, shaped y.shape + (R,).
+
+    Computed in one fresh buffer, in place, in the order subtract, divide,
+    square, scale by -1/2, exp; ``y`` is left as it is."""
+    buf = np.subtract(np.asarray(y, dtype=np.float64)[..., None], locations)
+    buf /= scales
+    buf *= buf
+    buf *= -0.5
+    return np.exp(buf, out=buf)
 
 
 def mixture_density(y, weights, locations, scales):
     """Density of the normal mixture sum_r w_r N(z_r, sigma_r^2) at y, shaped like y."""
-    z = (np.asarray(y, dtype=np.float64)[..., None] - locations) / scales
-    comp = np.exp(-0.5 * z * z) / (SQRT_2PI * scales)
+    comp = gaussian_kernels(y, locations, scales)
+    comp /= SQRT_2PI * scales
     return comp @ weights
 
 
@@ -84,8 +99,12 @@ class DiscreteEmission(ValueEquality):
         out[inside] = self.pmf[arr[inside]]
         return float(out) if out.ndim == 0 else out
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        return _inverse_cdf(self.pmf)
+
     def sample(self, rng, size=None):
-        return _draw_index(as_generator(rng), self.pmf, size)
+        return self._cdf.searchsorted(as_generator(rng).random(size), side="right")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +139,13 @@ class GaussianMixtureEmission(ValueEquality):
         out = mixture_density(y, self.weights, self.locations, self.scales)
         return float(out) if out.ndim == 0 else out
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        return _inverse_cdf(self.weights)
+
     def sample(self, rng, size=None):
         rng = as_generator(rng)
-        comp = _draw_index(rng, self.weights, size)
+        comp = self._cdf.searchsorted(rng.random(size), side="right")
         return self.locations[comp] + self.scales[comp] * rng.standard_normal(size)
 
 

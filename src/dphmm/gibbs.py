@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .emissions import SQRT_2PI, DiscreteEmission, GaussianMixtureEmission, mixture_density
+from .emissions import (SQRT_2PI, DiscreteEmission, GaussianMixtureEmission, gaussian_kernels,
+                        mixture_density)
 from .errors import ConfigError, DataError, NumericalError, ZeroLikelihoodError
 from .hmm import CONSTRUCTION_TOL, HmmParams, TransitionMatrix, simulate
 from .priors import (DiscreteDpSpec, GaussianDpSpec, TruncatedDirichletSpec,
@@ -171,12 +172,14 @@ def update_mixture_emissions(groups: Sequence[np.ndarray], current: np.ndarray,
             out[i] = dp_mixture_arrays(spec, rng)
             continue
         weights, locations, scales = current[i]
-        z = (ys[:, None] - locations) / scales
-        resp = weights * np.exp(-0.5 * z * z) / (SQRT_2PI * scales)
+        resp = gaussian_kernels(ys, locations, scales)
+        resp *= weights
+        resp /= SQRT_2PI * scales
         totals = resp.sum(axis=1, keepdims=True)
         if np.any(totals <= 0.0):
             raise ZeroLikelihoodError("an observation has zero density under every component")
-        cum = np.cumsum(resp / totals, axis=1)
+        resp /= totals
+        cum = np.cumsum(resp, axis=1, out=resp)
         u = rng.random(ys.size)
         alloc = np.minimum((u[:, None] > cum).sum(axis=1), depth - 1)
         occup = np.bincount(alloc, minlength=depth)

@@ -8,8 +8,9 @@ and path simulation.
 
 Construction tolerances are 1e-12; algorithmic checks (stationarity
 residual, smoothing normalization) use 1e-10. All values are immutable
-after construction and safe to share across threads; every random
-operation takes an explicit seed or generator.
+after construction and safe to share across threads (the sampling tables
+memoised on first use are derived from them, and a rebuild is identical);
+every random operation takes an explicit seed or generator.
 """
 from __future__ import annotations
 
@@ -256,6 +257,20 @@ def smoothing_exact(params: HmmParams, y, block_len: int = 1) -> SmoothingTable:
                           marginals=marginals, blocks=blocks)
 
 
+def _walk_table(params) -> tuple[tuple[float, ...], ...]:
+    """The cumulative sums of each transition row, with mu's as row k, as
+    Python floats. Built on the first ``simulate`` of ``params`` and kept in
+    its ``__dict__``, the store ``functools.cached_property`` uses, so it is
+    not a dataclass field and equality, hashing and payloads ignore it; it is
+    sound because the rows and mu it comes from are read-only."""
+    table = params.__dict__.get("_walk_table")
+    if table is None:
+        table = (*map(tuple, params.trans.rows.cumsum(axis=1).tolist()),
+                 tuple(params.mu.cumsum().tolist()))
+        params.__dict__["_walk_table"] = table
+    return table
+
+
 def simulate(params: HmmParams, n: int, seed):
     """Draw a hidden path and observations: x_1 ~ mu, transitions by Q rows,
     y_t from the emission of x_t. Deterministic under a fixed seed.
@@ -266,16 +281,19 @@ def simulate(params: HmmParams, n: int, seed):
     k - 1 for a row whose sum rounds below u_t. Then the emissions are drawn
     state by state in label order, each state's draws filling its visits in
     time order.
+
+    The tables of these draws (the cumulative rows here, each emission's
+    CDF) are built once per object, on its first use, so simulating many
+    short blocks from one parameter pays for them once.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = as_generator(seed)
     k = params.k
     u = rng.random(n).tolist()
-    # row k holds mu's cumulative sums so the walk starts from it; hi = k - 1
-    # leaves the last entry uncompared, which is the cap at k - 1
-    cums = params.trans.rows.cumsum(axis=1).tolist()
-    cums.append(params.mu.cumsum().tolist())
+    # row k of the table starts the walk from mu; hi = k - 1 leaves the last
+    # entry uncompared, which is the cap at k - 1
+    cums = _walk_table(params)
     x, last = k, k - 1
     states = np.array([x := bisect_left(cums[x], v, 0, last) for v in u], dtype=np.int64)
     obs = np.empty(n, dtype=np.int64 if params.discrete else np.float64)

@@ -4,6 +4,7 @@ import pytest
 
 from dphmm import (DataError, DiscreteEmission, GaussianMixtureEmission,
                    TranslatedEmission, l1_distance)
+from dphmm.emissions import SQRT_2PI, mixture_density
 
 
 def test_discrete_density_lookup():
@@ -43,6 +44,26 @@ def test_gaussian_mixture_density_is_weighted_sum():
     parts = [0.3 * np.exp(-0.5 * ((y + 1) / 0.5) ** 2) / (0.5 * np.sqrt(2 * np.pi)),
              0.7 * np.exp(-0.5 * ((y - 2) / 1.5) ** 2) / (1.5 * np.sqrt(2 * np.pi))]
     assert np.allclose(e.density(y), parts[0] + parts[1], atol=1e-12)
+
+
+def test_mixture_density_matches_its_expression_bit_for_bit():
+    weights, locations = np.array([0.2, 0.5, 0.3]), np.array([-1.0, 0.0, 3.0])
+    scales = np.array([0.5, 1.0, 0.05])
+
+    def expression(y):
+        z = (np.asarray(y, dtype=np.float64)[..., None] - locations) / scales
+        return (np.exp(-0.5 * z * z) / (SQRT_2PI * scales)) @ weights
+
+    # |z| runs from 0 (y on a location) past 40, where exp(-z*z/2) underflows
+    # to 0, up to the overflow of z*z at a 1e200 outlier
+    y = np.concatenate([np.linspace(-25.0, 25.0, 4002), locations, [1e200, -1e200, 3.0 + 2.05]])
+    kept = y.copy()
+    with np.errstate(over="ignore"):                  # z * z overflows at the outlier
+        for arg in (y, y.reshape(4, -1), 0.7, 3.0, 1e200, [-1, 0, 2]):
+            got, want = mixture_density(arg, weights, locations, scales), expression(arg)
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert expression(y).min() == 0.0 and expression(y).max() > 0.0
+    assert np.array_equal(y, kept)
 
 
 def test_translated_density_shift_identity():

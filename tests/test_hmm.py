@@ -1,6 +1,7 @@
 """Core HMM objects: construction invariants, likelihood, stationary block
 densities, smoothing and its forgetting under window truncation, and
 simulation."""
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from dphmm import (DataError, DiscreteEmission, GaussianMixtureEmission, HmmPara
                    TranslatedEmission, ZeroLikelihoodError, log_likelihood_forward,
                    simulate, smoothing_exact, stationary_distribution)
 from dphmm.metrics import _block_densities
+from dphmm.modelio import emission_to_payload, params_to_payload
 from tests import kernel_oracles as oracles
 from tests.conftest import (brute_force_loglik, brute_force_smoothing,
                             random_discrete_params, random_gaussian_params)
@@ -407,3 +409,26 @@ def test_simulate_matches_step_loop_at_the_last_state_cap(family):
                             trans=SimpleNamespace(rows=params.trans.rows * 0.8),
                             discrete=params.discrete, emissions=params.emissions)
     assert_simulate_matches_loops(short, SIM_SIZES, 46)
+
+
+@pytest.mark.parametrize("family", ["discrete", "gaussian", "translated"])
+def test_sampling_tables_leave_equality_payloads_and_draws_alone(family):
+    def cache_keys(obj):
+        return set(vars(obj)) - {f.name for f in fields(obj)}
+
+    used = family_params(family, np.random.default_rng(48))
+    fresh = family_params(family, np.random.default_rng(48))
+    first = simulate(used, 200, 49)
+    samplers = [getattr(e, "base", e) for e in used.emissions]
+    assert cache_keys(used) and all(cache_keys(e) for e in samplers)
+    assert not cache_keys(fresh) and not any(cache_keys(e) for e in fresh.emissions)
+
+    assert used == fresh and hash(used) == hash(fresh)
+    for e, f in zip(used.emissions, fresh.emissions):
+        assert e == f and hash(e) == hash(f)
+        assert emission_to_payload(e) == emission_to_payload(f)
+    assert params_to_payload(used) == params_to_payload(fresh)
+
+    again, new = simulate(used, 200, 49), simulate(fresh, 200, 49)
+    for a, b, c in zip(first, again, new):
+        assert a.tobytes() == b.tobytes() == c.tobytes()

@@ -377,6 +377,42 @@ def test_montecarlo_block_metrics_simulate_one_block_per_call(monkeypatch, discr
     assert lengths == [3] * n_samples
 
 
+def test_montecarlo_values_are_pinned_bit_for_bit():
+    # a k = 2 Gaussian-mixture truth against a 20-atom DP posterior-like
+    # sample, at the scoring budgets of the dpm-gaussian benchmark workload;
+    # the expected values are exact, so a change to simulate, sample or
+    # mixture_density that moves a rounding or a random draw fails here
+    # (recorded with numpy 2.4 on x86-64 with AVX-512; a numpy build whose
+    # vectorised exp or BLAS dot rounds differently reads other last bits)
+    from dphmm import GaussianMixtureEmission
+    from dphmm.priors import GaussianDpSpec, NormalInvGammaBase, dp_mixture_arrays
+
+    truth = HmmParams(
+        TransitionMatrix(np.array([[0.7, 0.3], [0.3, 0.7]]), 0.15), np.array([0.5, 0.5]),
+        (GaussianMixtureEmission(np.array([0.4, 0.6]), np.array([-2.2, -0.9]),
+                                 np.array([0.6, 0.8])),
+         GaussianMixtureEmission(np.array([0.55, 0.45]), np.array([1.3, 2.6]),
+                                 np.array([0.7, 0.5]))))
+    spec = GaussianDpSpec(1.0, NormalInvGammaBase(0.0, 0.1, 2.0, 1.0), 20)
+    rng = np.random.default_rng(2024)
+    sample = HmmParams(
+        TransitionMatrix(np.array([[0.65, 0.35], [0.2, 0.8]]), 0.15), np.array([0.5, 0.5]),
+        tuple(GaussianMixtureEmission(*dp_mixture_arrays(spec, rng)) for _ in range(2)))
+
+    def hexes(*values):
+        return [float(v).hex() for v in values]
+
+    b = block_l1_distance(sample, truth, 3, mode="montecarlo", n_samples=2000, seed=[3, 0])
+    assert hexes(*b) == ["0x1.27930884db8bbp+0", "0x1.cb16d23688ff1p-7"]
+    a = align_labels(sample, truth, n_samples=20000, seed=[3, 0])
+    assert a.sigma == (0, 1)
+    assert hexes(a.q_distance, *a.emission_distances) == [
+        "0x1.99999999999a0p-4", "0x1.331570c43ad87p+0", "0x1.458ad8c5324eep+0"]
+    w = weak_functional_gap(sample, truth, 3, "sigmoid_1_0.5", mode="montecarlo",
+                            n_samples=2000, seed=[3, 0])
+    assert hexes(*w) == ["0x1.b384a3389f7f8p-4", "0x1.d5de3448c0f97p-7"]
+
+
 # ---------------------------------------------------------------------------
 # name dispatch
 
