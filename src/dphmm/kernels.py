@@ -8,12 +8,16 @@ blocks of ``CHUNK`` steps, so no temporary grows with n; the largest holds
 
 Backward state draw (``ffbs``), as a table. For every step t and every
 possible next state j, ``W[t, j, i] = alpha[t, i] * Q[i, j]`` with i
-contiguous, ``s[t, j] = sum_i W[t, j, i]`` and
-``F[t, j] = #{i : cumsum_i W[t, j, i] < u_t * s[t, j]}`` (capped at k - 1)
-come out of a few whole-block array operations. The path is then the
-integer walk ``x_t = F[t, x_{t+1}]``. With i contiguous each sum reduces in
-the same order as a step-by-step draw's 1-D ``w.sum()`` (pairwise once
-k >= 8), so on the same uniforms the path is the same to the bit.
+contiguous. ``k - 1`` whole-column passes ``W[:, :, i] += W[:, :, i - 1]``
+turn W in place into the running sums, with the additions ``cumsum`` makes.
+The total ``s[t, j]`` is the last running sum while k < 8 and
+``W.sum(axis=2)``, taken before the passes, from 8 on: a step-by-step
+draw's 1-D ``w.sum()`` adds fewer than 8 contiguous entries one at a time
+and more pairwise, so on the same uniforms the path is the same to the bit.
+The drawn state is ``F[t, j] = #{i < k - 1 : running_i < u_t * s[t, j]}``,
+one comparison pass per column; the running sums never decrease, so this is
+the count over all i capped at k - 1. The path is then the integer walk
+``x_t = F[t, x_{t+1}]`` over the flat row-major table.
 
 Forward filter and backward messages, as a prefix scan. The filtered law is
 ``alpha_t ∝ alpha_{t-1} Q diag(B_t)``, so the laws of a block are the prefix
@@ -30,8 +34,11 @@ are those of the step recursion and the scan's rounding does not carry from
 one block to the next. The backward messages scan the matrices
 ``diag(B_t / c_t) Q^T`` from the end: with the forward normalisers these
 products keep the scale of ``beta``, so no normalisation is needed, and the
-same kind of correction pass follows. Results agree with the step recursion
-to within a few ulps (tests hold them to 1e-13 for alpha and c, 1e-12 for
+same kind of correction pass follows. The correction pass's ``c`` and the
+scan's row normalisers follow the draw's 8-entry rule (``_rowsum``): column
+adds below 8 states and ``sum(axis=1)`` from 8 on, equal to
+``a.sum(axis=1)`` bit for bit. Results agree with the step recursion to
+within a few ulps (tests hold them to 1e-13 for alpha and c, 1e-12 for
 beta).
 
 Guard. The scan needs every product of a block to keep its rows within
@@ -50,6 +57,12 @@ and each block pays a fixed cost of a few dozen array calls. Measured on a
 2-core x86-64 host with numpy 2.4 at n = 2000, the scan is ahead of the
 step loop up to k = 16 and behind from k = 20; below a few dozen steps the
 loop is ahead by tens of microseconds per call. Neither is branched on.
+A column pass is one array call over a whole block, where a reduction over
+an axis only k long pays a fixed cost per row: the draw table makes about
+3k such calls per block and a row sum k. At n = 20000 on the same host the
+draw took about 170, 245 and 350 ns per step at k = 2, 4 and 6, 1.6 to 2.1
+times faster than with the reductions; about 65 ns of it is the Python
+walk.
 """
 from __future__ import annotations
 
@@ -59,11 +72,22 @@ CHUNK = 1024            # time steps per vectorised block
 SCAN_MIN_Q = 1e-100     # below this transition entry the filter and messages step
 
 
+def _rowsum(x):
+    """``x.sum(axis=1)`` of a 2-D ``x``, bit for bit, by whole-column adds
+    while a row is shorter than 8 (numpy adds those one at a time)."""
+    k = x.shape[1]
+    if k >= 8:
+        return x.sum(axis=1)
+    s = x[:, 0].copy()
+    for i in range(1, k):
+        s += x[:, i]
+    return s
+
+
 def _unit(x, axes):
     """x scaled in place to sum 1 over ``axes``; slices that sum to 0 stay 0."""
-    s = x.sum(axis=axes, keepdims=True)
-    x /= np.where(s > 0.0, s, 1.0)
-    return x
+    s = _rowsum(x)[:, None] if axes == 1 else x.sum(axis=axes, keepdims=True)
+    return np.divide(x, s, out=x, where=s > 0.0)
 
 
 def _prefix(v, M, normalise):
@@ -91,9 +115,17 @@ def _draw_table(alpha, QT, u):
     row-major list) for every step t of a block and next state j."""
     k = QT.shape[0]
     W = alpha[:, None, :] * QT          # W[t, j, i] = alpha[t, i] Q[i, j], i contiguous
-    s = W.sum(axis=2)
-    below = np.cumsum(W, axis=2, out=W) < (u[:, None] * s)[:, :, None]
-    return s, np.minimum(below.sum(axis=2), k - 1).ravel().tolist()
+    if k >= 8:
+        s = W.sum(axis=2)
+    for i in range(1, k):
+        W[:, :, i] += W[:, :, i - 1]    # the running sums, added as cumsum adds them
+    if k < 8:
+        s = W[:, :, k - 1]
+    target = u[:, None] * s
+    F = np.zeros(s.shape, dtype=np.intp)
+    for i in range(k - 1):
+        F += W[:, :, i] < target
+    return s, F.ravel().tolist()
 
 
 def forward_filter(mu, Q, B):
@@ -128,7 +160,7 @@ def forward_filter(mu, Q, B):
         b = B[t0:t1]
         laws = _prefix(alpha[t0 - 1], Q * _unit(b.copy(), 1)[:, None, :], True)
         a = (np.concatenate([alpha[t0 - 1:t0], laws[:-1]]) @ Q) * b
-        s = a.sum(axis=1)
+        s = _rowsum(a)
         zero = np.flatnonzero(s <= 0.0)
         stop = t1 if zero.size == 0 else t0 + int(zero[0])
         c[t0:stop] = s[:stop - t0]

@@ -121,24 +121,29 @@ def digest(payload) -> str:
 
 def write_observations(path, values) -> None:
     values = np.asarray(values)
-    lines = [str(int(v)) if values.dtype.kind in "iu" else repr(float(v))
-             for v in values]
+    if values.dtype.kind in "iu":
+        lines = map(str, values.tolist())
+    else:
+        lines = map(repr, values.astype(np.float64).tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_observations(path):
-    text = Path(path)
-    if not text.exists():
+    file = Path(path)
+    if not file.exists():
         raise DataError(f"missing file: {path}")
-    lines = [ln.strip() for ln in text.read_text().splitlines() if ln.strip()]
+    text = file.read_text()
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"empty observation file: {path}")
     try:
-        if any(("." in ln) or ("e" in ln.lower()) for ln in lines):
+        if "." in text or "e" in text or "E" in text:
             return np.array([float(ln) for ln in lines])
         return np.array([int(ln) for ln in lines], dtype=np.int64)
     except ValueError as exc:
         raise DataError(f"bad observation line in {path}: {exc}") from exc
+    except OverflowError as exc:
+        raise DataError(f"observation outside the int64 range in {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ Each kernel loop runs over time steps and states one scalar at a time, with
 no vectorised numpy call, so it serves as an independent oracle for the
 vectorised kernels in the parity tests. The simulation loop steps the
 hidden path with one scalar ``searchsorted`` per step and draws emissions
-with ``Generator.choice`` and ``Generator.normal``.
+with ``Generator.choice`` and ``Generator.normal``. The backward draw totals
+each step's weights in the order of numpy's 1-D ``sum`` (pairwise from 8
+entries), as the kernel's draw table does, so the two draw the same path
+even when a uniform lands on a running sum.
 """
 import numpy as np
 
@@ -63,6 +66,33 @@ def backward_messages_loops(Q, B, c):
     return beta
 
 
+def _pairwise_sum(a, lo, n):
+    """Sum of ``a[lo:lo + n]`` in the order numpy's 1-D ``sum`` adds a
+    contiguous float64 vector: one entry at a time below 8 entries, eight
+    interleaved partial sums up to 128, and halves split at a multiple of 8
+    above that."""
+    if n < 8:
+        s = 0.0
+        for i in range(n):
+            s += a[lo + i]
+        return s
+    if n <= 128:
+        r = [a[lo + j] for j in range(8)]
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                r[j] += a[lo + i + j]
+            i += 8
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        while i < n:
+            s += a[lo + i]
+            i += 1
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+
+
 def ffbs_loops(Q, alpha, u):
     n, k = alpha.shape
     states = np.empty(n, dtype=np.int64)
@@ -80,9 +110,8 @@ def ffbs_loops(Q, alpha, u):
             break
     states[n - 1] = idx
     for t in range(n - 2, -1, -1):
-        s = 0.0
-        for i in range(k):
-            s += alpha[t, i] * Q[i, states[t + 1]]
+        w = [alpha[t, i] * Q[i, states[t + 1]] for i in range(k)]
+        s = _pairwise_sum(w, 0, k)
         if s <= 0.0:
             states[0] = -1
             return states
@@ -90,7 +119,7 @@ def ffbs_loops(Q, alpha, u):
         acc = 0.0
         idx = k - 1
         for i in range(k):
-            acc += alpha[t, i] * Q[i, states[t + 1]]
+            acc += w[i]
             if target <= acc:
                 idx = i
                 break

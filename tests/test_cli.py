@@ -257,6 +257,16 @@ def test_observations_unfit_for_a_discrete_prior_exit_3(tmp_path, capsys, comman
     assert not (out / "experiment_records.jsonl").exists()
 
 
+def test_observation_beyond_int64_exits_3(tmp_path, capsys):
+    config = _config(tmp_path, GOLDEN)
+    data = tmp_path / "observations.txt"
+    data.write_text("0\n1\n99999999999999999999\n")
+    assert _run("fit", "--config", config, "--data", data, "--out", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(data) in err
+    assert not list((tmp_path / "out").glob("samples_chain*.jsonl"))
+
+
 @pytest.mark.parametrize("states", [[0, "x"], [0, 1.5], [0, 7]],
                          ids=["string", "fraction", "out-of-range"])
 def test_sample_record_with_bad_state_exits_3(tmp_path, capsys, states):

@@ -154,20 +154,56 @@ def test_ffbs_table_reduces_like_the_step_loop():
     # Uniforms aimed at the running sums make each draw hinge on the last bit
     # of its total weight. numpy sums a contiguous vector of 8 or more
     # entries pairwise, so the table must sum contiguous rows as a 1-D
-    # ``w.sum()`` does. The scalar oracle sums one entry at a time and so
-    # parts from both on these data, which shows that they hinge on the
-    # order.
+    # ``w.sum()`` does, and so must the scalar oracle. Below 8 entries the
+    # table takes the last running sum as the total.
     rng = np.random.default_rng(5)
-    n, k = 400, 9
-    alpha = rng.random((n, k)) * 10.0 ** rng.integers(-6, 6, (n, k))
-    alpha /= alpha.sum(axis=1, keepdims=True)
-    Q = np.full((k, k), 1.0 / k)
-    w = alpha * Q[:, 0]
-    totals = np.array([row.sum() for row in w])
-    u = np.cumsum(w, axis=1)[np.arange(n), rng.integers(0, k, n)] / totals
-    table = kernels.ffbs(Q, alpha, u)
-    assert np.array_equal(table, _numpy_step_draw(Q, alpha, u))
-    assert not np.array_equal(table, oracles.ffbs_loops(Q, alpha, u))
+    n = 400
+    for k in range(2, 10):
+        alpha = rng.random((n, k)) * 10.0 ** rng.integers(-6, 6, (n, k))
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        Q = np.full((k, k), 1.0 / k)
+        w = alpha * Q[:, 0]
+        totals = np.array([row.sum() for row in w])
+        u = np.cumsum(w, axis=1)[np.arange(n), rng.integers(0, k, n)] / totals
+        table = kernels.ffbs(Q, alpha, u)
+        assert np.array_equal(table, _numpy_step_draw(Q, alpha, u)), k
+        assert np.array_equal(table, oracles.ffbs_loops(Q, alpha, u)), k
+
+
+def _wide_rows(rng, n, k):
+    """Nonnegative entries spanning 12 orders of magnitude, with all-zero rows."""
+    x = rng.random((n, k)) * 10.0 ** rng.integers(-12, 0, (n, k))
+    x[rng.integers(0, n, 8)] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_column_pass_sums_equal_numpy_reductions_bit_for_bit(k):
+    # The kernels replace reductions over a short axis by whole-column adds
+    # while k < 8, which reproduces numpy's one-at-a-time order there; from
+    # 8 on they call numpy, which sums pairwise. A numpy build that reduces
+    # otherwise fails here rather than moving a draw silently.
+    rng = np.random.default_rng(40 + k)
+    x = _wide_rows(rng, 3000, k)
+    assert np.array_equal(kernels._rowsum(x), x.sum(axis=1))
+    unit = kernels._unit(x.copy(), 1)
+    s = x.sum(axis=1, keepdims=True)
+    assert np.array_equal(unit, x / np.where(s > 0.0, s, 1.0))
+
+    alpha = _wide_rows(rng, 600, k)
+    Q = rng.dirichlet(np.ones(k), size=k) * 10.0 ** rng.integers(-6, 0, (k, k))
+    QT = np.ascontiguousarray(Q.T)
+    W = alpha[:, None, :] * QT
+    totals = W.sum(axis=2)
+    running = np.cumsum(W, axis=2)
+    # half the uniforms land on a running sum
+    u = rng.random(600)
+    aim = running[np.arange(600), 0, rng.integers(0, k, 600)]
+    u[::2] = (aim / np.where(totals[:, 0] > 0.0, totals[:, 0], 1.0))[::2]
+    s, table = kernels._draw_table(alpha, QT, u)
+    assert np.array_equal(s, totals)
+    below = running < (u[:, None] * totals)[:, :, None]
+    assert table == np.minimum(below.sum(axis=2), k - 1).ravel().tolist()
 
 
 def test_forward_matches_enumeration():

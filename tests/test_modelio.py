@@ -78,6 +78,22 @@ def test_observation_roundtrip_continuous(tmp_path):
     assert np.array_equal(back, values)  # repr() roundtrips doubles exactly
 
 
+@pytest.mark.parametrize("values", [
+    np.array([0, 3, -7, 2 ** 62], dtype=np.int64),
+    np.array([0, 5, 2 ** 64 - 1], dtype=np.uint64),
+    np.array([True, False, True]),
+    np.array([0.1, -2.5e-30, 3.0], dtype=np.float32),
+    np.array([0.1, -2.5e-300, 1e300, 3.0]),
+], ids=["int64", "uint64", "bool", "float32", "float64"])
+def test_observation_file_bytes_per_dtype(tmp_path, values):
+    # integers as ``str`` of the integer, everything else as ``repr`` of the
+    # value as a double, so a bool array writes 1.0 / 0.0
+    path = tmp_path / "obs.txt"
+    modelio.write_observations(path, values)
+    expected = [str(int(v)) if values.dtype.kind in "iu" else repr(float(v)) for v in values]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
 def test_observation_errors(tmp_path):
     with pytest.raises(DataError):
         modelio.read_observations(tmp_path / "missing.txt")
