@@ -157,6 +157,41 @@ def _conjugate_atom(ys: np.ndarray, base, rng):
     return float(z), float(np.sqrt(var))
 
 
+def _log_components(y, weights, locations, scales):
+    """log(w_r N(y; z_r, sigma_r^2)) shaped y.shape + (R,); a zero weight
+    gives -inf."""
+    z = (y[..., None] - locations) / scales
+    with np.errstate(divide="ignore"):
+        return np.log(weights) - np.log(SQRT_2PI * scales) - 0.5 * z * z
+
+
+def _shifted_exp(logs):
+    """exp(logs) shifted by each row's maximum, so the largest entry of a row
+    is 1; a row with no finite maximum gives NaN."""
+    with np.errstate(invalid="ignore"):
+        return np.exp(logs - logs.max(axis=-1, keepdims=True))
+
+
+def _cumulative_responsibilities(ys, weights, locations, scales):
+    """The running sums over the components of each observation's allocation
+    probabilities, shaped (n, R), in one buffer and in this order: kernels
+    times weights, divided by sqrt(2 pi) * scales, divided by the row totals,
+    summed along the row. A row whose total underflows to 0 is recomputed in
+    log space, shifted by its maximum; the other rows keep their bits."""
+    resp = gaussian_kernels(ys, locations, scales)
+    resp *= weights
+    resp /= SQRT_2PI * scales
+    totals = resp.sum(axis=1, keepdims=True)
+    under = np.flatnonzero(totals[:, 0] <= 0.0)
+    if under.size:
+        resp[under] = _shifted_exp(_log_components(ys[under], weights, locations, scales))
+        totals[under] = resp[under].sum(axis=1, keepdims=True)
+        if not np.all(totals[under] > 0.0):
+            raise ZeroLikelihoodError("an observation has zero density under every component")
+    resp /= totals
+    return np.cumsum(resp, axis=1, out=resp)
+
+
 def update_mixture_emissions(groups: Sequence[np.ndarray], current: np.ndarray,
                              spec: GaussianDpSpec, seed) -> np.ndarray:
     """One block sweep per state: allocate each observation to a component,
@@ -171,15 +206,7 @@ def update_mixture_emissions(groups: Sequence[np.ndarray], current: np.ndarray,
         if ys.size == 0:
             out[i] = dp_mixture_arrays(spec, rng)
             continue
-        weights, locations, scales = current[i]
-        resp = gaussian_kernels(ys, locations, scales)
-        resp *= weights
-        resp /= SQRT_2PI * scales
-        totals = resp.sum(axis=1, keepdims=True)
-        if np.any(totals <= 0.0):
-            raise ZeroLikelihoodError("an observation has zero density under every component")
-        resp /= totals
-        cum = np.cumsum(resp, axis=1, out=resp)
+        cum = _cumulative_responsibilities(ys, *current[i])
         u = rng.random(ys.size)
         alloc = np.minimum((u[:, None] > cum).sum(axis=1), depth - 1)
         occup = np.bincount(alloc, minlength=depth)
@@ -201,12 +228,25 @@ def _update_emissions(states, y, emissions, cfg: GibbsConfig, rng) -> np.ndarray
     return update_mixture_emissions(groups, emissions, cfg.emission_prior, rng)
 
 
+def _mixture_emission_matrix(y, emissions) -> np.ndarray:
+    """``B[t, i] = f_i(y_t)`` for mixture emission arrays. A row that is 0
+    under every state is recomputed in log space, shifted by its maximum:
+    the filter and the draw do not depend on a row's scale. A row that has
+    no finite maximum even so stays 0."""
+    B = np.stack([mixture_density(y, *e) for e in emissions], axis=1)
+    under = np.flatnonzero(np.einsum("ti->t", B) <= 0.0)
+    if under.size:
+        logs = np.stack([np.logaddexp.reduce(_log_components(y[under], *e), axis=1)
+                         for e in emissions], axis=1)
+        B[under] = np.nan_to_num(_shifted_exp(logs), nan=0.0)
+    return B
+
+
 def gibbs_sweep(rows: np.ndarray, emissions: np.ndarray, y, cfg: GibbsConfig, rng):
     """One full sweep on observations as ``run_chain`` checks them; returns
     the new transition rows, the new emission array and the sampled path."""
     rng = as_generator(rng)
-    B = (emissions.T[y] if cfg.discrete
-         else np.stack([mixture_density(y, *e) for e in emissions], axis=1))
+    B = emissions.T[y] if cfg.discrete else _mixture_emission_matrix(y, emissions)
     states = ffbs_states(cfg.model_mu(), rows, B, rng)
     rows = update_transitions(transition_counts(states, cfg.k),
                               cfg.transition_prior, rng)

@@ -267,6 +267,43 @@ def test_observation_beyond_int64_exits_3(tmp_path, capsys):
     assert not list((tmp_path / "out").glob("samples_chain*.jsonl"))
 
 
+DPM = {
+    "truth": {"k": 2, "q_floor": 0.15, "Q": [0.7, 0.3, 0.3, 0.7], "mu": "stationary",
+              "emissions": [{"family": "gaussian_mixture", "weights": [0.4, 0.6],
+                             "locations": [-2.2, -0.9], "scales": [0.6, 0.8]},
+                            {"family": "gaussian_mixture", "weights": [0.55, 0.45],
+                             "locations": [1.3, 2.6], "scales": [0.7, 0.5]}]},
+    "prior": {"transitions": {"alpha": [1.0, 1.0], "q_floor": 0.15},
+              "emissions": {"family": "dpm_gaussian", "alpha": 1.0, "truncation": 20,
+                            "base": {"loc": 0.0, "loc_count": 0.1, "shape": 2.0,
+                                     "scale": 1.0}}},
+    "gibbs": {"n_iter": 12, "burn_in": 4, "thin": 2, "seed": 7},
+    "simulate": {"n": 300, "seed": 5},
+}
+
+
+@pytest.mark.parametrize("outlier", ["200.0", "1e5"])
+def test_far_outlier_fits_a_dp_gaussian_mixture(tmp_path, outlier):
+    # about 40 scale units from every atom a density underflows to 0 under
+    # every component and every state; the sampler then works in log space
+    config = tmp_path / "dpm.json"
+    config.write_text(json.dumps(DPM))
+    assert _run("simulate", "--config", config, "--out", tmp_path) == 0
+    data = tmp_path / "observations.txt"
+    lines = data.read_text().splitlines()
+    lines[150] = outlier
+    data.write_text("\n".join(lines) + "\n")
+    assert _run("fit", "--config", config, "--data", data, "--out", tmp_path / "fit") == 0
+    records = [json.loads(ln) for ln in
+               (tmp_path / "fit" / "samples_chain0.jsonl").read_text().splitlines()]
+    assert len(records) == 4
+    for record in records:
+        emissions = [[e["weights"], e["locations"], e["scales"]]
+                     for e in record["params"]["emissions"]]
+        assert np.all(np.isfinite(np.array(emissions, dtype=float)))
+        assert np.all(np.isfinite(np.array(record["params"]["Q"], dtype=float)))
+
+
 @pytest.mark.parametrize("states", [[0, "x"], [0, 1.5], [0, 7]],
                          ids=["string", "fraction", "out-of-range"])
 def test_sample_record_with_bad_state_exits_3(tmp_path, capsys, states):

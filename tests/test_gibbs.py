@@ -8,8 +8,11 @@ from dphmm import (DiscreteDpSpec, DiscreteEmission, GaussianDpSpec,
                    TransitionMatrix, TruncatedDirichletSpec,
                    ZeroLikelihoodError, ffbs_states, geweke_check, kernels,
                    run_chain, simulate, smoothing_exact, stationary_distribution)
-from dphmm.gibbs import (transition_counts, symbol_counts, update_transitions,
-                         update_discrete_emissions, update_mixture_emissions)
+from dphmm.emissions import SQRT_2PI, gaussian_kernels, mixture_density
+from dphmm.gibbs import (_cumulative_responsibilities, _log_components,
+                         _mixture_emission_matrix, transition_counts, symbol_counts,
+                         update_transitions, update_discrete_emissions,
+                         update_mixture_emissions)
 from dphmm.hmm import emission_matrix
 from dphmm.modelio import sample_to_record
 from dphmm.priors import dp_mixture_arrays
@@ -193,6 +196,67 @@ def test_update_mixture_concentrates_on_constant_data():
         mix = update_mixture_emissions([ys], mix, spec, rng)
         means.append(float(mix[0, 0] @ mix[0, 1]))
     assert abs(np.mean(means[50:]) - c) <= 0.05
+
+
+def _mixture_arrays(seed, depth=12):
+    rng = np.random.default_rng(seed)
+    return (rng.dirichlet(np.ones(depth)), rng.normal(0.0, 2.0, depth),
+            rng.uniform(0.2, 2.0, depth))
+
+
+def _responsibilities_in_order(ys, weights, locations, scales, swapped=False):
+    kern = gaussian_kernels(ys, locations, scales)
+    resp = (kern / (SQRT_2PI * scales) * weights if swapped
+            else kern * weights / (SQRT_2PI * scales))
+    return np.cumsum(resp / resp.sum(axis=1, keepdims=True), axis=1)
+
+
+def test_cumulative_responsibilities_keep_their_order_bit_for_bit():
+    # An allocation compares a uniform with these running sums, so a last-bit
+    # change almost never moves a draw and no chain output shows it. These
+    # inputs are ones where dividing by sqrt(2 pi) * scales before
+    # multiplying by the weights changes last bits.
+    ys = np.random.default_rng(21).normal(0.0, 3.0, 500)
+    weights, locations, scales = _mixture_arrays(22)
+    expected = _responsibilities_in_order(ys, weights, locations, scales)
+    swapped = _responsibilities_in_order(ys, weights, locations, scales, swapped=True)
+    assert not np.array_equal(expected, swapped)
+    got = _cumulative_responsibilities(ys, weights, locations, scales)
+    assert np.array_equal(got, expected)
+
+
+def _softmax_cumsum(logs):
+    p = np.exp(logs - logs.max(axis=1, keepdims=True))
+    return np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+
+
+def test_underflowed_responsibility_rows_are_recomputed_in_log_space():
+    weights, locations, scales = _mixture_arrays(23)
+    weights[3] = 0.0                    # a zero weight stays at zero mass
+    weights /= weights.sum()
+    ys = np.array([0.3, 200.0, -1.0, -1e5, 2.5])
+    far = [1, 3]
+    got = _cumulative_responsibilities(ys, weights, locations, scales)
+    near = [0, 2, 4]
+    assert np.array_equal(got[near],
+                          _responsibilities_in_order(ys[near], weights, locations, scales))
+    logs = _log_components(ys[far], weights, locations, scales)
+    assert np.array_equal(got[far], _softmax_cumsum(logs))
+    assert np.all(np.isfinite(got)) and np.all(got[far, 3] == got[far, 2])
+
+
+def test_mixture_emission_rows_zero_under_every_state_are_rescaled():
+    emissions = np.stack([np.stack(_mixture_arrays(seed, depth=5)) for seed in (31, 32)])
+    y = np.array([0.1, 200.0, -0.7, 1e5, 3.0])
+    B = _mixture_emission_matrix(y, emissions)
+    linear = np.stack([mixture_density(y, *e) for e in emissions], axis=1)
+    assert np.all(linear[[1, 3]] == 0.0)
+    assert np.array_equal(B[[0, 2, 4]], linear[[0, 2, 4]])
+    # each far row is the states' densities divided by the largest of them
+    logs = np.stack([np.logaddexp.reduce(_log_components(y[[1, 3]], *e), axis=1)
+                     for e in emissions], axis=1)
+    assert np.array_equal(B[[1, 3]], np.exp(logs - logs.max(axis=1, keepdims=True)))
+    assert np.all(B[[1, 3]].max(axis=1) == 1.0)
 
 
 def test_update_mixture_single_atom_is_conjugate_posterior():

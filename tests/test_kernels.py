@@ -1,4 +1,6 @@
 """Kernels: parity with the scalar-loop oracles, enumeration, edge cases."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,8 +69,11 @@ def test_parity_across_blocks(n, k, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [2, 3, 9])
-@pytest.mark.parametrize("n", _lengths(kernels.CHUNK)[-4:])
+@pytest.mark.parametrize("n", sorted({*_lengths(kernels.CHUNK // 2)[-4:],
+                                      *_lengths(kernels.CHUNK)[-4:]}))
 def test_parity_at_full_block_edges(n, k):
+    # a block's steps are paired: the half-block lengths run one block of an
+    # odd or even number of steps, the others straddle the block edges
     _assert_parity(n, k)
 
 
@@ -110,9 +115,12 @@ def test_parity_with_zero_and_tiny_transition_entries(case):
     np.testing.assert_allclose(ref_alpha * beta, ref_alpha * ref_beta, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("t_zero", [0, 100, kernels.CHUNK, kernels.CHUNK + 1])
+@pytest.mark.parametrize("t_zero", [0, 100, 101, kernels.CHUNK // 2, kernels.CHUNK // 2 + 1,
+                                    kernels.CHUNK, kernels.CHUNK + 1, kernels.CHUNK + 2])
 def test_zero_likelihood_inside_and_between_blocks(t_zero):
-    # the scanned filter chunks time as [1, C], [C + 1, 2C], ...
+    # the scanned filter chunks time as [1, C], [C + 1, 2C], ...; within a
+    # block the even offsets step from the scanned odd laws and the odd
+    # offsets from the even ones (101 is offset 100, C + 2 offset 1)
     mu, Q, B, _ = _problem(7, n=2 * kernels.CHUNK + 1, k=3)
     B[t_zero] = 0.0
     alpha, c = kernels.forward_filter(mu, Q, B)
@@ -121,6 +129,35 @@ def test_zero_likelihood_inside_and_between_blocks(t_zero):
     assert np.all(c[:t_zero] > 0.0)
     np.testing.assert_allclose(alpha, ref_alpha, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(c, ref_c, rtol=0.0, atol=1e-13)
+
+
+def _peak_above_outputs(run, outputs_nbytes):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - before - outputs_nbytes
+
+
+def test_scan_memory_does_not_grow_with_n():
+    # every temporary is per block: at most CHUNK / 2 pair products of k x k
+    # floats, whatever the length of the sequence
+    k = 4
+    peaks = []
+    for n in (4 * kernels.CHUNK + 1, 16 * kernels.CHUNK + 1):
+        mu, Q, B, _ = _problem(3, n=n, k=k)
+        alpha, c = kernels.forward_filter(mu, Q, B)
+        outputs = alpha.nbytes + c.nbytes
+        peaks.append((_peak_above_outputs(lambda: kernels.forward_filter(mu, Q, B), outputs),
+                      _peak_above_outputs(lambda: kernels.backward_messages(Q, B, c),
+                                          alpha.nbytes)))
+    (filter_4, messages_4), (filter_16, messages_16) = peaks
+    assert abs(filter_16 - filter_4) <= 64 * 1024
+    assert abs(messages_16 - messages_4) <= 64 * 1024
+    assert max(filter_4, messages_4) <= 2 * kernels.CHUNK * k * k * 8 + 64 * 1024
 
 
 @pytest.mark.parametrize("n, t", [(4, 1), (8, 2), (kernels.CHUNK + 10, 2)])
