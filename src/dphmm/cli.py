@@ -88,7 +88,7 @@ def cmd_fit(args, cfg: modelio.RunConfig) -> int:
         "command": "fit", "chains": args.chains, "seed": gibbs_cfg.seed,
         "n_iter": gibbs_cfg.n_iter, "burn_in": gibbs_cfg.burn_in,
         "thin": gibbs_cfg.thin,
-        "data_digest": modelio.digest(np.asarray(y).tolist()),
+        "data_digest": modelio.data_digest(y),
         "config_digest": cfg.config_digest(),
     })
     return EXIT_OK

@@ -116,16 +116,95 @@ def digest(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
+# integer text: the writer's form of an integer array, built and parsed in
+# whole-array passes
+
+
+_MAX_DIGITS = 18    # 10**18 - 1 < 2**63, so every token the parser takes fits int64
+
+
+def _int_text(values, sep: str) -> str:
+    """``sep.join(map(str, values.tolist()))`` of a 1-D integer array.
+
+    The text is laid out in an (n, width) byte table, one row per value: a
+    sign column, the digits right-aligned, then ``sep``. Each decimal digit
+    of the largest magnitude is one pass over the whole array, and a keep
+    mask drops the unused sign and leading digit positions. Magnitudes are
+    taken in uint64 with uint64 operands only, so -2**63 and 2**64 - 1 stay
+    exact.
+    """
+    values = np.asarray(values)
+    if not values.size:
+        return ""
+    negative = values < 0
+    mag = values.astype(np.uint64)
+    np.subtract(np.uint64(0), mag, out=mag, where=negative)
+    digits = len(str(int(mag.max())))
+    sign = int(negative.any())
+    table = np.empty((values.size, sign + digits + len(sep)), dtype=np.uint8)
+    for col, byte in enumerate(sep.encode(), start=sign + digits):
+        table[:, col] = byte
+    keep = np.ones(table.shape, dtype=bool) if sign or digits > 1 else None
+    if sign:
+        table[:, 0] = ord("-")
+        keep[:, 0] = negative
+    for col in range(sign + digits - 1, sign - 1, -1):    # units first
+        if col < sign + digits - 1:
+            keep[:, col] = mag > 0
+        digit = mag
+        if col > sign:
+            mag, digit = np.divmod(mag, np.uint64(10))
+        np.add(digit, np.uint64(ord("0")), out=table[:, col], casting="unsafe")
+    text = table.tobytes() if keep is None else table[keep].tobytes()
+    return text[:len(text) - len(sep)].decode("ascii")
+
+
+def _int_tokens(text: str, sep: str):
+    """The int64 array that ``text`` holds when it is exactly ``_int_text``'s
+    form of nonnegative values: decimal tokens of 1 to ``_MAX_DIGITS`` digits,
+    none with a leading zero, joined by ``sep``. Anything else, an empty text
+    too, gives None, and the caller's general parser decides. ``sep`` holds
+    no digit, and its first byte occurs nowhere else in it. Each digit
+    position is one pass over the whole array."""
+    code = sep.encode()
+    m = len(code)
+    data = np.frombuffer((sep + text + sep).encode(), dtype=np.uint8)
+    digit = data - np.uint8(ord("0"))          # wraps to >= 10 below '0'
+    # a separator starts at each occurrence of its first byte; these runs of
+    # m bytes cannot overlap, so they hold every non-digit when the counts agree
+    bounds = np.flatnonzero(data == code[0])
+    if np.count_nonzero(digit >= 10) != m * bounds.size or not all(
+            (data[bounds + i] == byte).all() for i, byte in enumerate(code[1:], 1)):
+        return None
+    spans = np.diff(bounds)                    # token lengths plus m
+    shortest, longest = int(spans.min()) - m, int(spans.max()) - m
+    if shortest < 1 or longest > _MAX_DIGITS:
+        return None
+    ends = bounds[1:]
+    if longest > 1:
+        starts = bounds[:-1] + m
+        if ((digit[starts] == 0) & (spans > m + 1)).any():
+            return None
+    out = np.zeros(ends.size, dtype=np.int64)
+    for j in range(longest, 0, -1):
+        at = ends - j
+        out *= np.int64(10)
+        # positions before a shorter token's start count as leading zeros
+        out += digit[at] if j <= shortest else np.where(at >= starts, digit[at], np.uint8(0))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # observation / state files: one value per line
 
 
 def write_observations(path, values) -> None:
     values = np.asarray(values)
     if values.dtype.kind in "iu":
-        lines = map(str, values.tolist())
+        text = _int_text(values, "\n")
     else:
-        lines = map(repr, values.astype(np.float64).tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+        text = "\n".join(map(repr, values.astype(np.float64).tolist()))
+    Path(path).write_text(text + "\n")
 
 
 def read_observations(path):
@@ -133,11 +212,16 @@ def read_observations(path):
     if not file.exists():
         raise DataError(f"missing file: {path}")
     text = file.read_text()
+    real = "." in text or "e" in text or "E" in text
+    if not real and text.endswith("\n"):
+        values = _int_tokens(text[:-1], "\n")
+        if values is not None:
+            return values
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"empty observation file: {path}")
     try:
-        if "." in text or "e" in text or "E" in text:
+        if real:
             return np.array([float(ln) for ln in lines])
         return np.array([int(ln) for ln in lines], dtype=np.int64)
     except ValueError as exc:
@@ -146,23 +230,68 @@ def read_observations(path):
         raise DataError(f"observation outside the int64 range in {path}: {exc}") from exc
 
 
+def data_digest(values) -> str:
+    """``digest(values.tolist())`` of a 1-D observation array."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return hashlib.sha256(f"[{_int_text(values, ',')}]".encode()).hexdigest()
+    return digest(values.tolist())
+
+
 # ---------------------------------------------------------------------------
 # posterior sample records: one JSON object per line
 
 
+def _record_head(sample: PosteriorSample) -> dict:
+    """A sample's record without its states."""
+    return {"iteration": sample.iteration, "chain": sample.chain_id,
+            "params": params_to_payload(sample.params)}
+
+
 def sample_to_record(sample: PosteriorSample) -> dict:
-    return {
-        "iteration": sample.iteration,
-        "chain": sample.chain_id,
-        "params": params_to_payload(sample.params),
-        "states": sample.states.tolist(),
-    }
+    return {**_record_head(sample), "states": sample.states.tolist()}
+
+
+_STATES = '"states": ['
 
 
 def write_samples(path, samples) -> None:
+    # "states" sorts last, so each line is the record without it, reopened
+    # before its closing brace for the states in _int_text's form
     with open(path, "w") as fh:
         for s in samples:
-            fh.write(json.dumps(sample_to_record(s), sort_keys=True) + "\n")
+            head = json.dumps(_record_head(s), sort_keys=True)
+            fh.write(f"{head[:-1]}, {_STATES}{_int_text(s.states, ', ')}]}}\n")
+
+
+def _sample_line(line: str):
+    """A sample line's record and, when the line ends in ``_int_text``'s form
+    of its states, those states as an int64 array (else None).
+
+    That form is the text after the line's last ``"states": [``, up to a
+    closing ``]}`` at the end of the line. An unescaped ``"states": [`` is a
+    key, never part of a string, and a tail of only tokens and ``]}`` closes
+    the top-level object, so it is the last top-level "states" key, the one
+    ``json.loads`` keeps among duplicates. The rest of the line with
+    ``"states": []}`` appended is then valid JSON exactly when the line is;
+    on any failure the whole line goes to ``json.loads``, for its message."""
+    at = line.rfind(_STATES)
+    if at > 0 and line[at - 1] != "\\" and line.endswith("]}"):
+        states = _int_tokens(line[at + len(_STATES):-2], ", ")
+        if states is not None:
+            try:
+                return json.loads(line[:at] + '"states": []}'), states
+            except json.JSONDecodeError:
+                pass
+    return json.loads(line), None
+
+
+def _state_values(states) -> np.ndarray:
+    """A record's states as floats; anything but a flat list of JSON numbers
+    (strings, booleans, nulls, nested lists) is rejected."""
+    if not isinstance(states, list) or not set(map(type, states)) <= {int, float}:
+        raise DataError("states must be a flat list of numbers")
+    return np.asarray(states, dtype=np.float64)
 
 
 def read_samples(path) -> list[PosteriorSample]:
@@ -174,15 +303,16 @@ def read_samples(path) -> list[PosteriorSample]:
         if not ln.strip():
             continue
         try:
-            rec = json.loads(ln)
+            rec, states = _sample_line(ln)
             params = params_from_payload(rec["params"])
-            states = np.asarray(rec["states"], dtype=np.float64)
+            if states is None:
+                states = _state_values(rec["states"])
             if not np.isin(states, np.arange(params.k)).all():
                 raise DataError(f"states must be integers in [0, {params.k})")
             out.append(PosteriorSample(params=params, states=states.astype(np.int64),
                                        iteration=int(rec["iteration"]),
                                        chain_id=int(rec["chain"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"bad sample record in {path}: {exc}") from exc
     return out
 

@@ -304,8 +304,10 @@ def test_far_outlier_fits_a_dp_gaussian_mixture(tmp_path, outlier):
         assert np.all(np.isfinite(np.array(record["params"]["Q"], dtype=float)))
 
 
-@pytest.mark.parametrize("states", [[0, "x"], [0, 1.5], [0, 7]],
-                         ids=["string", "fraction", "out-of-range"])
+@pytest.mark.parametrize("states", [[0, "x"], [0, 1.5], [0, 7], ["1", "0", "1"],
+                                    [True, False, True], [[0, 1], [1, 0]], [0, None]],
+                         ids=["string", "fraction", "out-of-range", "numeric-strings",
+                              "booleans", "nested-path", "null"])
 def test_sample_record_with_bad_state_exits_3(tmp_path, capsys, states):
     config = _config(tmp_path, GOLDEN)
     samples = tmp_path / "samples_chain0.jsonl"

@@ -9,6 +9,7 @@ from dphmm import (ConfigError, DataError, DiscreteEmission,
                    TranslatedEmission, simulate)
 from dphmm.gibbs import PosteriorSample
 from dphmm import modelio
+from tests.conftest import random_discrete_params, random_gaussian_params
 
 
 def test_params_roundtrip(tmp_path, golden_truth):
@@ -164,3 +165,210 @@ def test_config_gaussian_prior(tmp_path, golden_truth):
     path.write_text(json.dumps(payload))
     cfg = modelio.read_config(path)
     assert cfg.emission_prior.truncation == 7
+
+
+# ---------------------------------------------------------------------------
+# the integer codec, pinned to the standard library
+
+
+def _extremes(dtype):
+    info = np.iinfo(dtype)
+    return np.array([info.min, info.max, 0, 1, 9, 10, info.max // 7, info.min // 3],
+                    dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+@pytest.mark.parametrize("sep", ["\n", ", ", ","])
+def test_int_text_equals_str_join(dtype, sep):
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(17)
+    cases = [_extremes(dtype), np.array([], dtype=dtype), np.array([0], dtype=dtype),
+             np.array([info.min], dtype=dtype), np.array([info.max], dtype=dtype),
+             rng.integers(0, 4, 20000).astype(dtype),
+             rng.integers(info.min, info.max, 20000, dtype=dtype, endpoint=True)]
+    if info.min < 0:
+        cases.append(np.array([-1], dtype=dtype))
+    for values in cases:
+        assert modelio._int_text(values, sep) == sep.join(map(str, values.tolist()))
+
+
+def _samples(params, n, rng):
+    return [PosteriorSample(params, rng.integers(0, params.k, n), it, chain)
+            for it, chain in ((3, 0), (5, 1))]
+
+
+def _sample_cases(golden_truth):
+    rng = np.random.default_rng(4)
+    return {"discrete": _samples(golden_truth, 20000, rng),
+            "mixture": _samples(random_gaussian_params(rng, k=3), 300, rng),
+            "two-digit-states": _samples(random_discrete_params(rng, k=12), 500, rng),
+            "one-state": _samples(golden_truth, 1, rng)}
+
+
+def test_sample_lines_equal_json_dumps(tmp_path, golden_truth):
+    for name, samples in _sample_cases(golden_truth).items():
+        path = tmp_path / f"{name}.jsonl"
+        modelio.write_samples(path, samples)
+        expected = "".join(json.dumps(modelio.sample_to_record(s), sort_keys=True) + "\n"
+                           for s in samples)
+        assert path.read_text() == expected, name
+        assert modelio.read_samples(path) == samples, name
+
+
+@pytest.mark.parametrize("y", [np.array([0, 1, 3, 2, 0]), np.arange(20000) % 7,
+                               np.array([-5, 2 ** 63 - 1, -2 ** 63]),
+                               np.array([0.5, -1.25, 3.0, 1e300])],
+                         ids=["small", "long", "int64-extremes", "float"])
+def test_data_digest_equals_digest_of_the_list(y):
+    assert modelio.data_digest(y) == modelio.digest(y.tolist())
+
+
+def _outcome(read, path):
+    try:
+        value = read(path)
+    except DataError as exc:
+        return "error", str(exc)
+    if isinstance(value, np.ndarray):
+        return "value", value.dtype.str, value.tolist()
+    return "value", value
+
+
+def _fast_and_general(read, path, monkeypatch):
+    """``read(path)`` with the integer parser, whether it took the text, and
+    ``read(path)`` with every text left to the general parser."""
+    took = []
+    parse = modelio._int_tokens
+
+    def spy(text, sep):
+        out = parse(text, sep)
+        took.append(out is not None)
+        return out
+
+    monkeypatch.setattr(modelio, "_int_tokens", spy)
+    fast = _outcome(read, path)
+    monkeypatch.setattr(modelio, "_int_tokens", lambda text, sep: None)
+    general = _outcome(read, path)
+    monkeypatch.setattr(modelio, "_int_tokens", parse)
+    return fast, any(took), general
+
+
+OBSERVATION_TEXTS = {
+    "canonical": ("0\n1\n12\n3\n", True),
+    "one-line": ("7\n", True),
+    "largest-18-digit": (f"{10 ** 18 - 1}\n0\n", True),
+    "no-final-newline": ("0\n1\n2", False),
+    "plus-sign": ("+5\n1\n", False),
+    "leading-zeros": ("007\n1\n", False),
+    "underscore": ("1_0\n1\n", False),
+    "spaces": (" 7 \n1\n", False),
+    "crlf": ("1\r\n2\r\n", True),      # read_text turns \r\n into \n
+    "blank-lines": ("1\n\n2\n\n", False),
+    "negative": ("-3\n4\n", False),
+    "19-digit": (f"{10 ** 18}\n", False),
+    "int64-max": (f"{2 ** 63 - 1}\n", False),
+    "beyond-int64": (f"{2 ** 63}\n1\n", False),
+    "empty": ("", False),
+    "newline-only": ("\n", False),
+    "word": ("1\ntwo\n", False),
+    "unicode-digit": ("٣\n", False),
+}
+
+
+@pytest.mark.parametrize("name", OBSERVATION_TEXTS)
+def test_observation_reader_agrees_with_the_general_parser(tmp_path, monkeypatch, name):
+    text, canonical = OBSERVATION_TEXTS[name]
+    path = tmp_path / "obs.txt"
+    path.write_bytes(text.encode())
+    fast, took, general = _fast_and_general(modelio.read_observations, path, monkeypatch)
+    assert fast == general
+    assert took == canonical
+    if name == "beyond-int64":
+        assert fast[0] == "error" and "int64" in fast[1]
+
+
+def test_float_observation_file_skips_the_integer_parser(tmp_path, monkeypatch):
+    path = tmp_path / "obs.txt"
+    modelio.write_observations(path, np.array([0.5, 1.0, -2.0]))
+    monkeypatch.setattr(modelio, "_int_tokens", None)   # any call fails
+    assert modelio.read_observations(path).tolist() == [0.5, 1.0, -2.0]
+
+
+def _record(golden_truth, states, **extra):
+    rec = {"iteration": 4, "chain": 1, "params": modelio.params_to_payload(golden_truth)}
+    rec.update(extra)
+    if states is not None:
+        rec["states"] = states
+    return rec
+
+
+def _sample_texts(golden_truth):
+    """(line, whether the integer parser takes its tail) per case."""
+    def line(rec, **kw):
+        return json.dumps(rec, **kw)
+    rec = _record(golden_truth, [0, 1, 1, 0])
+    canonical = line(rec, sort_keys=True)
+    params = modelio.params_to_payload(golden_truth)
+    head = canonical[:canonical.rindex(', "states"')]
+    return {
+        "canonical": (canonical, True),
+        "compact-spacing": (line(rec, sort_keys=True, separators=(",", ":")), False),
+        "indented": (line(rec, sort_keys=True, indent=1).replace("\n", " "), False),
+        "float-states": (line(_record(golden_truth, [0.0, 1.0]), sort_keys=True), False),
+        "states-not-last": (line({"states": [0, 1], **_record(golden_truth, None)}), False),
+        "duplicate-states": (head + ', "states": [1, 1, 1], "states": [0, 1]}', True),
+        "duplicate-bad-last": (head + ', "states": [0, 1], "states": [0, 7]}', True),
+        "states-in-params": (line(_record(golden_truth, None,
+                                          params={**params, "states": [0, 1]}),
+                                  sort_keys=True), False),
+        "states-in-params-and-top": (line(_record(golden_truth, [1, 0],
+                                                  params={**params, "states": [0, 1]}),
+                                          sort_keys=True), True),
+        "escaped-quote-key": (head + ', "x\\"states": [0, 1]}', False),
+        "leading-zero": (head + ', "states": [0, 01]}', False),
+        "negative": (head + ', "states": [0, -1]}', False),
+        "trailing-space": (canonical + " ", False),
+        "not-an-object": ("[" + canonical[1:-1] + "]", False),
+        # the tail parses, the rest does not: json.loads of the line decides
+        "unclosed-array": ("[" + canonical, True),
+        "huge-state": (head + f', "states": [0, {10 ** 400}]}}', False),
+        "empty-states": (head + ', "states": []}', False),
+        "out-of-range": (line(_record(golden_truth, [0, 2]), sort_keys=True), True),
+        "missing-params": ('{"chain": 0, "iteration": 1, "states": [0, 1]}', True),
+        "infinite-iteration": (canonical.replace('"iteration": 4', '"iteration": Infinity'),
+                               True),
+    }
+
+
+def test_sample_reader_agrees_with_the_general_parser(tmp_path, monkeypatch, golden_truth):
+    for name, (line, canonical) in _sample_texts(golden_truth).items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(line + "\n")
+        fast, took, general = _fast_and_general(modelio.read_samples, path, monkeypatch)
+        assert fast == general, name
+        assert took == canonical, name
+
+
+def test_sample_reader_keeps_the_last_states_key(tmp_path, golden_truth):
+    path = tmp_path / "s.jsonl"
+    path.write_text(_sample_texts(golden_truth)["duplicate-states"][0] + "\n")
+    assert modelio.read_samples(path)[0].states.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("states", [[0.0, 1.0, 1.0], [0, 1.0, 1]],
+                         ids=["integral-floats", "mixed"])
+def test_integral_float_states_are_accepted(tmp_path, golden_truth, states):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps(_record(golden_truth, states)) + "\n")
+    (sample,) = modelio.read_samples(path)
+    assert sample.states.dtype == np.int64 and sample.states.tolist() == [0, 1, 1]
+
+
+@pytest.mark.parametrize("states", [["1", "0", "1"], [True, False, True], [[0, 1], [1, 0]],
+                                    [0, None], 1, {"0": 1}],
+                         ids=["numeric-strings", "booleans", "nested", "null", "scalar",
+                              "object"])
+def test_malformed_states_are_data_errors(tmp_path, golden_truth, states):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps(_record(golden_truth, states)) + "\n")
+    with pytest.raises(DataError, match="bad sample record"):
+        modelio.read_samples(path)
