@@ -13,8 +13,7 @@ from .errors import (ConfigError, DataError, DphmmError, NumericalError,
 from .gibbs import (GibbsConfig, PosteriorSample, ffbs_states, geweke_check,
                     run_chain)
 from .hmm import (HmmParams, SmoothingTable, StationaryLaw, TransitionMatrix,
-                  log_likelihood_forward, simulate, smoothing_exact,
-                  stationary_distribution)
+                  simulate, smoothing_exact, stationary_distribution)
 from .metrics import (AlignmentResult, align_labels, block_l1_distance,
                       kl_rate_bound, kl_rate_exact, weak_functional_gap)
 from .priors import (DiscreteDpSpec, GaussianDpSpec, NormalInvGammaBase,

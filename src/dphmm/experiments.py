@@ -134,12 +134,12 @@ class ExperimentReport:
         return recs
 
 
-def trend_verdict(curve: Sequence[float], slack: float = TREND_SLACK,
-                  final_floor: float = FINAL_MASS_FLOOR) -> bool:
-    """Non-decreasing across the grid up to ``slack``, ending at or above the floor."""
+def trend_verdict(curve: Sequence[float]) -> bool:
+    """Non-decreasing across the grid up to ``TREND_SLACK``, ending at or
+    above ``FINAL_MASS_FLOOR``."""
     curve = list(curve)
-    monotone = all(b >= a - slack for a, b in zip(curve, curve[1:]))
-    return monotone and curve[-1] >= final_floor
+    monotone = all(b >= a - TREND_SLACK for a, b in zip(curve, curve[1:]))
+    return monotone and curve[-1] >= FINAL_MASS_FLOOR
 
 
 def smoothing_max_deviation(table: SmoothingTable, ref_table: SmoothingTable,

@@ -349,9 +349,10 @@ def _geweke_stats(params: HmmParams, states: np.ndarray, y: np.ndarray) -> np.nd
     ])
 
 
-def _batch_se(draws: np.ndarray, n_batches: int = 50) -> np.ndarray:
+def _batch_se(draws: np.ndarray) -> np.ndarray:
     """Batch-means standard error of the column means of an autocorrelated
-    sample matrix."""
+    sample matrix, over 50 batches."""
+    n_batches = 50
     usable = (draws.shape[0] // n_batches) * n_batches
     batches = draws[:usable].reshape(n_batches, -1, draws.shape[1]).mean(axis=1)
     return batches.std(axis=0, ddof=1) / np.sqrt(n_batches)

@@ -3,14 +3,14 @@
 The parameterization is a row-stochastic transition matrix with an
 entrywise floor ``q_floor`` (which forces geometric ergodicity when
 positive), an initial law, and one emission density per state. On top of
-it sit the stationary law, the scaled forward likelihood, exact smoothing
-and path simulation.
+it sit the stationary law, exact smoothing and path simulation.
 
-Construction tolerances are 1e-12; algorithmic checks (stationarity
-residual, smoothing normalization) use 1e-10. All values are immutable
-after construction and safe to share across threads (the sampling tables
-memoised on first use are derived from them, and a rebuild is identical);
-every random operation takes an explicit seed or generator.
+Construction tolerances and the stationarity residual are 1e-12; the
+other algorithmic checks (stationary law, smoothing normalization) use
+1e-10. All values are immutable after construction and safe to share
+across threads (the sampling tables memoised on first use are derived from
+them, and a rebuild is identical); every random operation takes an
+explicit seed or generator.
 """
 from __future__ import annotations
 
@@ -26,9 +26,6 @@ from .util import ValueEquality, as_generator, readonly
 
 CONSTRUCTION_TOL = 1e-12
 ALGORITHM_TOL = 1e-10
-
-_POWER_ITER_BUDGET = 100_000
-_DIRECT_SOLVE_MAX_K = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,39 +160,28 @@ class SmoothingTable(ValueEquality):
 def stationary_distribution(trans: TransitionMatrix) -> StationaryLaw:
     """Unique left eigenvector of the transition matrix for eigenvalue 1.
 
-    Solved directly (sum-to-one row replacement) up to k = 64, by power
-    iteration above that; either way the residual must meet 1e-12 or a
-    StationarySolveError flags a degenerate matrix.
+    One direct solve, with the last equation replaced by the sum-to-one
+    row. A singular system, a non-finite solution, a residual above 1e-12
+    or an entry below -1e-12 raises StationarySolveError: the chain has no
+    unique stationary law (a reducible matrix, say).
     """
     Q = trans.rows
     k = trans.k
-    probs = None
-    if k <= _DIRECT_SOLVE_MAX_K:
-        A = Q.T - np.eye(k)
-        A[-1, :] = 1.0
-        b = np.zeros(k)
-        b[-1] = 1.0
-        try:
-            cand = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            cand = None
-        if cand is not None and np.all(np.isfinite(cand)):
-            if np.max(np.abs(cand @ Q - cand)) <= CONSTRUCTION_TOL and np.all(cand >= -CONSTRUCTION_TOL):
-                probs = np.clip(cand, 0.0, None)
-                probs /= probs.sum()
-    if probs is None:
-        cand = np.full(k, 1.0 / k)
-        for _ in range(_POWER_ITER_BUDGET):
-            nxt = cand @ Q
-            if np.max(np.abs(nxt - cand)) <= CONSTRUCTION_TOL:
-                cand = nxt
-                break
-            cand = nxt
-        if np.max(np.abs(cand @ Q - cand)) > CONSTRUCTION_TOL:
-            raise StationarySolveError(
-                "stationary solve missed its residual tolerance; "
-                "the matrix is degenerate or violates its invariants")
-        probs = cand / cand.sum()
+    A = Q.T - np.eye(k)
+    A[-1, :] = 1.0
+    b = np.zeros(k)
+    b[-1] = 1.0
+    try:
+        cand = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise StationarySolveError(f"stationary solve failed: {exc}") from exc
+    if not (np.all(np.isfinite(cand)) and np.all(cand >= -CONSTRUCTION_TOL)
+            and np.max(np.abs(cand @ Q - cand)) <= CONSTRUCTION_TOL):
+        raise StationarySolveError(
+            "stationary solve missed its residual or sign check; "
+            "the matrix has no unique stationary law")
+    probs = np.clip(cand, 0.0, None)
+    probs /= probs.sum()
     return StationaryLaw(probs, trans.q_floor)
 
 
@@ -208,24 +194,6 @@ def emission_matrix(params: HmmParams, y) -> np.ndarray:
     for i, e in enumerate(params.emissions):
         B[:, i] = e.density(y)
     return B
-
-
-def log_likelihood_forward(params: HmmParams, y) -> float:
-    """Log density of the observation sequence under the given initial law.
-
-    Equals the log of the sum over all k^n hidden paths of
-    mu * prod(Q) * prod(f), computed by the per-step normalized forward
-    recursion. Returns -inf when the likelihood is exactly zero (possible
-    only for discrete emissions with zero mass at an observed symbol).
-    """
-    y = np.asarray(y)
-    if y.size == 0:
-        raise DataError("need at least one observation")
-    B = emission_matrix(params, y)
-    _, c = kernels.forward_filter(params.mu, params.trans.rows, B)
-    if np.any(c <= 0.0):
-        return float("-inf")
-    return float(np.log(c).sum())
 
 
 def smoothing_exact(params: HmmParams, y, block_len: int = 1) -> SmoothingTable:

@@ -282,24 +282,13 @@ def kl_rate_exact(theta: HmmParams, theta_ref: HmmParams, n: int) -> float:
 # weak-topology functionals
 
 
-def _h_values_discrete(h_id: str, support: int, block_len: int) -> np.ndarray:
-    idx = np.arange(support ** block_len)
-    if h_id == "const":
-        return np.ones(idx.size)
-    parts = h_id.split("_")
-    if parts[0] == "ind" and len(parts) == 3 and all(p.isdecimal() for p in parts[1:]):
-        t, s = int(parts[1]), int(parts[2])
-        if 0 <= t < block_len:
-            coord = (idx // support ** (block_len - 1 - t)) % support
-            return (coord == s).astype(np.float64)
-    raise ConfigError(f"unknown test-function id {h_id!r}")
-
-
 def _h_on_blocks(h_id: str, block_len: int):
-    """The test function ``h_id`` as a map from an (m, block_len) array of
-    blocks to their m values; an unknown id raises ``ConfigError``."""
+    """The test function ``h_id`` as (t, h): the block position it reads and
+    a map from an array of values at that position to the function's values.
+    An unknown id, a non-numeric constant or a t not below ``block_len``
+    raises ``ConfigError``."""
     if h_id == "const":
-        return lambda blocks: np.ones(blocks.shape[0])
+        return 0, lambda col: np.ones(col.shape[0])
     parts = h_id.split("_")
     if (len(parts) == 3 and parts[0] in ("sigmoid", "gauss", "ind")
             and parts[1].isdecimal() and int(parts[1]) < block_len):
@@ -309,10 +298,10 @@ def _h_on_blocks(h_id: str, block_len: int):
         except ValueError:
             raise ConfigError(f"test-function id {h_id!r} has a non-numeric constant") from None
         if parts[0] == "sigmoid":
-            return lambda blocks: 1.0 / (1.0 + np.exp(-(blocks[:, t] - c)))
+            return t, lambda col: 1.0 / (1.0 + np.exp(-(col - c)))
         if parts[0] == "gauss":
-            return lambda blocks: np.exp(-0.5 * (blocks[:, t] - c) ** 2)
-        return lambda blocks: (blocks[:, t] == c).astype(np.float64)
+            return t, lambda col: np.exp(-0.5 * (col - c) ** 2)
+        return t, lambda col: (col == c).astype(np.float64)
     raise ConfigError(f"unknown test-function id {h_id!r}")
 
 
@@ -321,17 +310,19 @@ def weak_functional_gap(theta: HmmParams, theta_ref: HmmParams, block_len: int,
                         n_samples: int = 200_000, seed=None) -> Estimate:
     """|E_theta h - E_ref h| for one dictionary test function on block laws.
 
-    Exact sums in the discrete case; Monte Carlo with a standard error
-    otherwise (each expectation estimated from its own simulated blocks).
+    Exact sums in the discrete case, with h applied to the symbols at its
+    block position; Monte Carlo with a standard error otherwise (each
+    expectation estimated from its own simulated blocks).
     """
+    t, h = _h_on_blocks(h_id, block_len)
     if mode == "exact":
         p, q, support = _exact_block_laws(theta, theta_ref, block_len)
-        h = _h_values_discrete(h_id, support, block_len)
-        return Estimate(float(abs(h @ p - h @ q)), 0.0)
+        symbols = np.arange(support ** block_len) // support ** (block_len - 1 - t) % support
+        hv = h(symbols)
+        return Estimate(float(abs(hv @ p - hv @ q)), 0.0)
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
-    h = _h_on_blocks(h_id, block_len)
-    hvs = [h(blocks)
+    hvs = [h(blocks[:, t])
            for _, blocks in _simulated_blocks(theta, theta_ref, block_len, n_samples, seed)]
     ses = [hv.std(ddof=1) / np.sqrt(hv.size) for hv in hvs]
     return Estimate(float(abs(hvs[0].mean() - hvs[1].mean())),
@@ -345,15 +336,28 @@ def weak_functional_gap(theta: HmmParams, theta_ref: HmmParams, block_len: int,
 CONSISTENCY_METRICS = ("block_l1", "aligned_q", "aligned_emission")
 
 
+def check_metric_names(names, block_len: int) -> None:
+    """Raise ``ConfigError`` unless ``names`` are distinct metric names that
+    ``parameter_metrics`` scores at this block length: ``block_l1``,
+    ``aligned_q``, ``aligned_emission`` or ``weak_gap:<h_id>`` with a
+    test-function id of ``_h_on_blocks``."""
+    if len(set(names)) != len(names):
+        raise ConfigError(f"metric names must be unique: {list(names)}")
+    for name in names:
+        if name.startswith("weak_gap:"):
+            _h_on_blocks(name.split(":", 1)[1], block_len)
+        elif name not in CONSISTENCY_METRICS:
+            raise ConfigError(f"unknown metric {name!r}")
+
+
 def parameter_metrics(theta: HmmParams, truth: HmmParams, names, block_len: int,
                       align: AlignmentResult | None = None) -> list[Estimate]:
     """One estimate per name, in order: ``block_l1``, ``aligned_q``,
     ``aligned_emission`` or ``weak_gap:<h_id>``, all in exact mode, so both
     parameters need discrete emissions (``DataError`` otherwise). Aligns at
-    most once, not at all given ``align``. Unknown or repeated names raise
-    ``ConfigError``."""
-    if len(set(names)) != len(names):
-        raise ConfigError(f"metric names must be unique: {list(names)}")
+    most once, not at all given ``align``. Names that ``check_metric_names``
+    rejects raise ``ConfigError``."""
+    check_metric_names(names, block_len)
     if names and not (theta.discrete and truth.discrete):
         raise DataError("exact metrics need discrete emissions")
     out = []
@@ -365,9 +369,7 @@ def parameter_metrics(theta: HmmParams, truth: HmmParams, names, block_len: int,
                 align = align_labels(theta, truth)
             out.append(Estimate(align.q_distance if name == "aligned_q"
                                 else float(align.emission_distances.max()), 0.0))
-        elif name.startswith("weak_gap:"):
+        else:
             out.append(weak_functional_gap(theta, truth, block_len,
                                            name.split(":", 1)[1]))
-        else:
-            raise ConfigError(f"unknown metric {name!r}")
     return out

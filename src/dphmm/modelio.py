@@ -17,11 +17,11 @@ import numpy as np
 
 from .emissions import (DiscreteEmission, EmissionModel, GaussianMixtureEmission,
                         TranslatedEmission)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, StationarySolveError
 from .experiments import KIND_METRICS
 from .gibbs import GibbsConfig, PosteriorSample
 from .hmm import HmmParams, TransitionMatrix, stationary_distribution
-from .metrics import BLOCK_BUDGET, CONSISTENCY_METRICS
+from .metrics import BLOCK_BUDGET, CONSISTENCY_METRICS, check_metric_names
 from .priors import (DiscreteDpSpec, GaussianDpSpec, NormalInvGammaBase,
                      TruncatedDirichletSpec)
 
@@ -88,7 +88,7 @@ def params_from_payload(payload: dict) -> HmmParams:
         else:
             mu_vec = np.asarray(mu, dtype=np.float64)
         return HmmParams(trans, mu_vec, emissions)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, StationarySolveError) as exc:
         raise ConfigError(f"bad parameter document: {exc}") from exc
 
 
@@ -389,6 +389,7 @@ class RunConfig:
             epsilon=read("metrics", "epsilon", {},
                          lambda v: {name: float(e) for name, e in dict(v).items()},
                          lambda eps: all(e > 0.0 for e in eps.values()), "positive radii"))
+        check_metric_names(self.metrics.names, self.metrics.l)
 
         kind = read("experiment", "kind", "golden", str, lambda v: v in EXPERIMENT_KINDS,
                     f"one of {', '.join(EXPERIMENT_KINDS)}")

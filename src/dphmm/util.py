@@ -21,9 +21,9 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def readonly(a, dtype=np.float64) -> np.ndarray:
-    """Copy to a contiguous array and lock it against writes."""
-    out = np.array(a, dtype=dtype, copy=True, order="C")
+def readonly(a) -> np.ndarray:
+    """Copy to a contiguous float64 array and lock it against writes."""
+    out = np.array(a, dtype=np.float64, copy=True, order="C")
     out.flags.writeable = False
     return out
 

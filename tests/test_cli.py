@@ -1,5 +1,6 @@
 """The command-line interface end to end on a tiny golden-truth config:
 records equal direct library calls, and each failure exits with its code."""
+import itertools
 import json
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from dphmm import (DiscreteEmission, HmmParams, TransitionMatrix, cli, experiments,
-                   metrics, modelio)
+                   metrics, modelio, stationary_distribution)
+from tests.conftest import brute_force_path_probs
 
 NAMES = ["block_l1", "aligned_q", "aligned_emission", "weak_gap:ind_0_1"]
 
@@ -98,17 +100,62 @@ def test_metric_on_the_truth_is_zero(tmp_path):
                for r in records)
 
 
+# the continuous test functions, each written out, on the symbol they read
+SMOOTH_TESTS = {"weak_gap:sigmoid_0_0.5": lambda block: 1.0 / (1.0 + np.exp(0.5 - block[0])),
+                "weak_gap:gauss_1_1.0": lambda block: np.exp(-0.5 * (block[1] - 1.0) ** 2)}
+
+
+def _block_expectation(params, h, block_len=3, support=2):
+    """E h over the stationary law of ``block_len`` observations: a sum over
+    every symbol block of h times the block's probability, itself a sum over
+    every hidden path."""
+    start = params.with_mu(stationary_distribution(params.trans).probs)
+    return sum(h(block) * brute_force_path_probs(start, block)[1].sum()
+               for block in itertools.product(range(support), repeat=block_len))
+
+
+def test_smooth_test_functions_score_exactly_in_metric_and_report(tmp_path):
+    names = list(SMOOTH_TESTS)
+    config = _config(tmp_path, GOLDEN, names=names)
+    truth = modelio.read_config(config).truth
+    theta = HmmParams(TransitionMatrix(np.array([[0.6, 0.4], [0.25, 0.75]]), 0.15),
+                      np.array([0.5, 0.5]), (DiscreteEmission(np.array([0.7, 0.3])),
+                                             DiscreteEmission(np.array([0.35, 0.65]))))
+    params = tmp_path / "theta.json"
+    modelio.write_params(params, theta)
+    assert _run("metric", "--config", config, "--params", params, "--out", tmp_path) == 0
+    out = tmp_path / "report"
+    samples = _fit(tmp_path, config, chains=1)
+    assert _run("report", "--config", config, "--samples", *samples, "--out", out) == 0
+    report, m = _records(out), len(names)
+    scored = [(theta, _records(tmp_path))]
+    scored += [(s.params, report[m * i:m * (i + 1)])
+               for i, s in enumerate(modelio.read_samples(samples[0]))]
+    assert len(scored) == 5
+    for params, records in scored:
+        assert [r["metric"] for r in records] == names
+        for name, record in zip(names, records):
+            h = SMOOTH_TESTS[name]
+            brute = abs(_block_expectation(params, h) - _block_expectation(truth, h))
+            assert record["value"] == pytest.approx(brute, rel=0.0, abs=1e-12)
+    for name, record in zip(names, scored[0][1]):
+        assert record["value"] > 0.01
+        mc = metrics.weak_functional_gap(theta, truth, 3, name.split(":", 1)[1],
+                                         mode="montecarlo", n_samples=10_000, seed=0)
+        assert abs(mc.value - record["value"]) <= 4 * mc.stderr
+
+
 def test_unknown_metric_name_exits_2(tmp_path, capsys):
     config = _config(tmp_path, GOLDEN, names=["block_l1", "mystery"])
     params = tmp_path / "truth.json"
-    modelio.write_params(params, modelio.read_config(config).truth)
+    modelio.write_params(params, modelio.params_from_payload(GOLDEN["truth"]))
     assert _run("metric", "--config", config, "--params", params, "--out", tmp_path) == 2
     assert "unknown metric 'mystery'" in capsys.readouterr().err
 
 
 def test_repeated_metric_name_exits_2_without_records(tmp_path, capsys):
+    samples = _fit(tmp_path, _config(tmp_path, GOLDEN), chains=1)
     config = _config(tmp_path, GOLDEN, names=["aligned_q", "block_l1", "aligned_q"])
-    samples = _fit(tmp_path, config, chains=1)
     out = tmp_path / "report"
     assert _run("report", "--config", config, "--samples", *samples, "--out", out) == 2
     assert "unique" in capsys.readouterr().err
@@ -158,6 +205,13 @@ BAD_CONFIGS = [
     ("experiment", {"experiment": {"kind": "kl", "n_grid": [0]}}),
     ("experiment", {"experiment": {"kind": "nope"}}),
     ("metric", {"metrics": {"names": ["weak_gap:foo"]}}),
+    ("simulate", {"metrics": {"names": ["bogus", "weak_gap:ind_7_1"]}}),
+    ("simulate", {"metrics": {"names": ["weak_gap:ind_3_1"]}}),
+    ("check-prior", {"metrics": {"names": ["weak_gap:ind_7_1"]}}),
+    ("check-prior", {"metrics": {"names": ["weak_gap:gauss_0_x"]}}),
+    ("report", {"metrics": {"names": ["bogus"]}}),
+    ("report", {"metrics": {"names": ["block_l1", "weak_gap:const", "block_l1"]}}),
+    ("simulate", {"truth": {"q_floor": 0.0, "Q": [1.0, 0.0, 0.0, 1.0]}}),
 ]
 
 
@@ -174,10 +228,13 @@ def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, command, c
     config = _bad_config(tmp_path, changes)
     params = tmp_path / "truth.json"
     modelio.write_params(params, modelio.params_from_payload(GOLDEN["truth"]))
-    extra = ["--params", params] if command == "metric" else []
+    empty = tmp_path / "samples_chain0.jsonl"
+    empty.write_text("")
+    extra = {"metric": ["--params", params], "report": ["--samples", empty]}.get(command, [])
     out = tmp_path / "out"
     assert _run(command, "--config", config, *extra, "--out", out) == 2
-    assert "config error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
     assert not [path for path in out.rglob("*") if path.is_file()]
 
 

@@ -438,7 +438,8 @@ def test_parameter_metrics_use_a_given_alignment(golden_truth):
 
 
 @pytest.mark.parametrize("names", [["block_l1", "mystery"],
-                                   ["aligned_q", "block_l1", "aligned_q"]])
+                                   ["aligned_q", "block_l1", "aligned_q"],
+                                   ["weak_gap:ind_3_0"], ["weak_gap:sigmoid_0_x"]])
 def test_parameter_metrics_reject_unknown_and_repeated_names(golden_truth, names):
     with pytest.raises(ConfigError):
         parameter_metrics(golden_truth, golden_truth, names, 3)
