@@ -5,7 +5,17 @@ One sweep alternates an exact conditional draw of the hidden path
 each transition row from its counts, and a conjugate emission update:
 Gamma-normalized Dirichlet-process draws in the discrete case, one
 truncated stick-breaking block sweep (allocations, sticks, conjugate
-normal-inverse-gamma atoms) in the mixture case.
+normal-inverse-gamma atoms; Ishwaran & James, JASA 2001) in the mixture
+case.
+
+The block sweep works in whole-array passes. A state's allocation
+probabilities are one (n, truncation) buffer; the running sums of the
+first truncation - 1 components are formed by whole-row adds over a
+transposed copy, in the order ``cumsum`` adds them, and an observation's
+component is the count of running sums below its uniform. The atoms are
+then redrawn in atom order, each from one contiguous slice of the state's
+observations stably sorted by component, an empty atom from the base.
+Draws and random stream are those of a per-atom loop over boolean masks.
 
 Between sweeps a chain carries plain arrays, valid by construction and not
 re-checked: the k x k transition rows and an emission array whose row i is
@@ -20,6 +30,7 @@ Chains are strictly sequential and deterministic under their seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -140,23 +151,6 @@ def update_discrete_emissions(counts: np.ndarray, spec: DiscreteDpSpec,
     return pmfs
 
 
-def _conjugate_atom(ys: np.ndarray, base, rng):
-    """Normal-inverse-gamma posterior draw of one (location, scale) atom."""
-    n = ys.size
-    if n == 0:
-        z, s = base.sample(rng, 1)
-        return float(z[0]), float(s[0])
-    ybar = ys.mean()
-    count = base.loc_count + n
-    loc = (base.loc_count * base.loc + n * ybar) / count
-    shape = base.shape + 0.5 * n
-    scale = (base.scale + 0.5 * np.sum((ys - ybar) ** 2)
-             + 0.5 * base.loc_count * n * (ybar - base.loc) ** 2 / count)
-    var = scale / rng.gamma(shape)
-    z = rng.normal(loc, np.sqrt(var / count))
-    return float(z), float(np.sqrt(var))
-
-
 def _log_components(y, weights, locations, scales):
     """log(w_r N(y; z_r, sigma_r^2)) shaped y.shape + (R,); a zero weight
     gives -inf."""
@@ -172,24 +166,63 @@ def _shifted_exp(logs):
         return np.exp(logs - logs.max(axis=-1, keepdims=True))
 
 
-def _cumulative_responsibilities(ys, weights, locations, scales):
-    """The running sums over the components of each observation's allocation
-    probabilities, shaped (n, R), in one buffer and in this order: kernels
-    times weights, divided by sqrt(2 pi) * scales, divided by the row totals,
-    summed along the row. A row whose total underflows to 0 is recomputed in
-    log space, shifted by its maximum; the other rows keep their bits."""
+def _allocations(ys, weights, locations, scales, u):
+    """Each observation's component given its uniform ``u``.
+
+    The allocation probabilities are formed in one (n, R) buffer in this
+    order: kernels times weights, divided by sqrt(2 pi) * scales, divided by
+    the row totals ``sum(axis=1)``. A row whose total underflows to 0 is
+    recomputed in log space, shifted by its maximum; the other rows keep
+    their bits. The division writes the first R - 1 components transposed,
+    one contiguous row each, and whole-row adds turn them into the running
+    sums with the additions ``cumsum`` makes. The component is the count of
+    those R - 1 running sums below u: they never decrease, so that is the
+    count over all R capped at R - 1."""
     resp = gaussian_kernels(ys, locations, scales)
     resp *= weights
     resp /= SQRT_2PI * scales
-    totals = resp.sum(axis=1, keepdims=True)
-    under = np.flatnonzero(totals[:, 0] <= 0.0)
+    totals = resp.sum(axis=1)
+    under = np.flatnonzero(totals <= 0.0)
     if under.size:
         resp[under] = _shifted_exp(_log_components(ys[under], weights, locations, scales))
-        totals[under] = resp[under].sum(axis=1, keepdims=True)
+        totals[under] = resp[under].sum(axis=1)
         if not np.all(totals[under] > 0.0):
             raise ZeroLikelihoodError("an observation has zero density under every component")
-    resp /= totals
-    return np.cumsum(resp, axis=1, out=resp)
+    running = np.divide(resp.T[:-1], totals, order="C")
+    del resp                            # one (n, R) buffer at a time from here
+    for r in range(1, running.shape[0]):
+        running[r] += running[r - 1]
+    return (u > running).sum(axis=0)
+
+
+def _conjugate_atoms(ys, alloc, occup, base, rng) -> np.ndarray:
+    """Rows (locations, scales) of the atoms, each drawn in atom order from
+    its normal-inverse-gamma posterior given the observations allocated to
+    it, ``occup[r]`` of them, or from the base itself when none are. The
+    observations of an atom are one contiguous slice of a stable sort by
+    allocation, so they keep their order."""
+    ys = ys[np.argsort(alloc, kind="stable")]
+    prior_scale = np.float64(base.scale)    # a zero gamma draw gives inf, as in base.sample
+    locs, sds = [], []
+    lo = 0
+    for n in occup.tolist():
+        if n == 0:
+            var = prior_scale / rng.gamma(base.shape)
+            locs.append(rng.normal(base.loc, math.sqrt(var / base.loc_count)))
+            sds.append(math.sqrt(var))
+            continue
+        seg = ys[lo:lo + n]
+        lo += n
+        ybar = seg.sum() / n                # np.mean's arithmetic
+        count = base.loc_count + n
+        loc = (base.loc_count * base.loc + n * ybar) / count
+        shape = base.shape + 0.5 * n
+        scale = (base.scale + 0.5 * ((seg - ybar) ** 2).sum()
+                 + 0.5 * base.loc_count * n * (ybar - base.loc) ** 2 / count)
+        var = scale / rng.gamma(shape)
+        locs.append(rng.normal(loc, math.sqrt(var / count)))
+        sds.append(math.sqrt(var))
+    return np.array([locs, sds])
 
 
 def update_mixture_emissions(groups: Sequence[np.ndarray], current: np.ndarray,
@@ -197,7 +230,13 @@ def update_mixture_emissions(groups: Sequence[np.ndarray], current: np.ndarray,
     """One block sweep per state: allocate each observation to a component,
     refresh the stick weights from the allocation counts, then redraw every
     atom from its conjugate posterior (the base itself for empty ones).
-    ``current`` and the result are emission arrays of shape (k, 3, truncation)."""
+    ``current`` and the result are emission arrays of shape (k, 3, truncation).
+
+    A state's allocations come from whole-row passes over its transposed
+    running responsibilities (``_allocations``), and its atoms are redrawn
+    in atom order from contiguous slices of its observations stably sorted
+    by allocation (``_conjugate_atoms``). A state with no observations is a
+    fresh prior draw."""
     rng = as_generator(seed)
     depth = spec.truncation
     out = np.empty((len(groups), 3, depth))
@@ -206,14 +245,11 @@ def update_mixture_emissions(groups: Sequence[np.ndarray], current: np.ndarray,
         if ys.size == 0:
             out[i] = dp_mixture_arrays(spec, rng)
             continue
-        cum = _cumulative_responsibilities(ys, *current[i])
-        u = rng.random(ys.size)
-        alloc = np.minimum((u[:, None] > cum).sum(axis=1), depth - 1)
+        alloc = _allocations(ys, *current[i], rng.random(ys.size))
         occup = np.bincount(alloc, minlength=depth)
         tail = occup[::-1].cumsum()[::-1]
         out[i, 0] = sticks_to_weights(rng.beta(1.0 + occup[:-1], spec.alpha + tail[1:]))
-        for r in range(depth):
-            out[i, 1, r], out[i, 2, r] = _conjugate_atom(ys[alloc == r], spec.base, rng)
+        out[i, 1:] = _conjugate_atoms(ys, alloc, occup, spec.base, rng)
     return out
 
 
@@ -335,15 +371,20 @@ class GewekeReport:
         return float(np.max(np.abs(self.z_scores)))
 
 
-_GEWEKE_STATS = ("Q[0,0]", "Q[1,1]", "f0(0)", "f1(0)", "frac_state0", "mean_y")
+def _geweke_names(cfg: GibbsConfig) -> tuple[str, ...]:
+    """Per state, the mass of symbol 0 (discrete) or the mixture mean."""
+    per_state = ("f0(0)", "f1(0)") if cfg.discrete else ("mean0", "mean1")
+    return ("Q[0,0]", "Q[1,1]", *per_state, "frac_state0", "mean_y")
 
 
 def _geweke_stats(params: HmmParams, states: np.ndarray, y: np.ndarray) -> np.ndarray:
+    e0, e1 = params.emissions
+    per_state = ((e0.pmf[0], e1.pmf[0]) if params.discrete
+                 else (e0.weights @ e0.locations, e1.weights @ e1.locations))
     return np.array([
         params.trans.rows[0, 0],
         params.trans.rows[1, 1],
-        params.emissions[0].pmf[0],
-        params.emissions[1].pmf[0],
+        *per_state,
         float(np.mean(states == 0)),
         float(np.mean(y)),
     ])
@@ -366,19 +407,21 @@ def geweke_check(cfg: GibbsConfig, n_obs: int, n_forward: int, n_chain: int,
     prior and the model. Chain side: alternate a fresh data simulation given
     the current parameters with one full Gibbs sweep on that data; at
     stationarity both sides target the same joint law, so every summary
-    statistic must agree up to Monte Carlo error.
+    statistic must agree up to Monte Carlo error. Works for both emission
+    priors, discrete and ``dpm_gaussian``.
     """
-    if cfg.k != 2 or not cfg.discrete:
-        raise ValueError("the joint check is wired for the discrete two-state model")
+    if cfg.k != 2:
+        raise ValueError("the joint check is wired for two-state models")
     rng = as_generator(seed)
+    names = _geweke_names(cfg)
 
-    fwd = np.empty((n_forward, len(_GEWEKE_STATS)))
+    fwd = np.empty((n_forward, len(names)))
     for r in range(n_forward):
         theta = to_params(*init_from_prior(cfg, rng), cfg)
         states, y = simulate(theta, n_obs, rng)
         fwd[r] = _geweke_stats(theta, states, y)
 
-    chain = np.empty((n_chain, len(_GEWEKE_STATS)))
+    chain = np.empty((n_chain, len(names)))
     rows, emissions = init_from_prior(cfg, rng)
     for r in range(n_chain):
         theta = to_params(rows, emissions, cfg)
@@ -391,4 +434,4 @@ def geweke_check(cfg: GibbsConfig, n_obs: int, n_forward: int, n_chain: int,
     c_mean = chain.mean(axis=0)
     c_se = _batch_se(chain)
     z = (f_mean - c_mean) / np.sqrt(f_se ** 2 + c_se ** 2)
-    return GewekeReport(_GEWEKE_STATS, f_mean, f_se, c_mean, c_se, z)
+    return GewekeReport(names, f_mean, f_se, c_mean, c_se, z)

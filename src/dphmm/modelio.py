@@ -18,7 +18,7 @@ import numpy as np
 from .emissions import (DiscreteEmission, EmissionModel, GaussianMixtureEmission,
                         TranslatedEmission)
 from .errors import ConfigError, DataError, StationarySolveError
-from .experiments import KIND_METRICS
+from .experiments import KIND_METRICS, SMOOTHING_METRICS
 from .gibbs import GibbsConfig, PosteriorSample
 from .hmm import HmmParams, TransitionMatrix, stationary_distribution
 from .metrics import BLOCK_BUDGET, CONSISTENCY_METRICS, check_metric_names
@@ -390,6 +390,11 @@ class RunConfig:
                          lambda v: {name: float(e) for name, e in dict(v).items()},
                          lambda eps: all(e > 0.0 for e in eps.values()), "positive radii"))
         check_metric_names(self.metrics.names, self.metrics.l)
+        try:
+            check_metric_names([name for name in self.metrics.epsilon
+                                if name not in SMOOTHING_METRICS], self.metrics.l)
+        except ConfigError as exc:
+            raise ConfigError(f"metrics.epsilon: {exc}") from exc
 
         kind = read("experiment", "kind", "golden", str, lambda v: v in EXPERIMENT_KINDS,
                     f"one of {', '.join(EXPERIMENT_KINDS)}")

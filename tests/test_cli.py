@@ -212,6 +212,7 @@ BAD_CONFIGS = [
     ("report", {"metrics": {"names": ["bogus"]}}),
     ("report", {"metrics": {"names": ["block_l1", "weak_gap:const", "block_l1"]}}),
     ("simulate", {"truth": {"q_floor": 0.0, "Q": [1.0, 0.0, 0.0, 1.0]}}),
+    ("report", {"metrics": {"epsilon": {"blockl1": 0.2}}}),
 ]
 
 

@@ -9,7 +9,8 @@ from dphmm import (DiscreteDpSpec, DiscreteEmission, GaussianDpSpec,
                    ZeroLikelihoodError, ffbs_states, geweke_check, kernels,
                    run_chain, simulate, smoothing_exact, stationary_distribution)
 from dphmm.emissions import SQRT_2PI, gaussian_kernels, mixture_density
-from dphmm.gibbs import (_cumulative_responsibilities, _log_components,
+from dphmm import gibbs
+from dphmm.gibbs import (_allocations, _log_components,
                          _mixture_emission_matrix, transition_counts, symbol_counts,
                          update_transitions, update_discrete_emissions,
                          update_mixture_emissions)
@@ -17,6 +18,7 @@ from dphmm.hmm import emission_matrix
 from dphmm.modelio import sample_to_record
 from dphmm.priors import dp_mixture_arrays
 from tests import kernel_oracles as oracles
+from tests import mixture_oracles
 from tests.conftest import (brute_force_path_probs, random_discrete_params,
                             random_gaussian_params)
 
@@ -211,18 +213,37 @@ def _responsibilities_in_order(ys, weights, locations, scales, swapped=False):
     return np.cumsum(resp / resp.sum(axis=1, keepdims=True), axis=1)
 
 
+def _uniforms_on_running_sums(running):
+    """For each of the first R - 1 columns of the running sums (the last
+    one moves no allocation), uniforms exactly on that column, one ulp
+    above and one ulp below. A last-bit change of any of those sums moves
+    the count of sums below u, that is, an allocation, for one of them."""
+    for on in running[:, :-1].T:
+        yield from (on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf))
+
+
+def _count_below(u, running):
+    return (u[:, None] > running[:, :-1]).sum(axis=1)
+
+
 def test_cumulative_responsibilities_keep_their_order_bit_for_bit():
     # An allocation compares a uniform with these running sums, so a last-bit
     # change almost never moves a draw and no chain output shows it. These
     # inputs are ones where dividing by sqrt(2 pi) * scales before
-    # multiplying by the weights changes last bits.
+    # multiplying by the weights changes last bits; the uniforms sit on the
+    # running sums and one ulp either side, where such a change flips an
+    # allocation.
     ys = np.random.default_rng(21).normal(0.0, 3.0, 500)
     weights, locations, scales = _mixture_arrays(22)
     expected = _responsibilities_in_order(ys, weights, locations, scales)
     swapped = _responsibilities_in_order(ys, weights, locations, scales, swapped=True)
     assert not np.array_equal(expected, swapped)
-    got = _cumulative_responsibilities(ys, weights, locations, scales)
-    assert np.array_equal(got, expected)
+    flips = 0
+    for u in _uniforms_on_running_sums(expected):
+        got = _allocations(ys, weights, locations, scales, u)
+        assert np.array_equal(got, _count_below(u, expected))
+        flips += np.count_nonzero(_count_below(u, swapped) != got)
+    assert flips > 0
 
 
 def _softmax_cumsum(logs):
@@ -235,14 +256,83 @@ def test_underflowed_responsibility_rows_are_recomputed_in_log_space():
     weights[3] = 0.0                    # a zero weight stays at zero mass
     weights /= weights.sum()
     ys = np.array([0.3, 200.0, -1.0, -1e5, 2.5])
-    far = [1, 3]
-    got = _cumulative_responsibilities(ys, weights, locations, scales)
-    near = [0, 2, 4]
-    assert np.array_equal(got[near],
-                          _responsibilities_in_order(ys[near], weights, locations, scales))
-    logs = _log_components(ys[far], weights, locations, scales)
-    assert np.array_equal(got[far], _softmax_cumsum(logs))
-    assert np.all(np.isfinite(got)) and np.all(got[far, 3] == got[far, 2])
+    near, far = [0, 2, 4], [1, 3]
+    expected = np.empty((ys.size, weights.size))
+    expected[near] = _responsibilities_in_order(ys[near], weights, locations, scales)
+    expected[far] = _softmax_cumsum(_log_components(ys[far], weights, locations, scales))
+    assert np.all(np.isfinite(expected)) and np.all(expected[far, 3] == expected[far, 2])
+    for u in _uniforms_on_running_sums(expected):
+        got = _allocations(ys, weights, locations, scales, u)
+        assert np.array_equal(got, _count_below(u, expected))
+    # one ulp above the running sum through component 2 passes component 3 too
+    u = np.nextafter(expected[:, 2], np.inf)
+    assert np.all(_allocations(ys, weights, locations, scales, u) >= 4)
+
+
+def test_allocations_raise_when_every_component_has_zero_density():
+    # z * z overflows at 1e200, so even the log-space row has no finite
+    # maximum; the per-atom update raised the same error
+    weights, locations, scales = _mixture_arrays(24)
+    ys = np.array([0.5, 1e200, -0.2])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ZeroLikelihoodError, match="zero density under every component"):
+            _allocations(ys, weights, locations, scales, np.full(3, 0.5))
+        with pytest.raises(ZeroLikelihoodError, match="zero density under every component"):
+            mixture_oracles.allocations(ys, weights, locations, scales, np.full(3, 0.5))
+        spec = GaussianDpSpec(1.0, NormalInvGammaBase(0.0, 1.0, 3.0, 2.0), truncation=12)
+        current = np.stack([weights, locations, scales])[None]
+        with pytest.raises(ZeroLikelihoodError):
+            update_mixture_emissions([ys], current, spec, 0)
+
+
+def _random_mixture_case(rng):
+    """A random block-sweep input: truncation 1 to 25, k 1 to 3, states with
+    no observation or one, atoms left empty, and far outliers that take the
+    log-space path."""
+    depth = int(rng.integers(1, 26))
+    base = NormalInvGammaBase(float(rng.normal()), float(rng.uniform(0.05, 2.0)),
+                              float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.2, 3.0)))
+    spec = GaussianDpSpec(float(rng.uniform(0.3, 3.0)), base, truncation=depth)
+    k = int(rng.integers(1, 4))
+    current = np.stack([dp_mixture_arrays(spec, rng) for _ in range(k)])
+    groups = []
+    for _ in range(k):
+        ys = rng.normal(0.0, 3.0, int(rng.choice([0, 1, 2, 7, 60, 300])))
+        if ys.size and rng.random() < 0.3:
+            ys[rng.integers(ys.size)] = rng.choice([200.0, -1e5, 60.0])
+        groups.append(ys)
+    return groups, current, spec
+
+
+def test_update_mixture_emissions_matches_the_per_atom_oracle():
+    rng = np.random.default_rng(41)
+    depths = set()
+    for case in range(300):
+        groups, current, spec = _random_mixture_case(rng)
+        depths.add(spec.truncation)
+        got_rng, want_rng = np.random.default_rng(case), np.random.default_rng(case)
+        got = update_mixture_emissions(groups, current, spec, got_rng)
+        want = mixture_oracles.update_mixture_emissions_masks(groups, current, spec, want_rng)
+        assert np.array_equal(got, want), case
+        # the same draws from the same stream, and no more
+        assert got_rng.random() == want_rng.random(), case
+    assert min(depths) < 8 < max(depths)
+
+
+def test_update_mixture_emissions_matches_the_oracle_on_edge_cases():
+    base = NormalInvGammaBase(0.5, 0.3, 2.0, 1.0)
+    for depth in (1, 2, 7, 8, 9, 20):
+        spec = GaussianDpSpec(1.0, base, truncation=depth)
+        rng = np.random.default_rng(depth)
+        current = np.stack([dp_mixture_arrays(spec, rng) for _ in range(3)])
+        current[2, 0] = 0.0
+        current[2, 0, 0] = 1.0          # one atom holds the whole state
+        groups = [np.array([]), np.array([0.25]),
+                  np.array([1e5, -3.0, 0.1, 0.1, -1e5, 250.0])]
+        for seed in range(20):
+            got = update_mixture_emissions(groups, current, spec, seed)
+            want = mixture_oracles.update_mixture_emissions_masks(groups, current, spec, seed)
+            assert np.array_equal(got, want), (depth, seed)
 
 
 def test_mixture_emission_rows_zero_under_every_state_are_rescaled():
@@ -302,6 +392,19 @@ def test_run_chain_sample_arithmetic(flat_binary):
     assert len(run_chain(y, _binary_config(n_iter=20, burn_in=10, thin=2))) == 5
 
 
+def test_run_chain_with_the_per_atom_oracle_writes_the_same_samples(monkeypatch):
+    truth = random_gaussian_params(np.random.default_rng(51), k=2, q_floor=0.1)
+    _, y = simulate(truth, 150, 52)
+    y[40] = 200.0                       # one observation on the log-space path
+    cfg = _binary_config(n_iter=14, burn_in=4, thin=2, seed=53, emission_prior=GaussianDpSpec(
+        1.0, NormalInvGammaBase(0.0, 0.1, 2.0, 1.0), truncation=6))
+    fast = [sample_to_record(s) for s in run_chain(y, cfg)]
+    monkeypatch.setattr(gibbs, "update_mixture_emissions",
+                        mixture_oracles.update_mixture_emissions_masks)
+    assert [sample_to_record(s) for s in run_chain(y, cfg)] == fast
+    assert len(fast) == 5
+
+
 def test_run_chain_deterministic(flat_binary):
     _, y = simulate(flat_binary, 40, 1)
     cfg = _binary_config(n_iter=30, burn_in=20, thin=2, seed=9)
@@ -319,6 +422,18 @@ def test_geweke_joint_distribution_check():
     cfg = _binary_config()
     report = geweke_check(cfg, n_obs=5, n_forward=2000, n_chain=4000, seed=0)
     assert len(report.z_scores) == 6
+    assert report.max_abs_z() <= 4.5, dict(zip(report.stats, report.z_scores))
+
+
+def test_geweke_joint_distribution_check_dp_gaussian_mixture():
+    # the same check through the truncated stick-breaking block sweep:
+    # allocations, sticks and normal-inverse-gamma atoms, with empty atoms
+    # at truncation 4 and five observations. Each state's mixture mean
+    # w @ z replaces the discrete mass of symbol 0.
+    cfg = _binary_config(emission_prior=GaussianDpSpec(
+        1.0, NormalInvGammaBase(0.0, 1.0, 4.0, 3.0), truncation=4))
+    report = geweke_check(cfg, n_obs=5, n_forward=2000, n_chain=4000, seed=0)
+    assert report.stats == ("Q[0,0]", "Q[1,1]", "mean0", "mean1", "frac_state0", "mean_y")
     assert report.max_abs_z() <= 4.5, dict(zip(report.stats, report.z_scores))
 
 
