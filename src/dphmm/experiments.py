@@ -21,7 +21,6 @@ process draws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -362,6 +361,8 @@ def dp_gamma_moment_check(spec: DiscreteDpSpec, n_draws: int,
     record: every draw's block mass must lie within ``PMF_TOL`` of 0 or 1. It
     takes no mean, variance or covariance z-score.
     """
+    from statistics import NormalDist  # here, not at module level: only this check needs it
+
     support = spec.truncation
     if any(sorted(s for b in blocks for s in b) != list(range(support))
            for blocks in partitions):

@@ -282,7 +282,8 @@ def gibbs_sweep(rows: np.ndarray, emissions: np.ndarray, y, cfg: GibbsConfig, rn
     """One full sweep on observations as ``run_chain`` checks them; returns
     the new transition rows, the new emission array and the sampled path."""
     rng = as_generator(rng)
-    B = emissions.T[y] if cfg.discrete else _mixture_emission_matrix(y, emissions)
+    B = (np.take(np.ascontiguousarray(emissions.T), y, axis=0) if cfg.discrete
+         else _mixture_emission_matrix(y, emissions))
     states = ffbs_states(cfg.model_mu(), rows, B, rng)
     rows = update_transitions(transition_counts(states, cfg.k),
                               cfg.transition_prior, rng)

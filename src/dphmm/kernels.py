@@ -3,9 +3,10 @@
 Everything here works on plain arrays: ``mu`` (k,), row-stochastic ``Q``
 (k, k) and the per-step emission likelihood matrix ``B`` (n, k) with
 ``B[t, i] = f_i(y_t)``. There is one build: numpy, vectorised over time in
-blocks of ``CHUNK`` steps, so no temporary grows with n. The largest is the
-draw's table of ``CHUNK * k * k`` floats; the scan's largest holds half as
-many.
+blocks of ``block_len(k)`` steps, so no temporary grows with n. A block is
+as long as the table budget allows: its draw table of ``block * k * k``
+floats, the largest temporary, stays within ``TABLE_FLOATS``; the scan's
+largest holds half as many.
 
 Backward state draw (``ffbs``), as a table. For every step t and every
 possible next state j, ``W[t, j, i] = alpha[t, i] * Q[i, j]`` with i
@@ -25,12 +26,13 @@ Forward filter and backward messages, as a prefix scan. The filtered law is
 products of the matrices ``Q diag(B_t)`` applied to the law carried in from
 the block before. The first level of pairs is formed straight from B and Q:
 with the block's rows scaled to sum 1, ``_pairs`` gives
-``Q diag(b_2j) Q diag(b_2j+1)`` for all CHUNK/2 pairs from one matrix
+``Q diag(b_2j) Q diag(b_2j+1)`` for all block/2 pairs from one matrix
 product with the k x k^2 array ``Q[i, m] Q[m, l]``, each product scaled to
-sum 1. ``_prefix`` scans these pairs by pairing neighbours again: the
-products of adjacent pairs are scanned recursively, and each remaining
-entry is one vector-matrix product from its scanned predecessor. That is
-log2(CHUNK) levels and about CHUNK/2 small matrix products per block
+sum 1. ``_prefix`` scans these pairs by pairing neighbours again, level by
+level, then fills one buffer of laws from the top level down: each entry
+the level above does not give is one vector-matrix product from its
+scanned predecessor. That is log2(block) levels and about block/2 small
+matrix products per block
 (Särkkä & García-Fernández, IEEE TAC 2021, on the temporal parallelisation
 of HMM inference), and it gives the laws at the block's odd offsets. The
 first level's fill is the correction pass, two steps of the recursion's own
@@ -42,12 +44,19 @@ not carry from one block to the next. The backward messages scan the
 matrices ``diag(B_t / c_t) Q^T`` from the end, with the same first level
 (the transposes of ``Q diag(d_2j+1) Q diag(d_2j)``): with the forward
 normalisers these products keep the scale of ``beta``, so no normalisation
-is needed, and the same two-step correction follows. The correction's
-``c`` and the scan's row normalisers follow the draw's 8-entry rule
-(``_rowsum``): column adds below 8 states and ``sum(axis=1)`` from 8 on,
-equal to ``a.sum(axis=1)`` bit for bit. Results agree with the step
+is needed, and the same two-step correction follows. Kept scale needs the
+first level's ``Q[i, m] Q[m, l]`` exact: rounded once, their fixed errors
+entered every pair alike and beta's scale drifted by about 2e-17 per step
+(3e-12 after 32767 steps at k = 2, where the step recursion stays within
+1e-13 of an extended-precision reference). So the messages take them as the
+sum of two arrays, the exact products of Q's 26-bit halves and the small
+rest, at the cost of a second product of the same size; the filter, which
+keeps only directions, takes one. The correction's ``c`` and the scan's row
+normalisers follow the draw's 8-entry rule (``_rowsum``): column adds below
+8 states and ``sum(axis=1)`` from 8 on, equal to ``a.sum(axis=1)`` bit for
+bit. Results agree with the step
 recursion to within a few ulps (tests hold them to 1e-13 for alpha and c,
-1e-12 for beta). No block temporary holds more than (CHUNK/2) k^2 floats,
+1e-12 for beta). No scan temporary holds more than (block/2) k^2 floats,
 and a block's temporaries are freed before the next block starts.
 
 Guard. The scan needs every product of a block to keep its rows within
@@ -62,30 +71,47 @@ filter and the messages through the step recursion instead; the table draw
 needs no guard.
 
 Cost. A pair product costs k^3 per step against the step recursion's k^2,
-and each block pays a fixed cost of a few dozen array calls, so blocks of
-2048 steps pay it half as often as blocks of 1024. The first level's matrix
+and each block pays a fixed cost of a few dozen array calls, whatever k is.
+So blocks are as long as ``TABLE_FLOATS`` (2^17 floats, 1 MB) allows:
+32768 steps at k = 2, 8192 at k = 4, 2048 at k = 8 and 512 at k = 16. Small
+k pays the fixed cost seldom and large k keeps the draw's table in cache;
+with 2048-step blocks the 4 MB table at k = 16 took the draw 2.3 times as
+long. The budget comes from an in-process sweep over k = 2, 3, 4, 6, 8 and
+16 at n = 2000 and 20000: half of it made the filter slower than 2048-step
+blocks at k = 8 and 16, and twice of it slowed the draw at n = 20000 from
+k = 4 on, by up to 1.4 times. Under it the correction's block-wide
+products, ``prev @ Q`` and ``(b * following) @ Q.T``, have at most
+(block + 1) / 2 rows, so at most half the budget plus k^2 multiply-adds:
+below ``PAIR_MACS`` for every k up to 512. The first level's matrix
 product is split into calls of at most ``PAIR_MACS`` multiply-adds, which
 OpenBLAS runs on one thread: with two BLAS threads on a 2-core host, one
 threaded call per block made the filter 3 times slower at k = 12. Measured
 on a 2-core x86-64 host with numpy 2.4 at n = 20000, the filter took about
-165, 235 and 305 ns per step at k = 2, 4 and 6 (1.7 to 1.8 times faster
-than with 1024-step blocks and a step-matrix array) and the messages about
-105, 130 and 175. At n = 2000 the scan is ahead of the step loop up to
-k = 24 and behind from k = 32; below about 30 steps the loop is ahead by up
-to 50 microseconds per call. Neither is branched on. A column pass is one
-array call over a whole block, where a reduction over an axis only k long
-pays a fixed cost per row: the draw table makes about 3k such calls per
-block and a row sum k. At n = 20000 on the same host the draw took about
-135, 195 and 285 ns per step at k = 2, 4 and 6; about 65 ns of it is the
-Python walk.
+115, 180 and 250 ns per step at k = 2, 4 and 6 (195, 245 and 300 with
+2048-step blocks, side by side) and the messages about 90, 140 and 155
+(120, 135 and 175 with 2048-step blocks and one rounded product). At
+n = 2000 the scan is ahead of the step loop up to k = 24 and level with it
+at k = 32; below about 30 steps the loop is ahead by up to 50 microseconds
+per call. Neither is branched on. A column pass is one array call over a
+whole block, where a reduction over an axis only k long pays a fixed cost
+per row: the draw table makes about 3k such calls per block and a row sum
+k. At n = 20000 on the same host the draw took about 125, 170 and 215 ns
+per step at k = 2, 4 and 6 (155, 210 and 285 with 2048-step blocks); about
+60 ns of it is the walk, one list comprehension over the flat table.
 """
 from __future__ import annotations
 
 import numpy as np
 
-CHUNK = 2048            # time steps per vectorised block
+TABLE_FLOATS = 2 ** 17   # block * k * k, the draw table's floats, stays at or below this
 SCAN_MIN_Q = 1e-100     # below this transition entry the filter and messages step
 PAIR_MACS = 2 ** 18     # multiply-adds per pair-product call: OpenBLAS keeps these on one thread
+
+
+def block_len(k):
+    """Time steps per vectorised block for k states: the most that keep the
+    draw's table within ``TABLE_FLOATS`` floats, and at least 1."""
+    return max(1, TABLE_FLOATS // (k * k))
 
 
 def _rowsum(x):
@@ -112,45 +138,67 @@ def _unit(x, axes):
 
 
 def _prefix(v, M, normalise):
-    """Rows ``v M[0]``, ``v M[0] M[1]``, ..., ``v M[0] ... M[m-1]``.
+    """Rows ``v``, ``v M[0]``, ``v M[0] M[1]``, ..., ``v M[0] ... M[m-1]``.
 
-    Adjacent pairs are multiplied and scanned recursively; the other rows
-    take one step from the row before. With ``normalise`` every product and
-    row is scaled to sum 1 (only the direction is wanted); without it the
-    exact scale is kept.
+    Adjacent pairs are multiplied level by level until one product is left.
+    The rows are then filled from the top level down in one buffer: a
+    level's products of 2^l matrices end at rows 2^l, 2 * 2^l, ..., and
+    each of its even entries takes one step from the row 2^l before it; the
+    odd ones are the next level's. With ``normalise`` every product and row
+    is scaled to sum 1 (only the direction is wanted); without it the exact
+    scale is kept.
     """
-    m = M.shape[0]
-    out = np.empty((m, M.shape[2]))
-    if not m:
-        return out
-    h = m // 2
-    if h:
-        pairs = M[0:2 * h:2] @ M[1:2 * h:2]
-        out[1:2 * h:2] = _prefix(v, _unit(pairs, (1, 2)) if normalise else pairs, normalise)
-    prev = np.concatenate([v[None], out[1:m - 1:2]])
-    even = np.einsum("ti,tij->tj", prev, M[0::2])
-    out[0::2] = _unit(even, 1) if normalise else even
+    levels = [M]
+    while len(levels[-1]) > 1:
+        P = levels[-1]
+        h = len(P) // 2
+        pairs = P[0:2 * h:2] @ P[1:2 * h:2]
+        levels.append(_unit(pairs, (1, 2)) if normalise else pairs)
+    out = np.empty((len(M) + 1, M.shape[2]))
+    out[0] = v
+    for level in range(len(levels) - 1, -1, -1):
+        P, s = levels[level], 2 ** level
+        even = out[s:len(P) * s + 1:2 * s]
+        np.einsum("ti,tij->tj", out[0:len(P) * s:2 * s], P[0::2], out=even)
+        if normalise:
+            _unit(even, 1)
     return out
 
 
-def _pairs(Q, rows, reverse=False):
+def _products(Q, exact):
+    """k x k^2 arrays whose sum is ``QQ[m, i * k + l] = Q[i, m] Q[m, l]``: the
+    rounded products, or with ``exact`` two arrays that hold them to within
+    2^-79, those of Q's 26-bit halves (which are exact) and the rest."""
+    k = Q.shape[0]
+    if not exact:
+        return ((Q.T[:, :, None] * Q[:, None, :]).reshape(k, k * k),)
+    t = 134217729.0 * Q          # (2^27 + 1) Q: Veltkamp's split into 26-bit halves
+    hi = t - (t - Q)
+    lo = Q - hi
+    rest = hi.T[:, :, None] * lo[:, None, :] + lo.T[:, :, None] * Q[:, None, :]
+    return (hi.T[:, :, None] * hi[:, None, :]).reshape(k, k * k), rest.reshape(k, k * k)
+
+
+def _pairs(QQ, rows, reverse=False):
     """The products ``Q diag(rows[2j]) Q diag(rows[2j + 1])`` of adjacent
-    rows, shaped (h, k, k), from one matrix product with ``Q[i, m] Q[m, l]``
-    over all h pairs; with ``reverse``, ``diag(rows[2j]) Q^T diag(rows[2j + 1])
-    Q^T``, which is the transpose of ``Q diag(rows[2j + 1]) Q diag(rows[2j])``."""
+    rows, shaped (h, k, k), from one matrix product per array of
+    ``_products`` over all h pairs; with ``reverse``, ``diag(rows[2j]) Q^T
+    diag(rows[2j + 1]) Q^T``, which is the transpose of ``Q diag(rows[2j + 1])
+    Q diag(rows[2j])``."""
     h, k = len(rows) // 2, rows.shape[1]
     first, second = rows[0:2 * h:2], rows[1:2 * h:2]
     if reverse:
         first, second = second, first
     # (first @ QQ)[j, i * k + l] = sum_m first[j, m] Q[i, m] Q[m, l], in
     # products of at most PAIR_MACS multiply-adds each
-    QQ = (Q.T[:, :, None] * Q[:, None, :]).reshape(k, k * k)
     P = np.empty((h, k * k))
     step = max(1, PAIR_MACS // k ** 3)
     for j in range(0, h, step):
-        np.matmul(first[j:j + step], QQ, out=P[j:j + step])
-    P *= np.tile(second, k)
+        np.matmul(first[j:j + step], QQ[0], out=P[j:j + step])
+        for rest in QQ[1:]:
+            P[j:j + step] += first[j:j + step] @ rest
     P = P.reshape(h, k, k)
+    P *= second[:, None, :]
     return P.transpose(0, 2, 1) if reverse else P
 
 
@@ -167,7 +215,7 @@ def _draw_table(alpha, QT, u):
     """Total weights ``s[t, j]`` and the drawn states ``F[t, j]`` (as a flat
     row-major list) for every step t of a block and next state j."""
     k = QT.shape[0]
-    W = alpha[:, None, :] * QT          # W[t, j, i] = alpha[t, i] Q[i, j], i contiguous
+    W = np.einsum("ti,ji->tji", alpha, QT)  # W[t, j, i] = alpha[t, i] Q[i, j], i contiguous
     if k >= 8:
         s = W.sum(axis=2)
     for i in range(1, k):
@@ -175,7 +223,7 @@ def _draw_table(alpha, QT, u):
     if k < 8:
         s = W[:, :, k - 1]
     target = u[:, None] * s
-    F = np.zeros(s.shape, dtype=np.intp)
+    F = np.zeros(s.shape, dtype=np.min_scalar_type(k - 1))
     for i in range(k - 1):
         F += W[:, :, i] < target
     return s, F.ravel().tolist()
@@ -208,14 +256,15 @@ def forward_filter(mu, Q, B):
                 return alpha, c
             alpha[t] = a / s
         return alpha, c
-    for t0 in range(1, n, CHUNK):
-        t1 = min(t0 + CHUNK, n)
+    block, QQ = block_len(k), _products(Q, False)
+    for t0 in range(1, n, block):
+        t1 = min(t0 + block, n)
         b = B[t0:t1]
-        # the laws at offsets 1, 3, ...; each row and each product is scaled
-        # to sum 1, and every temporary is freed before the steps
-        odd = _prefix(alpha[t0 - 1], _unit(_pairs(Q, _unit(b.copy(), 1)), (1, 2)), True)
-        prev = np.concatenate([alpha[t0 - 1:t0], odd[:(t1 - t0 - 1) // 2]])
-        _step(prev, Q, b[0::2], alpha[t0:t1:2], c[t0:t1:2])
+        # the law carried in, then the laws at offsets 1, 3, ...; each row and
+        # each product is scaled to sum 1, and every temporary is freed before
+        # the steps
+        laws = _prefix(alpha[t0 - 1], _unit(_pairs(QQ, _unit(b.copy(), 1)), (1, 2)), True)
+        _step(laws[:(t1 - t0 + 1) // 2], Q, b[0::2], alpha[t0:t1:2], c[t0:t1:2])
         _step(alpha[t0:t1 - 1:2], Q, b[1::2], alpha[t0 + 1:t1:2], c[t0 + 1:t1:2])
         zero = np.flatnonzero(c[t0:t1] <= 0.0)
         if zero.size:
@@ -238,13 +287,14 @@ def backward_messages(Q, B, c):
         for t in range(n - 2, -1, -1):
             beta[t] = (Q @ (B[t + 1] * beta[t + 1])) / c[t + 1]
         return beta
-    for t1 in range(n - 1, 0, -CHUNK):
-        t0 = max(t1 - CHUNK, 0)
+    block, QQ = block_len(k), _products(Q, True)
+    for t1 in range(n - 1, 0, -block):
+        t0 = max(t1 - block, 0)
         # step r of the reversed block gives beta[t1 - 1 - r] from beta[t1 - r]
         b, cb = B[t1:t0:-1], c[t1:t0:-1, None]
-        odd = _prefix(beta[t1], _pairs(Q, b / cb, reverse=True), False)  # steps 1, 3, ...
+        # beta[t1], then the messages after steps 1, 3, ...
+        following = _prefix(beta[t1], _pairs(QQ, b / cb, reverse=True), False)[:(t1 - t0 + 1) // 2]
         rev = beta[t1 - 1:None if t0 == 0 else t0 - 1:-1]
-        following = np.concatenate([beta[t1:t1 + 1], odd[:(t1 - t0 - 1) // 2]])
         rev[0::2] = (b[0::2] * following) @ Q.T / cb[0::2]
         rev[1::2] = (b[1::2] * rev[0:-1:2]) @ Q.T / cb[1::2]
     return beta
@@ -261,16 +311,15 @@ def ffbs(Q, alpha, u):
     cs = np.cumsum(alpha[n - 1])
     states[n - 1] = min(int(np.searchsorted(cs, u[n - 1] * cs[-1])), k - 1)
     QT = np.ascontiguousarray(Q.T)
-    for t1 in range(n - 1, 0, -CHUNK):
-        t0 = max(t1 - CHUNK, 0)
+    block = block_len(k)
+    for t1 in range(n - 1, 0, -block):
+        t0 = max(t1 - block, 0)
         s, table = _draw_table(alpha[t0:t1], QT, u[t0:t1])
-        path = [0] * (t1 - t0)
+        # x_t = F[t, x_{t+1}], walked from the block's last row down
         x = int(states[t1])
-        for r in range(t1 - t0 - 1, -1, -1):
-            x = table[r * k + x]
-            path[r] = x
-        states[t0:t1] = path
+        states[t0:t1][::-1] = [x := table[r + x] for r in range((t1 - t0 - 1) * k, -1, -k)]
         if np.any(s[np.arange(t1 - t0), states[t0 + 1:t1 + 1]] <= 0.0):
             states[0] = -1
             return states
+        del s, table    # s views the table W: free both before the next block's
     return states

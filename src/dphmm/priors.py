@@ -211,11 +211,10 @@ def sample_dp_discrete(spec: DiscreteDpSpec, seed, with_normalizer: bool = False
 def sticks_to_weights(v) -> np.ndarray:
     """Truncated stick-breaking: depth - 1 stick fractions to depth weights.
 
-    The fractions are clipped to [0, 1]; the last weight absorbs the
-    remaining mass so the vector sums to one, and the vector is renormalised
-    when rounding drives that remainder negative.
+    ``v`` is a float array of fractions in [0, 1], as Beta draws are. The
+    last weight absorbs the remaining mass so the vector sums to one, and
+    the vector is renormalised when rounding drives that remainder negative.
     """
-    v = np.clip(v, 0.0, 1.0)
     w = np.empty(v.size + 1)
     rem = np.concatenate([[1.0], np.cumprod(1.0 - v)])
     w[:-1] = v * rem[:-1]

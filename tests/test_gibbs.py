@@ -494,10 +494,11 @@ def test_run_chain_validates_only_retained_samples(family, monkeypatch):
 
 @pytest.mark.parametrize("family", ["discrete", "dpm_gaussian"])
 def test_run_chain_same_samples_with_oracle_kernels(family, monkeypatch):
-    # a short block puts the block edges of the scan and the table in every
-    # sweep
-    monkeypatch.setattr(kernels, "CHUNK", 32)
+    # a small table budget puts 32-step blocks, and so the block edges of the
+    # scan and the table, in every sweep
     y, cfg = _family_chain(family)
+    monkeypatch.setattr(kernels, "TABLE_FLOATS", 32 * cfg.k ** 2)
+    assert kernels.block_len(cfg.k) == 32
     fast = run_chain(y, cfg)
     monkeypatch.setattr(kernels, "forward_filter", oracles.forward_filter_loops)
     monkeypatch.setattr(kernels, "backward_messages", oracles.backward_messages_loops)

@@ -57,29 +57,76 @@ def _lengths(block):
 
 
 _SMALL_BLOCK = 64
+_FIXED_BLOCK = 2048     # the block of every k before blocks were sized by k
 
 
 @pytest.mark.parametrize("k", [2, 3, 8, 9, 16])
 @pytest.mark.parametrize("n", _lengths(_SMALL_BLOCK))
 def test_parity_across_blocks(n, k, monkeypatch):
-    # a short block brings every block edge within reach of the scalar
-    # oracles at k = 16, which take seconds per call at n = 2 * CHUNK + 1
-    monkeypatch.setattr(kernels, "CHUNK", _SMALL_BLOCK)
+    # a small budget brings every block edge within reach of the scalar
+    # oracles at k = 16, which take seconds per call over two full blocks
+    monkeypatch.setattr(kernels, "TABLE_FLOATS", _SMALL_BLOCK * k * k)
+    assert kernels.block_len(k) == _SMALL_BLOCK
     _assert_parity(n, k)
 
 
-@pytest.mark.parametrize("k", [2, 3, 9])
-@pytest.mark.parametrize("n", sorted({*_lengths(kernels.CHUNK // 2)[-4:],
-                                      *_lengths(kernels.CHUNK)[-4:]}))
+def _full_block_cases():
+    """(n, k) on both sides of each k's own block edges. A block's steps
+    are paired: the half-block lengths run one block of an odd or even number
+    of steps, the others straddle the edges. At k = 2 and 4 the forward
+    blocks of 2 * block, 2 * block + 2 and 2 * block + 3 also end in a last
+    block of block - 1, 1 and 2 steps, and the backward ones start in it.
+    The k = 2 cases run up to 65539 steps: with the messages' first level
+    rounded once, beta's scale drifted past the tolerance there (3e-12). The
+    edges of the former fixed block stay as cases inside a block."""
+    cases = []
+    for k in (2, 3, 4, 9):
+        block = kernels.block_len(k)
+        lengths = {*_lengths(block // 2)[-4:], *_lengths(block)[-4:]}
+        if k != 4:
+            lengths |= {*_lengths(_FIXED_BLOCK // 2)[-4:], *_lengths(_FIXED_BLOCK)[-4:]}
+        if k in (2, 4):
+            lengths |= {2 * block, 2 * block + 2, 2 * block + 3}
+        cases += [(n, k) for n in sorted(lengths)]
+    return cases
+
+
+@pytest.mark.parametrize("n, k", _full_block_cases())
 def test_parity_at_full_block_edges(n, k):
-    # a block's steps are paired: the half-block lengths run one block of an
-    # odd or even number of steps, the others straddle the block edges
     _assert_parity(n, k)
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_block_products_stay_within_one_blas_thread(k):
+    # The block-wide products of the correction pass, ``prev @ Q`` in
+    # ``_step`` and ``(b * following) @ Q.T`` in ``backward_messages``, have
+    # at most (block + 1) // 2 rows. Under the table budget they stay below
+    # the size from which OpenBLAS may split a call over threads.
+    block = kernels.block_len(k)
+    assert block * k * k <= kernels.TABLE_FLOATS
+    assert (block + 1) // 2 * k * k <= kernels.PAIR_MACS
+
+
+def test_message_pair_products_sum_to_the_exact_products():
+    # The messages keep beta's scale, so their first level must not round
+    # Q[i, m] Q[m, l] once: that fixed error would enter every pair alike.
+    from fractions import Fraction
+    k = 5
+    Q = np.random.default_rng(8).dirichlet(np.ones(k), size=k)
+    (rounded,) = kernels._products(Q, False)
+    hi, lo = kernels._products(Q, True)
+    for m in range(k):
+        for i in range(k):
+            for l in range(k):
+                exact = Fraction(Q[i, m]) * Fraction(Q[m, l])
+                assert rounded[m, i * k + l] == Q[i, m] * Q[m, l]
+                assert abs(Fraction(hi[m, i * k + l]) + Fraction(lo[m, i * k + l]) - exact) \
+                    <= exact * 2.0 ** -78
 
 
 def _sparse_transition_problem(case):
     """Laws concentrated on one state, with Q zero or tiny somewhere."""
-    n = 2 * kernels.CHUNK + 1
+    n = 2 * kernels.block_len(2) + 1
     skew = np.tile([0.1, 0.9], (n, 1))
     tiny = 1e-90
     if case == "identity":
@@ -115,13 +162,19 @@ def test_parity_with_zero_and_tiny_transition_entries(case):
     np.testing.assert_allclose(ref_alpha * beta, ref_alpha * ref_beta, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("t_zero", [0, 100, 101, kernels.CHUNK // 2, kernels.CHUNK // 2 + 1,
-                                    kernels.CHUNK, kernels.CHUNK + 1, kernels.CHUNK + 2])
+_C3 = kernels.block_len(3)
+
+
+@pytest.mark.parametrize("t_zero", sorted({0, 100, 101, *(_C3 // 2 + d for d in (0, 1)),
+                                           *(_C3 + d for d in (0, 1, 2)),
+                                           *(_FIXED_BLOCK // 2 + d for d in (0, 1)),
+                                           *(_FIXED_BLOCK + d for d in (0, 1, 2))}))
 def test_zero_likelihood_inside_and_between_blocks(t_zero):
-    # the scanned filter chunks time as [1, C], [C + 1, 2C], ...; within a
-    # block the even offsets step from the scanned odd laws and the odd
-    # offsets from the even ones (101 is offset 100, C + 2 offset 1)
-    mu, Q, B, _ = _problem(7, n=2 * kernels.CHUNK + 1, k=3)
+    # at k = 3 the scanned filter blocks time as [1, C], [C + 1, 2C], ...;
+    # within a block the even offsets step from the scanned odd laws and the
+    # odd offsets from the even ones (101 is offset 100, C + 2 offset 1); the
+    # former fixed block's edges now fall inside the first block
+    mu, Q, B, _ = _problem(7, n=2 * _C3 + 1, k=3)
     B[t_zero] = 0.0
     alpha, c = kernels.forward_filter(mu, Q, B)
     ref_alpha, ref_c = oracles.forward_filter_loops(mu, Q, B)
@@ -143,11 +196,12 @@ def _peak_above_outputs(run, outputs_nbytes):
 
 
 def test_scan_memory_does_not_grow_with_n():
-    # every temporary is per block: at most CHUNK / 2 pair products of k x k
-    # floats, whatever the length of the sequence
+    # every temporary is per block: at most block / 2 pair products of k x k
+    # floats, half the table budget, whatever the length of the sequence
     k = 4
+    block = kernels.block_len(k)
     peaks = []
-    for n in (4 * kernels.CHUNK + 1, 16 * kernels.CHUNK + 1):
+    for n in (4 * block + 1, 16 * block + 1):
         mu, Q, B, _ = _problem(3, n=n, k=k)
         alpha, c = kernels.forward_filter(mu, Q, B)
         outputs = alpha.nbytes + c.nbytes
@@ -157,13 +211,14 @@ def test_scan_memory_does_not_grow_with_n():
     (filter_4, messages_4), (filter_16, messages_16) = peaks
     assert abs(filter_16 - filter_4) <= 64 * 1024
     assert abs(messages_16 - messages_4) <= 64 * 1024
-    assert max(filter_4, messages_4) <= 2 * kernels.CHUNK * k * k * 8 + 64 * 1024
+    assert max(filter_4, messages_4) <= 2 * kernels.TABLE_FLOATS * 8 + 64 * 1024
 
 
-@pytest.mark.parametrize("n, t", [(4, 1), (8, 2), (kernels.CHUNK + 10, 2)])
+@pytest.mark.parametrize("n, t", [(4, 1), (8, 2), (_FIXED_BLOCK + 10, 2),
+                                  (kernels.block_len(2) + 10, 2)])
 def test_ffbs_zero_weight_column_returns_minus_one(n, t):
     # state 1 at t + 1 is forced, and no state with mass at t can move to it;
-    # at n = CHUNK + 10 the table meets this in the second block drawn
+    # at n = block + 10 the table meets this in the second block drawn
     Q = np.array([[1.0, 0.0], [0.5, 0.5]])
     alpha = np.full((n, 2), 0.5)
     alpha[t] = [1.0, 0.0]
