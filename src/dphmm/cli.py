@@ -94,6 +94,10 @@ def cmd_fit(args, cfg: modelio.RunConfig) -> int:
     return EXIT_OK
 
 
+def _scored_names(cfg: modelio.RunConfig) -> list[str]:   # smoothing needs a chain's data
+    return [name for name in cfg.metrics.names if name not in metrics.SMOOTHING_METRICS]
+
+
 def _metric_records(sample_id, theta, truth, names, block_len):
     estimates = metrics.parameter_metrics(theta, truth, names, block_len)
     return [{"sample": sample_id, "metric": name, "l": block_len,
@@ -106,7 +110,7 @@ def cmd_metric(args, cfg: modelio.RunConfig) -> int:
     if theta.k != cfg.truth.k:
         raise DataError("parameter file and truth disagree on k")
     records = _metric_records(Path(args.params).stem, theta, cfg.truth,
-                              cfg.metrics.names, cfg.metrics.l)
+                              _scored_names(cfg), cfg.metrics.l)
     out = _outdir(args)
     modelio.write_records(out / "metric_records.jsonl", records)
     for rec in records:
@@ -120,7 +124,7 @@ def cmd_metric(args, cfg: modelio.RunConfig) -> int:
 
 def cmd_report(args, cfg: modelio.RunConfig) -> int:
     truth = cfg.truth
-    names = cfg.metrics.names
+    names = _scored_names(cfg)
     records = []
     values = {n: [] for n in names}
     for path in args.samples:
@@ -186,13 +190,12 @@ def cmd_check_prior(args, cfg: modelio.RunConfig) -> int:
 def cmd_experiment(args, cfg: modelio.RunConfig) -> int:
     exp = cfg.experiment
     seed = exp.seed if args.seed is None else args.seed
-    out = _outdir(args)
-    if exp.kind in experiments.KIND_METRICS:
+    if exp.kind == "golden":
         report = experiments.golden_experiment(experiments.ExperimentConfig(
             truth=cfg.truth, gibbs=cfg.gibbs_config(), n_grid=exp.n_grid,
             replications=exp.replications, seed=seed, epsilons=cfg.metrics.epsilon,
-            block_len=cfg.metrics.l, smoothing_block_len=exp.smoothing_block_len,
-            kind=exp.kind))
+            metrics=cfg.metrics.names, block_len=cfg.metrics.l,
+            smoothing_block_len=exp.smoothing_block_len))
         records = report.to_records()
         lines = [f"verdict: {report.verdict}"]
         for name, curve in report.curves.items():
@@ -214,6 +217,7 @@ def cmd_experiment(args, cfg: modelio.RunConfig) -> int:
         records = report.to_records()
         lines = [f"max |z| = {report.max_abs_z:.3f} vs threshold "
                  f"{report.z_threshold:.3f}: {'PASS' if report.passed else 'FAIL'}"]
+    out = _outdir(args)
     modelio.write_records(out / "experiment_records.jsonl", records)
     (out / "experiment_summary.txt").write_text("\n".join(lines) + "\n")
     for line in lines:

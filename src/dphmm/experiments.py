@@ -3,15 +3,16 @@
 The consistency engine simulates data of growing length from a fixed truth,
 runs the Gibbs sampler on each dataset, and estimates the posterior mass of
 shrinking neighborhoods of the truth by the fraction of retained samples
-falling inside. Tracked neighborhoods: block-marginal L1 balls, relabeled
-transition balls, relabeled emission balls, and smoothing-table deviation
-balls. A PASS verdict requires every tracked mass curve to be non-decreasing
-in the sample size up to a fixed slack, ending above a floor.
+falling inside. The neighborhoods are those of the listed metric names:
+block-marginal L1, relabeled transition, relabeled emission, weak-topology
+and smoothing-table deviation balls. A PASS verdict requires every tracked
+mass curve to be non-decreasing in the sample size up to a fixed slack,
+ending above a floor.
 
 Because the prior is exchangeable over state labels, the posterior splits
 its mass over all relabelings of the truth; smoothing tables are therefore
-compared after applying the alignment permutation (the raw deviation is
-recorded alongside).
+compared after applying the alignment permutation (the raw deviation,
+``smoothing_unaligned``, is recorded for reference only).
 
 Also here: the per-instance check that the exact KL rate never exceeds its
 closed-form bound on a realized neighborhood of the truth, and moment
@@ -20,33 +21,28 @@ process draws.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .emissions import PMF_TOL
-from .errors import ConfigError, StarvationError
+from .errors import ConfigError, DataError, StarvationError
 from .gibbs import GibbsConfig, run_chain
 from .hmm import (HmmParams, SmoothingTable, TransitionMatrix, simulate, smoothing_exact,
                   stationary_distribution)
-from .metrics import (CONSISTENCY_METRICS, align_labels, emission_log_ratio_term,
-                      kl_rate_bound, kl_rate_exact, parameter_metrics)
+from .metrics import (SMOOTHING_METRICS, align_labels, check_metric_names,
+                      emission_log_ratio_term, kl_rate_bound, kl_rate_exact,
+                      parameter_metrics)
 from .priors import DiscreteDpSpec, TruncatedDirichletSpec, sample_dp_discrete, sample_transition_row
 from .util import as_generator
 
 TREND_SLACK = 0.05
 FINAL_MASS_FLOOR = 0.8
 
-METRIC_SMOOTHING = "smoothing_aligned"
-METRIC_SMOOTHING_RAW = "smoothing_unaligned"
-
-SMOOTHING_METRICS = (METRIC_SMOOTHING, METRIC_SMOOTHING_RAW)
-ALL_METRICS = CONSISTENCY_METRICS + SMOOTHING_METRICS
-
-# the chain kinds of ``dphmm experiment`` and the neighborhood masses each records
-KIND_METRICS = {"golden": ALL_METRICS, "consistency": CONSISTENCY_METRICS,
-                "smoothing": SMOOTHING_METRICS}
+# the metrics read off a sample's label alignment, and the one the verdict ignores
+_ALIGNED = ("aligned_q", "aligned_emission", "smoothing_aligned")
+_UNTRACKED = "smoothing_unaligned"
 
 # fractions of the path whose smoothing marginals the smoothing metrics compare
 SMOOTHING_POSITIONS = (0.0, 0.5, 1.0)
@@ -56,10 +52,10 @@ SMOOTHING_POSITIONS = (0.0, 0.5, 1.0)
 class ExperimentConfig:
     """Truth, sampler template and grid for a posterior-concentration run.
 
-    ``kind`` picks the recorded metrics from ``KIND_METRICS``. Their radii
-    are resolved here, once, into ``radii``; ``smoothing_unaligned`` falls
-    back to the ``smoothing_aligned`` radius, and a metric with no radius
-    raises ``ConfigError`` before any chain runs."""
+    ``metrics`` names the recorded neighborhoods in record order, each with
+    its radius in ``epsilons``. Here, before any chain, bad names, a missing
+    radius or no tracked name raise ``ConfigError``, and an exact-mode name
+    (any but the smoothing ones) on continuous emissions ``DataError``."""
 
     truth: HmmParams
     gibbs: GibbsConfig
@@ -67,10 +63,9 @@ class ExperimentConfig:
     replications: int
     seed: int
     epsilons: dict
+    metrics: Sequence[str]
     block_len: int = 3
     smoothing_block_len: int = 1
-    kind: str = "golden"
-    radii: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -87,17 +82,17 @@ class ExperimentConfig:
             raise ConfigError("neighborhood radii must be positive")
         if self.truth.k ** self.smoothing_block_len > 64:
             raise ConfigError("smoothing block table capped at 64 entries")
-        if self.kind not in KIND_METRICS:
-            raise ConfigError(f"no chain kind {self.kind!r}")
-        eps = {METRIC_SMOOTHING_RAW: self.epsilons.get(METRIC_SMOOTHING), **self.epsilons}
+        check_metric_names(self.metrics, self.block_len)
         for name in self.metrics:
-            if eps.get(name) is None:
+            if self.epsilons.get(name) is None:
                 raise ConfigError(f"no radius configured for metric {name!r}")
-        object.__setattr__(self, "radii", {name: eps[name] for name in self.metrics})
-
-    @property
-    def metrics(self) -> tuple[str, ...]:
-        return KIND_METRICS[self.kind]
+        if all(name == _UNTRACKED for name in self.metrics):
+            raise ConfigError(f"the experiment tracks no metric: {list(self.metrics)}; "
+                              f"{_UNTRACKED} is for reference only")
+        exact = [name for name in self.metrics if name not in SMOOTHING_METRICS]
+        if exact and not (self.truth.discrete and self.gibbs.discrete):
+            raise DataError(f"exact metrics need discrete emissions in the truth and "
+                            f"the emission prior: {exact}")
 
 
 @dataclass(frozen=True)
@@ -161,43 +156,42 @@ def run_cell(config: ExperimentConfig, n: int, replication: int,
              sim_seed: int, chain_seed: int) -> CellResult:
     """One grid cell, a function of its arguments alone: n observations
     simulated from the stationary truth with ``sim_seed``, one chain run with
-    ``chain_seed``, and each recorded metric's value on every retained sample
-    with the fraction of them inside its radius. Label alignments draw from
-    a generator seeded by both seeds."""
+    ``chain_seed``, and each listed metric's value on every retained sample
+    with the fraction of them inside its radius. Label alignments, one per
+    sample when a listed metric reads it, draw from a generator seeded by
+    both seeds."""
     truth = config.truth
-    metrics = config.metrics
+    names = config.metrics
     stationary_truth = truth.with_mu(stationary_distribution(truth.trans).probs)
     _, y = simulate(stationary_truth, n, sim_seed)
     samples = run_chain(y, replace(config.gibbs, seed=chain_seed))
     align_rng = np.random.default_rng([sim_seed, chain_seed])
-    scored = tuple(m for m in metrics if m not in SMOOTHING_METRICS)
-    want_smoothing = len(scored) < len(metrics)
+    scored = tuple(m for m in names if m not in SMOOTHING_METRICS)
+    smoothing = tuple(m for m in names if m in SMOOTHING_METRICS)
+    aligned = any(m in _ALIGNED for m in names)
     j_idx = sorted({min(int(round(f * (n - 1))), n - 1) for f in SMOOTHING_POSITIONS})
-    ref_table = (smoothing_exact(truth, y, config.smoothing_block_len)
-                 if want_smoothing else None)
-    values: dict[str, list[float]] = {m: [] for m in metrics}
+    ref_table = smoothing_exact(truth, y, config.smoothing_block_len) if smoothing else None
+    values: dict[str, list[float]] = {m: [] for m in names}
     for s in samples:
-        align = (align_labels(s.params, truth, seed=align_rng)
-                 if want_smoothing else None)
+        align = align_labels(s.params, truth, seed=align_rng) if aligned else None
         estimates = parameter_metrics(s.params, truth, scored, config.block_len, align)
         for name, est in zip(scored, estimates):
             values[name].append(est.value)
-        if want_smoothing:   # every kind records both smoothing metrics or neither
+        if smoothing:
             table = smoothing_exact(s.params, y, config.smoothing_block_len)
-            values[METRIC_SMOOTHING].append(
-                smoothing_max_deviation(table, ref_table, j_idx, align.sigma))
-            values[METRIC_SMOOTHING_RAW].append(
-                smoothing_max_deviation(table, ref_table, j_idx))
-    masses = {name: float(np.mean(np.asarray(values[name]) < config.radii[name]))
-              for name in metrics}
+            for name in smoothing:
+                sigma = align.sigma if name == "smoothing_aligned" else None
+                values[name].append(smoothing_max_deviation(table, ref_table, j_idx, sigma))
+    masses = {name: float(np.mean(np.asarray(values[name]) < config.epsilons[name]))
+              for name in names}
     return CellResult(n=n, replication=replication, sim_seed=sim_seed,
                       chain_seed=chain_seed, n_samples=len(samples),
                       masses=masses, values=values)
 
 
 def golden_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Posterior mass of the neighborhoods of ``config.kind`` in every cell
-    of the grid, and their mean over replications at each n.
+    """Posterior mass of the neighborhoods of ``config.metrics`` in every
+    cell of the grid, and their mean over replications at each n.
 
     The cell seeds are drawn here, all at once, from ``config.seed``. The
     verdict tracks every recorded metric except ``smoothing_unaligned``,
@@ -213,7 +207,7 @@ def golden_experiment(config: ExperimentConfig) -> ExperimentReport:
     curves = {name: {n: float(np.mean([c.masses[name] for c in cells if c.n == n]))
                      for n in config.n_grid}
               for name in config.metrics}
-    tracked = tuple(name for name in config.metrics if name != METRIC_SMOOTHING_RAW)
+    tracked = tuple(name for name in config.metrics if name != _UNTRACKED)
     failures = tuple(name for name in tracked
                      if not trend_verdict(curves[name].values()))
     return ExperimentReport(cells=cells, curves=curves, tracked=tracked,

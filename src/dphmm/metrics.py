@@ -334,19 +334,21 @@ def weak_functional_gap(theta: HmmParams, theta_ref: HmmParams, block_len: int,
 
 
 CONSISTENCY_METRICS = ("block_l1", "aligned_q", "aligned_emission")
+# scored by the chain experiments alone: they need the observations a chain was fitted to
+SMOOTHING_METRICS = ("smoothing_aligned", "smoothing_unaligned")
 
 
 def check_metric_names(names, block_len: int) -> None:
-    """Raise ``ConfigError`` unless ``names`` are distinct metric names that
-    ``parameter_metrics`` scores at this block length: ``block_l1``,
-    ``aligned_q``, ``aligned_emission`` or ``weak_gap:<h_id>`` with a
-    test-function id of ``_h_on_blocks``."""
+    """Raise ``ConfigError`` unless ``names`` are distinct metric names at this
+    block length: ``block_l1``, ``aligned_q``, ``aligned_emission``,
+    ``weak_gap:<h_id>`` with a test-function id of ``_h_on_blocks``, or one
+    of ``SMOOTHING_METRICS``."""
     if len(set(names)) != len(names):
         raise ConfigError(f"metric names must be unique: {list(names)}")
     for name in names:
         if name.startswith("weak_gap:"):
             _h_on_blocks(name.split(":", 1)[1], block_len)
-        elif name not in CONSISTENCY_METRICS:
+        elif name not in CONSISTENCY_METRICS + SMOOTHING_METRICS:
             raise ConfigError(f"unknown metric {name!r}")
 
 
@@ -356,8 +358,11 @@ def parameter_metrics(theta: HmmParams, truth: HmmParams, names, block_len: int,
     ``aligned_emission`` or ``weak_gap:<h_id>``, all in exact mode, so both
     parameters need discrete emissions (``DataError`` otherwise). Aligns at
     most once, not at all given ``align``. Names that ``check_metric_names``
-    rejects raise ``ConfigError``."""
+    rejects, and the ``SMOOTHING_METRICS``, raise ``ConfigError``."""
     check_metric_names(names, block_len)
+    if set(names) & set(SMOOTHING_METRICS):
+        raise ConfigError(f"{list(SMOOTHING_METRICS)} need the observations a chain was "
+                          "fitted to; only a chain experiment scores them")
     if names and not (theta.discrete and truth.discrete):
         raise DataError("exact metrics need discrete emissions")
     out = []

@@ -18,10 +18,10 @@ import numpy as np
 from .emissions import (DiscreteEmission, EmissionModel, GaussianMixtureEmission,
                         TranslatedEmission)
 from .errors import ConfigError, DataError, StationarySolveError
-from .experiments import KIND_METRICS, SMOOTHING_METRICS
 from .gibbs import GibbsConfig, PosteriorSample
 from .hmm import HmmParams, TransitionMatrix, stationary_distribution
-from .metrics import BLOCK_BUDGET, CONSISTENCY_METRICS, check_metric_names
+from .metrics import (BLOCK_BUDGET, CONSISTENCY_METRICS, SMOOTHING_METRICS,
+                      check_metric_names)
 from .priors import (DiscreteDpSpec, GaussianDpSpec, NormalInvGammaBase,
                      TruncatedDirichletSpec)
 
@@ -352,7 +352,7 @@ def _prior_from_payload(payload: dict, k: int):
         raise ConfigError(f"bad prior section: {exc}") from exc
 
 
-EXPERIMENT_KINDS = (*KIND_METRICS, "kl", "ldir")
+EXPERIMENT_KINDS = ("golden", "kl", "ldir")
 
 
 class RunConfig:
@@ -391,13 +391,15 @@ class RunConfig:
                          lambda eps: all(e > 0.0 for e in eps.values()), "positive radii"))
         check_metric_names(self.metrics.names, self.metrics.l)
         try:
-            check_metric_names([name for name in self.metrics.epsilon
-                                if name not in SMOOTHING_METRICS], self.metrics.l)
+            check_metric_names(list(self.metrics.epsilon), self.metrics.l)
         except ConfigError as exc:
             raise ConfigError(f"metrics.epsilon: {exc}") from exc
 
+        retired = "; ".join(f"{old} is kind golden with metrics.names {json.dumps(names)}"
+                            for old, names in (("consistency", CONSISTENCY_METRICS),
+                                               ("smoothing", SMOOTHING_METRICS)))
         kind = read("experiment", "kind", "golden", str, lambda v: v in EXPERIMENT_KINDS,
-                    f"one of {', '.join(EXPERIMENT_KINDS)}")
+                    f"one of {', '.join(EXPERIMENT_KINDS)} (former kinds: {retired})")
         if kind in ("kl", "ldir") and not isinstance(self.emission_prior, DiscreteDpSpec):
             raise ConfigError(f"the {kind} experiment needs a discrete emission prior")
         if kind == "kl" and not (self.truth.discrete and self.truth.q_floor > 0.0):

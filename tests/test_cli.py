@@ -89,6 +89,25 @@ def test_report_records_equal_direct_metric_calls(tmp_path):
                                                     "aligned_emission", "weak_gap"]
 
 
+def test_report_on_the_golden_config_scores_its_parameter_names(tmp_path):
+    # the golden config lists the smoothing metrics too; report skips them
+    samples = _fit(tmp_path, _config(tmp_path, GOLDEN), chains=1)
+    payload = json.loads(GOLDEN_CONFIG.read_text())
+    three = tmp_path / "three.json"
+    three.write_text(json.dumps({**payload, "metrics": {
+        **payload["metrics"], "names": ["block_l1", "aligned_q", "aligned_emission"]}}))
+    outs = []
+    for config in (GOLDEN_CONFIG, three):
+        out = tmp_path / config.stem
+        assert _run("report", "--config", config, "--samples", *samples, "--out", out) == 0
+        manifest = json.loads((out / "report_manifest.json").read_text())
+        assert manifest["metrics"] == ["block_l1", "aligned_q", "aligned_emission"]
+        outs.append([(out / name).read_text()
+                     for name in ("metric_records.jsonl", "report_summary.txt")])
+    assert outs[0] == outs[1]
+    assert len(outs[0][0].splitlines()) == 4 * 3
+
+
 def test_metric_on_the_truth_is_zero(tmp_path):
     config = _config(tmp_path, GOLDEN)
     params = tmp_path / "truth.json"
@@ -259,6 +278,44 @@ def test_missing_radius_fails_before_any_chain(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+# the replacement of each former chain kind, as the kind's error names it
+RETIRED = ('(former kinds: consistency is kind golden with metrics.names '
+           '["block_l1", "aligned_q", "aligned_emission"]; smoothing is kind golden '
+           'with metrics.names ["smoothing_aligned", "smoothing_unaligned"]), got ')
+
+# (section, key, value, message): each value, set in configs/golden.json, is
+# an error in the metric list of the chain experiment
+METRIC_LIST_ERRORS = {
+    # no fallback to the smoothing_aligned radius
+    "no-unaligned-radius": ("metrics", "epsilon", {"block_l1": 0.2, "aligned_q": 0.15,
+                                                   "aligned_emission": 0.15,
+                                                   "smoothing_aligned": 0.15},
+                            "no radius configured for metric 'smoothing_unaligned'"),
+    "kind-consistency": ("experiment", "kind", "consistency", RETIRED + "'consistency'"),
+    "kind-smoothing": ("experiment", "kind", "smoothing", RETIRED + "'smoothing'"),
+    # no vacuous PASS: the verdict would read no curve
+    "no-names": ("metrics", "names", [], "tracks no metric"),
+    "untracked-only": ("metrics", "names", ["smoothing_unaligned"], "tracks no metric"),
+}
+
+
+@pytest.mark.parametrize("case", list(METRIC_LIST_ERRORS))
+def test_metric_list_error_exits_2_before_any_chain(tmp_path, capsys, monkeypatch, case):
+    section, key, value, message = METRIC_LIST_ERRORS[case]
+    calls = []
+    monkeypatch.setattr(experiments, "run_chain", lambda *a, **kw: calls.append(a) or [])
+    payload = json.loads(GOLDEN_CONFIG.read_text())
+    payload[section][key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert _run("experiment", "--config", config, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert captured.out == "" and not out.exists()
+    assert calls == []
+
+
 def test_kl_grid_over_block_budget_fails_before_any_draw(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -291,10 +348,11 @@ def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch):
 BAD_OBSERVATIONS = [
     ("fit", "0.0\n1.5\n0.0\n1.0\n", {}),
     ("fit", "-3\n", {}),
+    # the smoothing metrics alone, so that the chain, not the config, meets the data
     ("experiment", None, {"truth": GAUSSIAN["truth"],
-                          "metrics": {"epsilon": {"block_l1": 0.2, "aligned_q": 0.15,
-                                                  "aligned_emission": 0.15,
-                                                  "smoothing_aligned": 0.15}},
+                          "metrics": {"names": ["smoothing_aligned", "smoothing_unaligned"],
+                                      "epsilon": {"smoothing_aligned": 0.15,
+                                                  "smoothing_unaligned": 0.15}},
                           "experiment": {"n_grid": [20], "replications": 1}}),
 ]
 
@@ -338,6 +396,37 @@ DPM = {
     "gibbs": {"n_iter": 12, "burn_in": 4, "thin": 2, "seed": 7},
     "simulate": {"n": 300, "seed": 5},
 }
+
+
+def _dpm_experiment(tmp_path, names):
+    payload = {**DPM, "metrics": {"l": 3, "names": names,
+                                  "epsilon": {name: 0.15 for name in names}},
+               "experiment": {"n_grid": [20, 40], "replications": 1, "seed": 3}}
+    config = tmp_path / "dpm.json"
+    config.write_text(json.dumps(payload))
+    return config
+
+
+def test_exact_metrics_on_a_continuous_model_exit_3_before_any_work(tmp_path, capsys,
+                                                                    monkeypatch):
+    calls = []
+    for name in ("simulate", "run_chain"):
+        monkeypatch.setattr(experiments, name, lambda *a, **kw: calls.append(a))
+    config = _dpm_experiment(tmp_path, ["smoothing_aligned", "block_l1"])
+    out = tmp_path / "out"
+    assert _run("experiment", "--config", config, "--out", out) == 3
+    assert "exact metrics need discrete emissions" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_smoothing_metrics_run_on_a_dp_gaussian_mixture(tmp_path):
+    names = ["smoothing_aligned", "smoothing_unaligned"]
+    config = _dpm_experiment(tmp_path, names)
+    assert _run("experiment", "--config", config, "--out", tmp_path / "out") == 0
+    records = [json.loads(ln) for ln in
+               (tmp_path / "out" / "experiment_records.jsonl").read_text().splitlines()]
+    assert [r["metric"] for r in records if not r.get("aggregate")] == names * 2
+    assert all(0.0 <= r["mass"] <= 1.0 for r in records)
 
 
 @pytest.mark.parametrize("outlier", ["200.0", "1e5"])

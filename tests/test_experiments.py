@@ -1,18 +1,24 @@
 """Experiment harness: structure, reproducibility, trivial verdicts, and the
 neighborhood KL check."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dphmm import (DiscreteDpSpec, DiscreteEmission, GibbsConfig, HmmParams,
-                   StarvationError, TransitionMatrix, TruncatedDirichletSpec,
-                   experiments, sample_dp_discrete)
+from dphmm import (DataError, DiscreteDpSpec, DiscreteEmission, GaussianDpSpec, GibbsConfig,
+                   HmmParams, NormalInvGammaBase, StarvationError, TransitionMatrix,
+                   TruncatedDirichletSpec, experiments, sample_dp_discrete)
 from dphmm.errors import ConfigError
-from dphmm.experiments import (KIND_METRICS, ExperimentConfig, dp_gamma_moment_check,
+from dphmm.experiments import (ExperimentConfig, dp_gamma_moment_check,
                                golden_experiment, kl_lemma_experiment,
                                smoothing_max_deviation, trend_verdict)
-from dphmm.hmm import smoothing_exact, simulate
-from dphmm.metrics import align_labels
-from tests.conftest import relabel
+from dphmm.gibbs import run_chain
+from dphmm.hmm import simulate, smoothing_exact, stationary_distribution
+from dphmm.metrics import align_labels, parameter_metrics
+from tests.conftest import random_gaussian_params, relabel
+
+PARAMETER = ("block_l1", "aligned_q", "aligned_emission")
+SMOOTHING = ("smoothing_aligned", "smoothing_unaligned")
 
 
 def _tiny_config(truth, **kw):
@@ -23,7 +29,9 @@ def _tiny_config(truth, **kw):
     defaults = dict(truth=truth, gibbs=gibbs, n_grid=(40, 80), replications=2,
                     seed=3, epsilons={"block_l1": 0.2, "aligned_q": 0.15,
                                       "aligned_emission": 0.15,
-                                      "smoothing_aligned": 0.15})
+                                      "smoothing_aligned": 0.15,
+                                      "smoothing_unaligned": 0.15},
+                    metrics=PARAMETER + SMOOTHING)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
 
@@ -36,16 +44,38 @@ def test_config_validation(golden_truth):
     with pytest.raises(Exception):
         _tiny_config(golden_truth, epsilons={"block_l1": -1.0})
     with pytest.raises(ConfigError, match="no radius configured for metric 'aligned_q'"):
-        _tiny_config(golden_truth, kind="consistency", epsilons={"block_l1": 0.2})
-    with pytest.raises(ConfigError, match="no chain kind"):
-        _tiny_config(golden_truth, kind="kl")
-    # smoothing_unaligned takes the smoothing_aligned radius unless it has its own
-    assert _tiny_config(golden_truth, kind="smoothing").radii == {
-        "smoothing_aligned": 0.15, "smoothing_unaligned": 0.15}
-    assert _tiny_config(golden_truth, kind="smoothing",
-                        epsilons={"smoothing_aligned": 0.15,
-                                  "smoothing_unaligned": 0.3}).radii == {
-        "smoothing_aligned": 0.15, "smoothing_unaligned": 0.3}
+        _tiny_config(golden_truth, metrics=PARAMETER, epsilons={"block_l1": 0.2})
+    with pytest.raises(ConfigError, match="unknown metric 'kl'"):
+        _tiny_config(golden_truth, metrics=("kl",))
+    # smoothing_unaligned needs a radius of its own
+    with pytest.raises(ConfigError,
+                       match="no radius configured for metric 'smoothing_unaligned'"):
+        _tiny_config(golden_truth, metrics=SMOOTHING,
+                     epsilons={"smoothing_aligned": 0.15})
+    assert _tiny_config(golden_truth, metrics=("weak_gap:ind_0_1",),
+                        epsilons={"weak_gap:ind_0_1": 0.1}).metrics == ("weak_gap:ind_0_1",)
+
+
+def _dpm_gibbs(truth):
+    return GibbsConfig(n_iter=12, burn_in=4, thin=2, seed=1,
+                       transition_prior=TruncatedDirichletSpec(np.ones(truth.k),
+                                                               truth.q_floor),
+                       emission_prior=GaussianDpSpec(1.0, NormalInvGammaBase(0.0, 0.1, 2.0, 1.0),
+                                                     5))
+
+
+def test_exact_metrics_on_continuous_emissions_fail_in_the_config(golden_truth):
+    gaussian = random_gaussian_params(np.random.default_rng(4), k=2, q_floor=0.15)
+    # (truth, emission prior): both continuous, then each alone
+    continuous = [dict(truth=gaussian, gibbs=_dpm_gibbs(gaussian)),
+                  dict(truth=gaussian),
+                  dict(truth=golden_truth, gibbs=_dpm_gibbs(golden_truth))]
+    for changes in continuous:
+        for names in (PARAMETER + SMOOTHING, ("smoothing_aligned", "weak_gap:ind_0_1")):
+            with pytest.raises(DataError, match="exact metrics need discrete emissions"):
+                _tiny_config(metrics=names, epsilons=dict.fromkeys(names, 0.1), **changes)
+        # the smoothing metrics are scored from smoothing tables, not in exact mode
+        assert _tiny_config(metrics=SMOOTHING, **changes).metrics == SMOOTHING
 
 
 def test_trend_verdict():
@@ -56,7 +86,7 @@ def test_trend_verdict():
 
 
 def test_consistency_report_structure(golden_truth):
-    report = golden_experiment(_tiny_config(golden_truth, kind="consistency"))
+    report = golden_experiment(_tiny_config(golden_truth, metrics=PARAMETER))
     assert len(report.cells) == 4
     for cell in report.cells:
         assert cell.n_samples == 40
@@ -68,14 +98,14 @@ def test_consistency_report_structure(golden_truth):
 
 
 def test_reports_reproducible_bitwise(golden_truth):
-    cfg = _tiny_config(golden_truth, kind="consistency")
+    cfg = _tiny_config(golden_truth, metrics=PARAMETER)
     a = golden_experiment(cfg)
     b = golden_experiment(cfg)
     assert a == b
 
 
 def test_mass_monotone_in_radius(golden_truth):
-    cfg = _tiny_config(golden_truth, kind="consistency")
+    cfg = _tiny_config(golden_truth, metrics=PARAMETER)
     report = golden_experiment(cfg)
     for cell in report.cells:
         vals = np.asarray(cell.values["block_l1"])
@@ -85,7 +115,8 @@ def test_mass_monotone_in_radius(golden_truth):
 def test_whole_space_radius_gives_mass_one(golden_truth):
     cfg = _tiny_config(golden_truth,
                        epsilons={"block_l1": 2.5, "aligned_q": 2.5,
-                                 "aligned_emission": 2.5, "smoothing_aligned": 2.5})
+                                 "aligned_emission": 2.5, "smoothing_aligned": 2.5,
+                                 "smoothing_unaligned": 2.5})
     report = golden_experiment(cfg)
     for cell in report.cells:
         assert all(m == 1.0 for m in cell.masses.values())
@@ -102,7 +133,9 @@ def test_degenerate_single_state_truth_concentrates_trivially():
                            replications=2, seed=5,
                            epsilons={"block_l1": 0.2, "aligned_q": 0.15,
                                      "aligned_emission": 0.15,
-                                     "smoothing_aligned": 0.15})
+                                     "smoothing_aligned": 0.15,
+                                     "smoothing_unaligned": 0.15},
+                           metrics=PARAMETER + SMOOTHING)
     report = golden_experiment(cfg)
     assert report.verdict == "PASS"
     for cell in report.cells:
@@ -135,32 +168,51 @@ def test_smoothing_experiment_runs(golden_truth, monkeypatch):
         return align_labels(theta, theta_ref, n_samples, seed)
 
     monkeypatch.setattr(experiments, "align_labels", spy)
-    report = golden_experiment(_tiny_config(golden_truth, kind="smoothing"))
+    report = golden_experiment(_tiny_config(golden_truth, metrics=SMOOTHING))
     assert set(report.curves) == {"smoothing_aligned", "smoothing_unaligned"}
     assert report.tracked == ("smoothing_aligned",)
     assert seeds and all(seed is not None for seed in seeds)
 
 
-def test_chain_kinds_restrict_the_golden_run(golden_truth):
-    # each kind records the golden run's masses for its own metrics, in the
-    # same cells and order, and its verdict reads its own tracked metrics:
-    # every radius but smoothing_aligned covers the whole space
+def test_name_lists_restrict_the_golden_run(golden_truth):
+    # each name list records the golden run's masses for its own metrics, in
+    # the same cells and order, and its verdict reads its own tracked metrics:
+    # every radius but the smoothing ones covers the whole space
     eps = {"block_l1": 2.5, "aligned_q": 2.5, "aligned_emission": 2.5,
-           "smoothing_aligned": 1e-12}
+           "smoothing_aligned": 1e-12, "smoothing_unaligned": 1e-12}
     golden = golden_experiment(_tiny_config(golden_truth, epsilons=eps))
+    assert (golden.verdict, golden.failures) == ("FAIL", ("smoothing_aligned",))
     verdicts = {}
-    for kind, metrics in KIND_METRICS.items():
-        report = golden_experiment(_tiny_config(golden_truth, epsilons=eps, kind=kind))
+    for names in (PARAMETER, SMOOTHING):
+        report = golden_experiment(_tiny_config(golden_truth, epsilons=eps, metrics=names))
         assert report.to_records() == [r for r in golden.to_records()
-                                       if r["metric"] in metrics]
+                                       if r["metric"] in names]
         for cell, whole in zip(report.cells, golden.cells, strict=True):
-            assert cell.masses == {m: whole.masses[m] for m in metrics}
-            assert cell.values == {m: whole.values[m] for m in metrics}
-        assert report.tracked == tuple(m for m in metrics if m != "smoothing_unaligned")
-        verdicts[kind] = (report.verdict, report.failures)
-    assert verdicts == {"golden": ("FAIL", ("smoothing_aligned",)),
-                        "consistency": ("PASS", ()),
-                        "smoothing": ("FAIL", ("smoothing_aligned",))}
+            assert cell.masses == {m: whole.masses[m] for m in names}
+            assert cell.values == {m: whole.values[m] for m in names}
+        assert report.tracked == tuple(m for m in names if m != "smoothing_unaligned")
+        verdicts[names] = (report.verdict, report.failures)
+    assert verdicts == {PARAMETER: ("PASS", ()),
+                        SMOOTHING: ("FAIL", ("smoothing_aligned",))}
+
+
+def test_weak_gap_mass_is_the_fraction_of_its_values_under_the_radius(golden_truth):
+    name, radius = "weak_gap:ind_0_1", 0.05
+    cfg = _tiny_config(golden_truth, metrics=("block_l1", name),
+                       epsilons={"block_l1": 0.2, name: radius})
+    report = golden_experiment(cfg)
+    assert report.tracked == ("block_l1", name)
+    stationary = golden_truth.with_mu(stationary_distribution(golden_truth.trans).probs)
+    masses = set()
+    for cell in report.cells:
+        _, y = simulate(stationary, cell.n, cell.sim_seed)
+        samples = run_chain(y, replace(cfg.gibbs, seed=cell.chain_seed))
+        values = [parameter_metrics(s.params, golden_truth, [name], 3)[0].value
+                  for s in samples]
+        assert cell.values[name] == values
+        assert cell.masses[name] == float(np.mean(np.asarray(values) < radius))
+        masses.add(cell.masses[name])
+    assert masses - {0.0, 1.0}      # the radius cuts through the posterior
 
 
 # ---------------------------------------------------------------------------

@@ -443,3 +443,12 @@ def test_parameter_metrics_use_a_given_alignment(golden_truth):
 def test_parameter_metrics_reject_unknown_and_repeated_names(golden_truth, names):
     with pytest.raises(ConfigError):
         parameter_metrics(golden_truth, golden_truth, names, 3)
+
+
+@pytest.mark.parametrize("name", ["smoothing_aligned", "smoothing_unaligned"])
+def test_smoothing_names_are_metric_names_parameter_metrics_cannot_score(golden_truth, name):
+    # the grammar accepts them; only a chain experiment, which holds the
+    # observations, scores them
+    metrics.check_metric_names(["block_l1", name], 3)
+    with pytest.raises(ConfigError, match="need the observations"):
+        parameter_metrics(golden_truth, golden_truth, ["block_l1", name], 3)
