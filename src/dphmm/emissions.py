@@ -194,6 +194,8 @@ def l1_distance(f: EmissionModel, g: EmissionModel, n_samples: int | None = None
     if f.discrete != g.discrete:
         raise DataError("cannot compare a discrete emission with a continuous one")
     if f.discrete:
+        if f.pmf.size == g.pmf.size:
+            return Estimate(float(np.abs(f.pmf - g.pmf).sum()), 0.0)
         pmfs = pad_pmfs(f, g)
         return Estimate(float(np.abs(pmfs[0] - pmfs[1]).sum()), 0.0)
     n = DEFAULT_MC_SAMPLES if n_samples is None else int(n_samples)

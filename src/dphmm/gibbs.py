@@ -143,7 +143,8 @@ def update_discrete_emissions(counts: np.ndarray, spec: DiscreteDpSpec,
     DP with concentration alpha + n_i and base pmf proportional to
     alpha * base + counts_i, as the base gains one atom per observed symbol."""
     rng = as_generator(seed)
-    base = np.pad(spec.base, (0, counts.shape[1] - spec.base.size))
+    base = np.zeros(counts.shape[1])
+    base[:spec.base.size] = spec.base
     pmfs = np.empty(counts.shape)
     for i, row in enumerate(counts):
         shapes = spec.alpha * base + row

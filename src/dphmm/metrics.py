@@ -71,14 +71,27 @@ def _block_densities(params: HmmParams, block_len: int, support: int,
     return A.sum(axis=1)
 
 
+def _stationary_block_law(params: HmmParams, block_len: int, support: int) -> np.ndarray:
+    return _block_densities(params, block_len, support,
+                            stationary_distribution(params.trans).probs)
+
+
 def _exact_block_laws(theta: HmmParams, theta_ref: HmmParams, block_len: int):
-    """Both stationary block laws on the common support, and that support."""
+    """Both stationary block laws on the common support, and that support.
+
+    The reference's law is kept, read-only, per (block_len, support) in its
+    ``__dict__``, as ``hmm._walk_table`` keeps its table, so one truth scored
+    against many samples is solved once; equality, hashing and payloads
+    ignore it. The candidate's law is not kept: a list of samples would
+    otherwise hold one law per sample."""
     support = _common_support(theta, theta_ref, block_len)
-    p = _block_densities(theta, block_len, support,
-                         stationary_distribution(theta.trans).probs)
-    q = _block_densities(theta_ref, block_len, support,
-                         stationary_distribution(theta_ref.trans).probs)
-    return p, q, support
+    laws = theta_ref.__dict__.setdefault("_block_laws", {})
+    q = laws.get((block_len, support))
+    if q is None:
+        q = _stationary_block_law(theta_ref, block_len, support)
+        q.flags.writeable = False
+        laws[(block_len, support)] = q
+    return _stationary_block_law(theta, block_len, support), q, support
 
 
 def _simulated_blocks(theta: HmmParams, theta_ref: HmmParams, block_len: int,
@@ -182,20 +195,20 @@ def align_labels(theta: HmmParams, theta_ref: HmmParams,
     if k > ALIGN_MAX_K:
         raise ConfigError(f"alignment search is capped at k = {ALIGN_MAX_K}")
     rng = as_generator(seed)
+    sigmas = list(permutations(range(k)))
+    P = np.array(sigmas)
+    # every relabeled transition matrix from one gather, (k!, k, k)
+    moved = theta.trans.rows[P[:, :, None], P[:, None, :]]
+    q_gaps = np.abs(moved - theta_ref.trans.rows).max(axis=(1, 2)).tolist()
     best = None
-    for sigma in permutations(range(k)):
-        perm = np.array(sigma)
-        qd = matrix_gap(theta.trans.rows[np.ix_(perm, perm)], theta_ref.trans.rows)
-        dists = np.array([
-            l1_distance(theta.emissions[sigma[i]], theta_ref.emissions[i],
-                        n_samples=n_samples, seed=rng).value
-            for i in range(k)
-        ])
-        score = qd + float(dists.max())
+    for sigma, qd in zip(sigmas, q_gaps):
+        dists = [l1_distance(theta.emissions[s], e, n_samples=n_samples, seed=rng).value
+                 for s, e in zip(sigma, theta_ref.emissions)]
+        score = qd + max(dists)
         if best is None or score < best[0]:
             best = (score, sigma, qd, dists)
     _, sigma, qd, dists = best
-    return AlignmentResult(sigma, qd, dists)
+    return AlignmentResult(sigma, qd, np.array(dists))
 
 
 # ---------------------------------------------------------------------------

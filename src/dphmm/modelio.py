@@ -307,9 +307,14 @@ def read_samples(path) -> list[PosteriorSample]:
             params = params_from_payload(rec["params"])
             if states is None:
                 states = _state_values(rec["states"])
-            if not np.isin(states, np.arange(params.k)).all():
+                in_range = np.isin(states, np.arange(params.k)).all()
+                states = states.astype(np.int64)
+            else:
+                # _int_tokens yields a nonempty array of nonnegative int64
+                in_range = states.max() < params.k
+            if not in_range:
                 raise DataError(f"states must be integers in [0, {params.k})")
-            out.append(PosteriorSample(params=params, states=states.astype(np.int64),
+            out.append(PosteriorSample(params=params, states=states,
                                        iteration=int(rec["iteration"]),
                                        chain_id=int(rec["chain"])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -183,11 +183,11 @@ class GaussianDpSpec:
 
 def gamma_normalize(shapes: np.ndarray, seed):
     """(pmf, normalizer) of independent Gamma(shapes_l, 1) draws, zero for zero
-    shapes; an all-zero draw is redrawn, up to ``RESAMPLE_BUDGET`` draws in all."""
+    shapes (``Generator.gamma`` returns 0.0 there and consumes no draw); an
+    all-zero draw is redrawn, up to ``RESAMPLE_BUDGET`` draws in all."""
     rng = as_generator(seed)
     for _ in range(RESAMPLE_BUDGET):
         z = rng.gamma(np.maximum(shapes, 0.0))
-        z[shapes == 0.0] = 0.0
         total = z.sum()
         if total > 0.0:
             return z / total, float(total)

@@ -465,6 +465,21 @@ def test_sample_record_with_bad_state_exits_3(tmp_path, capsys, states):
     assert "bad sample record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("top, code", [(1, 0), (2, 3)], ids=["largest-k-1", "state-k"])
+def test_tokenised_states_are_checked_against_k(tmp_path, capsys, top, code):
+    # json.dumps writes the states in the integer parser's form, so this
+    # record's states skip the general parser; k = 2 here
+    config = _config(tmp_path, GOLDEN)
+    samples = tmp_path / "samples_chain0.jsonl"
+    line = json.dumps({"iteration": 1, "chain": 0, "params": GOLDEN["truth"],
+                       "states": [0, top, 1, 0]})
+    assert modelio._sample_line(line)[1].tolist() == [0, top, 1, 0]
+    samples.write_text(line + "\n")
+    assert _run("report", "--config", config, "--samples", samples,
+                "--out", tmp_path / "report") == code
+    assert ("bad sample record" in capsys.readouterr().err) == (code == 3)
+
+
 def test_negative_seed_option_is_a_usage_error(tmp_path):
     config = _config(tmp_path, GOLDEN)
     with pytest.raises(SystemExit) as exit_info:

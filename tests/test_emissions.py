@@ -4,7 +4,7 @@ import pytest
 
 from dphmm import (DataError, DiscreteEmission, GaussianMixtureEmission,
                    TranslatedEmission, l1_distance)
-from dphmm.emissions import SQRT_2PI, mixture_density
+from dphmm.emissions import SQRT_2PI, mixture_density, pad_pmfs
 
 
 def test_discrete_density_lookup():
@@ -126,6 +126,18 @@ def test_l1_pads_different_supports():
     f = DiscreteEmission(np.array([0.5, 0.5]))
     g = DiscreteEmission(np.array([0.5, 0.25, 0.25]))
     assert l1_distance(f, g).value == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [(5, 5), (3, 7), (7, 3), (1, 1), (40, 40)])
+def test_discrete_l1_equals_the_padded_sum_bit_for_bit(sizes):
+    # pmfs of one support are subtracted as they are, others padded first;
+    # both give the sum over the zero-padded pair
+    rng = np.random.default_rng(sizes)
+    for _ in range(20):
+        f, g = (DiscreteEmission(rng.dirichlet(np.ones(m))) for m in sizes)
+        pmfs = pad_pmfs(f, g)
+        want = float(np.abs(pmfs[0] - pmfs[1]).sum())
+        assert l1_distance(f, g).value.hex() == want.hex()
 
 
 def test_l1_domain_mismatch_rejected():

@@ -1,5 +1,6 @@
 """Block-marginal L1 pseudometric, alignment, KL rate, weak functionals."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from dphmm import (AlignmentResult, ConfigError, DataError, DiscreteEmission,
                    HmmParams, TransitionMatrix, align_labels, block_l1_distance,
                    kl_rate_bound, kl_rate_exact, metrics, simulate,
                    stationary_distribution, weak_functional_gap)
+from dphmm.emissions import l1_distance
 from dphmm.metrics import emission_log_ratio_term, parameter_metrics
+from dphmm.modelio import params_to_payload
 from tests.conftest import (all_paths, brute_force_path_probs,
                             random_discrete_params, random_gaussian_params, relabel)
+from tests.metric_oracles import align_labels_loop, alignment_scores
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +43,47 @@ def test_block_l1_nonidentifiable_pair_is_exactly_zero():
                   (DiscreteEmission(np.array([0.5, 0.5])),
                    DiscreteEmission(np.array([0.5, 0.5]))))
     assert block_l1_distance(a, b, 1).value == 0.0
+
+
+def _fresh(params):
+    """An equal parameter object that has kept nothing yet."""
+    return HmmParams(params.trans, params.mu, params.emissions)
+
+
+def test_reference_block_law_is_kept_read_only_per_length_and_support(golden_truth):
+    truth = _fresh(golden_truth)
+    theta = random_discrete_params(np.random.default_rng(8), k=2, support=2)
+    block_l1_distance(theta, truth, 3)
+    laws = truth.__dict__["_block_laws"]
+    assert list(laws) == [(3, 2)]
+    law = laws[(3, 2)]
+    assert not law.flags.writeable
+    direct = metrics._block_densities(truth, 3, 2, stationary_distribution(truth.trans).probs)
+    assert law.tobytes() == direct.tobytes()
+    # a second candidate at the same length and support reads the kept law
+    weak_functional_gap(relabel(theta, (1, 0)), truth, 3, "ind_1_0")
+    assert truth.__dict__["_block_laws"][(3, 2)] is law
+    wider = random_discrete_params(np.random.default_rng(9), k=2, support=3)
+    block_l1_distance(wider, truth, 3)
+    assert list(laws) == [(3, 2), (3, 3)]
+    assert laws[(3, 2)] is law
+
+
+def test_kept_block_law_leaves_value_identity_alone(golden_truth):
+    truth = _fresh(golden_truth)
+    payload, key = params_to_payload(truth), hash(truth)
+    theta = random_discrete_params(np.random.default_rng(10), k=2, support=3)
+    first = block_l1_distance(theta, truth, 3)
+    assert "_block_laws" in truth.__dict__
+    assert truth == _fresh(golden_truth) and _fresh(golden_truth) == truth
+    assert hash(truth) == key and params_to_payload(truth) == payload
+    # the kept law gives the value a fresh reference gives
+    assert block_l1_distance(theta, truth, 3) == first
+    assert block_l1_distance(theta, _fresh(golden_truth), 3) == first
+    # nothing is kept on the candidate
+    assert "_block_laws" not in theta.__dict__
+    weak_functional_gap(theta, truth, 3, "ind_0_1")
+    assert "_block_laws" not in theta.__dict__
 
 
 def test_block_l1_matches_direct_enumeration():
@@ -175,6 +220,72 @@ def test_alignment_caps_k():
     nine = random_discrete_params(rng, k=9)
     with pytest.raises(ConfigError, match="capped at k = 8"):
         align_labels(nine, nine)
+
+
+def _dyadic_params(rng, k, support, pmf_choices):
+    """Rows permute one dyadic vector and each state's pmf is one of
+    ``pmf_choices``, so many relabelings score exactly alike."""
+    v = np.array([2.0 ** -min(i + 1, k - 1) for i in range(k)])
+    rows = np.array([rng.permutation(v) for _ in range(k)])
+    pmfs = [pmf_choices[int(rng.integers(len(pmf_choices)))] for _ in range(k)]
+    return HmmParams(TransitionMatrix(rows, 0.0), np.full(k, 1.0 / k),
+                     tuple(DiscreteEmission(np.pad(p, (0, support - p.size))) for p in pmfs))
+
+
+def _same_alignment(got, want):
+    assert got.sigma == want.sigma
+    assert float(got.q_distance).hex() == float(want.q_distance).hex()
+    assert got.emission_distances.tobytes() == want.emission_distances.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_alignment_equals_the_permutation_loop_discrete(k):
+    rng = np.random.default_rng(100 + k)
+    choices = [np.array([0.5, 0.25, 0.25]), np.array([0.25, 0.75])]
+    ties = 0
+    for trial in range(4):
+        # candidate and reference on supports 2..4, unequal among states and sides
+        theta = random_discrete_params(rng, k=k, support=int(rng.integers(2, 5)))
+        theta = HmmParams(theta.trans, theta.mu, tuple(
+            DiscreteEmission(np.pad(e.pmf, (0, int(rng.integers(0, 2)))))
+            for e in theta.emissions))
+        ref = random_discrete_params(rng, k=k, support=int(rng.integers(2, 5)))
+        tied = _dyadic_params(rng, k, 3 + trial % 2, choices)
+        tied_ref = _dyadic_params(rng, k, 3, choices)
+        moved = relabel(theta, rng.permutation(k))
+        for a, b in ((theta, ref), (tied, tied_ref), (tied, tied), (theta, moved)):
+            _same_alignment(align_labels(a, b), align_labels_loop(a, b))
+            scores = [score for score, *_ in alignment_scores(a, b)]
+            ties += scores.count(min(scores)) > 1
+    assert k == 1 or ties > 0
+
+
+def test_alignment_equals_the_permutation_loop_montecarlo():
+    rng = np.random.default_rng(12)
+    a, b = random_gaussian_params(rng, k=2), random_gaussian_params(rng, k=2)
+    for n_samples in (4, 9, 500):
+        ours, theirs = np.random.default_rng(77), np.random.default_rng(77)
+        _same_alignment(align_labels(a, b, n_samples=n_samples, seed=ours),
+                        align_labels_loop(a, b, n_samples=n_samples, seed=theirs))
+        # both consumed the generator alike
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    _same_alignment(align_labels(a, b, n_samples=500, seed=[3, 1]),
+                    align_labels_loop(a, b, n_samples=500, seed=[3, 1]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_alignment_makes_one_l1_call_per_state_and_permutation(monkeypatch, k):
+    # perfbench's traced ``emissions.l1_distance.calls`` counts k! * k per alignment
+    calls = []
+
+    def counting_l1(f, g, **kwargs):
+        calls.append((f, g))
+        return l1_distance(f, g, **kwargs)
+
+    monkeypatch.setattr(metrics, "l1_distance", counting_l1)
+    params = random_discrete_params(np.random.default_rng(k), k=k)
+    align_labels(params, params)
+    assert len(calls) == math.factorial(k) * k
 
 
 # ---------------------------------------------------------------------------

@@ -372,3 +372,21 @@ def test_malformed_states_are_data_errors(tmp_path, golden_truth, states):
     path.write_text(json.dumps(_record(golden_truth, states)) + "\n")
     with pytest.raises(DataError, match="bad sample record"):
         modelio.read_samples(path)
+
+
+def test_tokenised_states_are_kept_uncopied(tmp_path, monkeypatch, golden_truth):
+    parsed = []
+    parse = modelio._int_tokens
+
+    def spy(text, sep):
+        parsed.append(parse(text, sep))
+        return parsed[-1]
+
+    monkeypatch.setattr(modelio, "_int_tokens", spy)
+    path = tmp_path / "s.jsonl"
+    path.write_text(_sample_texts(golden_truth)["canonical"][0] + "\n")
+    (sample,) = modelio.read_samples(path)
+    (tokens,) = parsed
+    assert tokens.dtype == np.int64
+    assert np.shares_memory(sample.states, tokens)
+    assert sample.states.tolist() == [0, 1, 1, 0] and not sample.states.flags.writeable

@@ -116,6 +116,18 @@ def test_dp_zero_base_entries_stay_zero():
     assert pmf[1] == 0.0
 
 
+def test_gamma_of_a_zero_shape_is_zero_and_draws_nothing():
+    # priors.gamma_normalize leans on this: zero shapes need no masking, and
+    # the positive shapes get the draws they would get alone
+    shapes = np.array([0.0, 1.5, 0.0, 0.3, 2.0, 0.0])
+    rng, alone = np.random.default_rng(9), np.random.default_rng(9)
+    z = rng.gamma(shapes)
+    assert z[shapes == 0.0].tobytes() == np.zeros(3).tobytes()
+    assert z[shapes > 0.0].tobytes() == alone.gamma(shapes[shapes > 0.0]).tobytes()
+    assert rng.bit_generator.state == alone.bit_generator.state
+    assert rng.gamma(0.0) == 0.0 and rng.bit_generator.state == alone.bit_generator.state
+
+
 def test_dp_all_zero_draws_fail_loudly():
     spec = DiscreteDpSpec(1e-300, np.array([0.5, 0.5]))
     with pytest.raises(SamplerBudgetError):
