@@ -11,6 +11,7 @@ failure. Any other exception is a bug and ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,6 +39,12 @@ def _say(args, msg: str) -> None:
 def _seed(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError("a seed must be >= 0")
+    return int(text)
+
+
+def _chains(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("need at least one chain")
     return int(text)
 
 
@@ -229,7 +236,10 @@ def cmd_experiment(args, cfg: modelio.RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; each ``parse_args`` call
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(prog="dphmm",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("simulate", help="draw states and observations from the truth"))
     fit = sub.add_parser("fit", help="run the Gibbs sampler on observations")
     common(fit, data=True)
-    fit.add_argument("--chains", type=int, default=1, help="independent chains")
+    fit.add_argument("--chains", type=_chains, default=1, help="independent chains")
     common(sub.add_parser("metric", help="compare one parameter document to the truth"),
            params=True)
     common(sub.add_parser("report", help="evaluate metrics over posterior samples"),

@@ -31,7 +31,7 @@ from .errors import ConfigError, DataError, StarvationError
 from .gibbs import GibbsConfig, run_chain
 from .hmm import (HmmParams, SmoothingTable, TransitionMatrix, simulate, smoothing_exact,
                   stationary_distribution)
-from .metrics import (SMOOTHING_METRICS, align_labels, check_metric_names,
+from .metrics import (ALIGN_MAX_K, SMOOTHING_METRICS, align_labels, check_metric_names,
                       emission_log_ratio_term, kl_rate_bound, kl_rate_exact,
                       parameter_metrics)
 from .priors import DiscreteDpSpec, TruncatedDirichletSpec, sample_dp_discrete, sample_transition_row
@@ -54,7 +54,8 @@ class ExperimentConfig:
 
     ``metrics`` names the recorded neighborhoods in record order, each with
     its radius in ``epsilons``. Here, before any chain, bad names, a missing
-    radius or no tracked name raise ``ConfigError``, and an exact-mode name
+    radius, no tracked name or an aligned name on a truth with more than
+    ``ALIGN_MAX_K`` states raise ``ConfigError``, and an exact-mode name
     (any but the smoothing ones) on continuous emissions ``DataError``."""
 
     truth: HmmParams
@@ -89,6 +90,9 @@ class ExperimentConfig:
         if all(name == _UNTRACKED for name in self.metrics):
             raise ConfigError(f"the experiment tracks no metric: {list(self.metrics)}; "
                               f"{_UNTRACKED} is for reference only")
+        aligned = [name for name in self.metrics if name in _ALIGNED]
+        if aligned and self.truth.k > ALIGN_MAX_K:
+            raise ConfigError(f"alignment search is capped at k = {ALIGN_MAX_K}: {aligned}")
         exact = [name for name in self.metrics if name not in SMOOTHING_METRICS]
         if exact and not (self.truth.discrete and self.gibbs.discrete):
             raise DataError(f"exact metrics need discrete emissions in the truth and "

@@ -12,10 +12,13 @@ The block sweep works in whole-array passes. A state's allocation
 probabilities are one (n, truncation) buffer; the running sums of the
 first truncation - 1 components are formed by whole-row adds over a
 transposed copy, in the order ``cumsum`` adds them, and an observation's
-component is the count of running sums below its uniform. The atoms are
-then redrawn in atom order, each from one contiguous slice of the state's
-observations stably sorted by component, an empty atom from the base.
-Draws and random stream are those of a per-atom loop over boolean masks.
+component is the count of running sums below its uniform. Three
+``bincount`` passes then give each component's occupancy, mean and summed
+squared deviation, summed in observation order, and the sticks and atoms
+are drawn from their conditional given those (``priors.dp_mixture_posterior``,
+which with no observations is the prior draw). Draws and random stream are
+those of a per-atom loop over boolean masks that sums in observation order
+and draws the sticks, then every atom's variance, then every location.
 
 Between sweeps a chain carries plain arrays, valid by construction and not
 re-checked: the k x k transition rows and an emission array whose row i is
@@ -30,7 +33,6 @@ Chains are strictly sequential and deterministic under their seed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,8 +44,8 @@ from .emissions import (SQRT_2PI, DiscreteEmission, GaussianMixtureEmission, gau
 from .errors import ConfigError, DataError, NumericalError, ZeroLikelihoodError
 from .hmm import CONSTRUCTION_TOL, HmmParams, TransitionMatrix, simulate
 from .priors import (DiscreteDpSpec, GaussianDpSpec, TruncatedDirichletSpec,
-                     dp_mixture_arrays, gamma_normalize, sample_transition_row,
-                     sticks_to_weights)
+                     dp_mixture_arrays, dp_mixture_posterior, gamma_normalize,
+                     sample_transition_row)
 from .util import ValueEquality, as_generator
 
 
@@ -196,61 +198,25 @@ def _allocations(ys, weights, locations, scales, u):
     return (u > running).sum(axis=0)
 
 
-def _conjugate_atoms(ys, alloc, occup, base, rng) -> np.ndarray:
-    """Rows (locations, scales) of the atoms, each drawn in atom order from
-    its normal-inverse-gamma posterior given the observations allocated to
-    it, ``occup[r]`` of them, or from the base itself when none are. The
-    observations of an atom are one contiguous slice of a stable sort by
-    allocation, so they keep their order."""
-    ys = ys[np.argsort(alloc, kind="stable")]
-    prior_scale = np.float64(base.scale)    # a zero gamma draw gives inf, as in base.sample
-    locs, sds = [], []
-    lo = 0
-    for n in occup.tolist():
-        if n == 0:
-            var = prior_scale / rng.gamma(base.shape)
-            locs.append(rng.normal(base.loc, math.sqrt(var / base.loc_count)))
-            sds.append(math.sqrt(var))
-            continue
-        seg = ys[lo:lo + n]
-        lo += n
-        ybar = seg.sum() / n                # np.mean's arithmetic
-        count = base.loc_count + n
-        loc = (base.loc_count * base.loc + n * ybar) / count
-        shape = base.shape + 0.5 * n
-        scale = (base.scale + 0.5 * ((seg - ybar) ** 2).sum()
-                 + 0.5 * base.loc_count * n * (ybar - base.loc) ** 2 / count)
-        var = scale / rng.gamma(shape)
-        locs.append(rng.normal(loc, math.sqrt(var / count)))
-        sds.append(math.sqrt(var))
-    return np.array([locs, sds])
-
-
 def update_mixture_emissions(groups: Sequence[np.ndarray], current: np.ndarray,
                              spec: GaussianDpSpec, seed) -> np.ndarray:
-    """One block sweep per state: allocate each observation to a component,
-    refresh the stick weights from the allocation counts, then redraw every
-    atom from its conjugate posterior (the base itself for empty ones).
-    ``current`` and the result are emission arrays of shape (k, 3, truncation).
-
-    A state's allocations come from whole-row passes over its transposed
-    running responsibilities (``_allocations``), and its atoms are redrawn
-    in atom order from contiguous slices of its observations stably sorted
-    by allocation (``_conjugate_atoms``). A state with no observations is a
-    fresh prior draw."""
+    """One block sweep per state: allocate each observation to a component
+    (``_allocations``), then draw the sticks and atoms from their
+    conditional given each component's occupancy, mean and summed squared
+    deviation (``priors.dp_mixture_posterior``). ``current`` and the result
+    are emission arrays of shape (k, 3, truncation); a state with no
+    observations reads none of ``current`` and draws from the prior."""
     rng = as_generator(seed)
     depth = spec.truncation
     out = np.empty((len(groups), 3, depth))
     for i, ys in enumerate(groups):
         ys = np.asarray(ys, dtype=np.float64)
-        if ys.size == 0:
-            out[i] = dp_mixture_arrays(spec, rng)
-            continue
-        alloc = _allocations(ys, *current[i], rng.random(ys.size))
+        alloc = (_allocations(ys, *current[i], rng.random(ys.size)) if ys.size
+                 else np.zeros(0, dtype=np.int64))
         occup = np.bincount(alloc, minlength=depth)
-        tail = occup[::-1].cumsum()[::-1]
-        out[i, 0] = sticks_to_weights(rng.beta(1.0 + occup[:-1], spec.alpha + tail[1:]))
-        out[i, 1:] = _conjugate_atoms(ys, alloc, occup, spec.base, rng)
+        means = np.bincount(alloc, ys, minlength=depth) / np.maximum(occup, 1)
+        sqdev = np.bincount(alloc, (ys - means[alloc]) ** 2, minlength=depth)
+        out[i] = dp_mixture_posterior(spec, occup, means, sqdev, rng)
     return out
 
 

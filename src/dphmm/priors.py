@@ -132,12 +132,6 @@ class NormalInvGammaBase:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
-    def sample(self, rng, size: int):
-        rng = as_generator(rng)
-        var = self.scale / rng.gamma(self.shape, size=size)
-        z = rng.normal(self.loc, np.sqrt(var / self.loc_count))
-        return z, np.sqrt(var)
-
     def mean_inverse_scale(self) -> float:
         """E[1/sigma] with sigma^2 inverse-gamma: Gamma(shape+1/2)/Gamma(shape)/sqrt(scale)."""
         return math.exp(math.lgamma(self.shape + 0.5) - math.lgamma(self.shape)) / math.sqrt(self.scale)
@@ -227,20 +221,34 @@ def sticks_to_weights(v) -> np.ndarray:
     return w
 
 
-def stick_breaking_weights(alpha: float, depth: int, rng) -> np.ndarray:
-    """Beta(1, alpha) stick fractions truncated at ``depth``; the last weight
-    absorbs the remaining mass so the vector sums to one."""
-    rng = as_generator(rng)
-    return sticks_to_weights(rng.beta(1.0, alpha, size=depth - 1))
+def dp_mixture_posterior(spec: GaussianDpSpec, occup, means, sqdev, seed) -> np.ndarray:
+    """Truncated stick-breaking draw as rows (weights, locations, scales),
+    given each component's occupancy n_r, mean and summed squared deviation:
+    the conditional of the block sweep (Ishwaran & James, JASA 2001).
+
+    The sticks are Beta(1 + n_r, alpha + n_{r+1} + ... + n_{R-1}), then
+    every atom's inverse-gamma variance is drawn, then every atom's location
+    given its variance, all in atom order, from the normal-inverse-gamma
+    posterior. An empty atom keeps the base's parameters, so with no
+    observations this is the prior draw; its mean may be any finite number."""
+    rng = as_generator(seed)
+    base = spec.base
+    tail = occup[::-1].cumsum()[::-1]
+    w = sticks_to_weights(rng.beta(1.0 + occup[:-1], spec.alpha + tail[1:]))
+    count = base.loc_count + occup
+    loc = np.where(occup > 0, (base.loc_count * base.loc + occup * means) / count, base.loc)
+    scale = (base.scale + 0.5 * sqdev
+             + 0.5 * base.loc_count * occup * (means - base.loc) ** 2 / count)
+    var = scale / rng.gamma(base.shape + 0.5 * occup)
+    z = rng.normal(loc, np.sqrt(var / count))
+    return np.stack([w, z, np.sqrt(var)])
 
 
 def dp_mixture_arrays(spec: GaussianDpSpec, seed) -> np.ndarray:
-    """Truncated stick-breaking draw as rows (weights, locations, scales):
-    weights from Beta(1, alpha) sticks, atoms i.i.d. from the conjugate base."""
-    rng = as_generator(seed)
-    w = stick_breaking_weights(spec.alpha, spec.truncation, rng)
-    z, s = spec.base.sample(rng, spec.truncation)
-    return np.stack([w, z, s])
+    """Truncated stick-breaking draw from the prior: Beta(1, alpha) sticks,
+    atoms i.i.d. from the conjugate base."""
+    none = np.zeros(spec.truncation)
+    return dp_mixture_posterior(spec, none, none, none, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,20 @@
 
 The allocation takes the running sums of each observation's allocation
 probabilities with ``np.cumsum`` along the row and counts the sums below its
-uniform over all R components, capped at R - 1. The atoms are redrawn one
-at a time from a boolean mask of the observations allocated to them, an
-empty atom by ``NormalInvGammaBase.sample``. This is the update as the
-library ran it before the whole-array rewrite, so it serves as an oracle
-for that rewrite in the parity tests: same draws, same stream, same bits.
+uniform over all R components, capped at R - 1. Each atom's statistics come
+from a boolean mask of the observations allocated to it, summed one at a
+time in observation order. The draws then follow in this order: the sticks,
+every atom's inverse-gamma variance, every atom's location, each atom in
+turn from its own scalar call; an empty atom, and so every atom of a state
+with no observations, draws from the base. It serves as the oracle of the
+whole-array update in the parity tests: same draws, same stream, same bits.
 """
 import numpy as np
 
 from dphmm.emissions import SQRT_2PI, gaussian_kernels
 from dphmm.errors import ZeroLikelihoodError
 from dphmm.gibbs import _log_components, _shifted_exp
-from dphmm.priors import dp_mixture_arrays, sticks_to_weights
+from dphmm.priors import sticks_to_weights
 from dphmm.util import as_generator
 
 
@@ -41,21 +43,26 @@ def allocations(ys, weights, locations, scales, u):
     return np.minimum((u[:, None] > cum).sum(axis=1), cum.shape[1] - 1)
 
 
-def conjugate_atom(ys, base, rng):
-    """Normal-inverse-gamma posterior draw of one (location, scale) atom."""
+def atom_posterior(ys, base):
+    """Normal-inverse-gamma posterior parameters (location, location count,
+    shape, scale) of one atom given its observations, summed one at a time
+    in observation order; the base's own for an empty atom."""
     n = ys.size
     if n == 0:
-        z, s = base.sample(rng, 1)
-        return float(z[0]), float(s[0])
-    ybar = ys.mean()
+        return base.loc, base.loc_count, base.shape, base.scale
+    total = 0.0
+    for v in ys.tolist():
+        total += v
+    ybar = total / n
+    squares = 0.0
+    for v in ys.tolist():
+        d = v - ybar
+        squares += d * d
     count = base.loc_count + n
     loc = (base.loc_count * base.loc + n * ybar) / count
-    shape = base.shape + 0.5 * n
-    scale = (base.scale + 0.5 * np.sum((ys - ybar) ** 2)
-             + 0.5 * base.loc_count * n * (ybar - base.loc) ** 2 / count)
-    var = scale / rng.gamma(shape)
-    z = rng.normal(loc, np.sqrt(var / count))
-    return float(z), float(np.sqrt(var))
+    shift = ybar - base.loc
+    scale = base.scale + 0.5 * squares + 0.5 * base.loc_count * n * (shift * shift) / count
+    return loc, count, base.shape + 0.5 * n, scale
 
 
 def update_mixture_emissions_masks(groups, current, spec, seed):
@@ -64,13 +71,15 @@ def update_mixture_emissions_masks(groups, current, spec, seed):
     out = np.empty((len(groups), 3, depth))
     for i, ys in enumerate(groups):
         ys = np.asarray(ys, dtype=np.float64)
-        if ys.size == 0:
-            out[i] = dp_mixture_arrays(spec, rng)
-            continue
-        alloc = allocations(ys, *current[i], rng.random(ys.size))
+        alloc = np.zeros(0, dtype=np.int64)
+        if ys.size:
+            alloc = allocations(ys, *current[i], rng.random(ys.size))
         occup = np.bincount(alloc, minlength=depth)
         tail = occup[::-1].cumsum()[::-1]
         out[i, 0] = sticks_to_weights(rng.beta(1.0 + occup[:-1], spec.alpha + tail[1:]))
-        for r in range(depth):
-            out[i, 1, r], out[i, 2, r] = conjugate_atom(ys[alloc == r], spec.base, rng)
+        atoms = [atom_posterior(ys[alloc == r], spec.base) for r in range(depth)]
+        var = [np.float64(scale) / rng.gamma(shape) for _, _, shape, scale in atoms]
+        for r, (loc, count, _, _) in enumerate(atoms):
+            out[i, 1, r] = rng.normal(loc, np.sqrt(var[r] / count))
+        out[i, 2] = np.sqrt(var)
     return out

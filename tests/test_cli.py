@@ -283,29 +283,37 @@ RETIRED = ('(former kinds: consistency is kind golden with metrics.names '
            '["block_l1", "aligned_q", "aligned_emission"]; smoothing is kind golden '
            'with metrics.names ["smoothing_aligned", "smoothing_unaligned"]), got ')
 
-# (section, key, value, message): each value, set in configs/golden.json, is
-# an error in the metric list of the chain experiment
+# a k = 9 truth and its prior: one state more than the alignment search takes
+K9 = {"truth": {"k": 9, "q_floor": 0.05, "Q": [1 / 9] * 81, "mu": "stationary",
+                "emissions": [{"family": "discrete", "pmf": [0.9, 0.1]}] * 9},
+      "prior": {"transitions": {"alpha": [1.0] * 9, "q_floor": 0.05},
+                "emissions": {"family": "discrete", "alpha": 2.0, "base": [0.5, 0.5]}}}
+
+# (changes, message): each change of sections, made to configs/golden.json,
+# is an error in the metric list of the chain experiment
 METRIC_LIST_ERRORS = {
     # no fallback to the smoothing_aligned radius
-    "no-unaligned-radius": ("metrics", "epsilon", {"block_l1": 0.2, "aligned_q": 0.15,
-                                                   "aligned_emission": 0.15,
-                                                   "smoothing_aligned": 0.15},
+    "no-unaligned-radius": ({"metrics": {"epsilon": {"block_l1": 0.2, "aligned_q": 0.15,
+                                                     "aligned_emission": 0.15,
+                                                     "smoothing_aligned": 0.15}}},
                             "no radius configured for metric 'smoothing_unaligned'"),
-    "kind-consistency": ("experiment", "kind", "consistency", RETIRED + "'consistency'"),
-    "kind-smoothing": ("experiment", "kind", "smoothing", RETIRED + "'smoothing'"),
+    "kind-consistency": ({"experiment": {"kind": "consistency"}}, RETIRED + "'consistency'"),
+    "kind-smoothing": ({"experiment": {"kind": "smoothing"}}, RETIRED + "'smoothing'"),
     # no vacuous PASS: the verdict would read no curve
-    "no-names": ("metrics", "names", [], "tracks no metric"),
-    "untracked-only": ("metrics", "names", ["smoothing_unaligned"], "tracks no metric"),
+    "no-names": ({"metrics": {"names": []}}, "tracks no metric"),
+    "untracked-only": ({"metrics": {"names": ["smoothing_unaligned"]}}, "tracks no metric"),
+    "aligned-beyond-k-8": (K9, "alignment search is capped at k = 8"),
 }
 
 
 @pytest.mark.parametrize("case", list(METRIC_LIST_ERRORS))
 def test_metric_list_error_exits_2_before_any_chain(tmp_path, capsys, monkeypatch, case):
-    section, key, value, message = METRIC_LIST_ERRORS[case]
+    changes, message = METRIC_LIST_ERRORS[case]
     calls = []
     monkeypatch.setattr(experiments, "run_chain", lambda *a, **kw: calls.append(a) or [])
     payload = json.loads(GOLDEN_CONFIG.read_text())
-    payload[section][key] = value
+    for section, values in changes.items():
+        payload[section].update(values)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
     out = tmp_path / "out"
@@ -314,6 +322,18 @@ def test_metric_list_error_exits_2_before_any_chain(tmp_path, capsys, monkeypatc
     assert captured.err.startswith("config error: ") and message in captured.err
     assert captured.out == "" and not out.exists()
     assert calls == []
+
+
+def test_simulate_and_fit_take_a_truth_beyond_the_alignment_cap(tmp_path):
+    payload = {**json.loads(GOLDEN_CONFIG.read_text()), **K9,
+               "gibbs": {"n_iter": 3, "burn_in": 1, "thin": 1, "seed": 1},
+               "simulate": {"n": 40, "seed": 3}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    assert _run("simulate", "--config", config, "--out", tmp_path) == 0
+    assert _run("fit", "--config", config, "--data", tmp_path / "observations.txt",
+                "--out", tmp_path) == 0
+    assert len(modelio.read_samples(tmp_path / "samples_chain0.jsonl")) == 2
 
 
 def test_kl_grid_over_block_budget_fails_before_any_draw(tmp_path, capsys, monkeypatch):
@@ -486,6 +506,18 @@ def test_negative_seed_option_is_a_usage_error(tmp_path):
         _run("simulate", "--config", config, "--seed", -1, "--out", tmp_path)
     assert exit_info.value.code == 2
     assert not (tmp_path / "observations.txt").exists()
+
+
+@pytest.mark.parametrize("chains", [0, -1])
+def test_fewer_than_one_chain_is_a_usage_error(tmp_path, chains):
+    config = _config(tmp_path, GOLDEN)
+    assert _run("simulate", "--config", config, "--out", tmp_path) == 0
+    out = tmp_path / "fit"
+    with pytest.raises(SystemExit) as exit_info:
+        _run("fit", "--config", config, "--data", tmp_path / "observations.txt",
+             "--chains", chains, "--out", out)
+    assert exit_info.value.code == 2
+    assert not out.exists()
 
 
 GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "golden.json"

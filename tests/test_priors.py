@@ -8,7 +8,8 @@ from dphmm import (DiscreteDpSpec, GaussianDpSpec, GaussianMixtureEmission,
                    check_entropy_finite, check_inverse_scale_integrable,
                    check_ratio_summable, sample_dp_discrete, sample_transition_row)
 from dphmm.emissions import DiscreteEmission
-from dphmm.priors import dp_mixture_arrays, stick_breaking_weights
+from dphmm.gibbs import update_mixture_emissions
+from dphmm.priors import dp_mixture_arrays, sticks_to_weights
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +139,24 @@ def test_dp_all_zero_draws_fail_loudly():
 # stick breaking
 
 
+def _sticks(alpha, depth, rng):
+    """The weights of a prior draw: Beta(1, alpha) sticks at this depth."""
+    base = NormalInvGammaBase(0.0, 1.0, 3.0, 2.0)
+    return dp_mixture_arrays(GaussianDpSpec(alpha, base, truncation=depth), rng)[0]
+
+
 def test_stick_breaking_basics():
     rng = np.random.default_rng(9)
-    w = stick_breaking_weights(1.5, 30, rng)
+    w = _sticks(1.5, 30, rng)
     assert np.all(w >= 0)
     assert w.sum() == 1.0
-    assert stick_breaking_weights(2.0, 1, rng)[0] == 1.0
+    assert _sticks(2.0, 1, rng)[0] == 1.0
 
 
 def test_stick_breaking_expected_weights():
     alpha, depth, R = 1.5, 6, 20_000
     rng = np.random.default_rng(10)
-    draws = np.stack([stick_breaking_weights(alpha, depth, rng) for _ in range(R)])
+    draws = np.stack([_sticks(alpha, depth, rng) for _ in range(R)])
     for r in range(depth - 1):
         expect = alpha ** r / (1 + alpha) ** (r + 1)
         se = draws[:, r].std(ddof=1) / np.sqrt(R)
@@ -159,9 +166,31 @@ def test_stick_breaking_expected_weights():
 def test_stick_breaking_tiny_alpha_front_loads():
     rng = np.random.default_rng(11)
     R = 5000
-    firsts = np.array([stick_breaking_weights(1e-6, 10, rng)[0] for _ in range(R)])
+    firsts = np.array([_sticks(1e-6, 10, rng)[0] for _ in range(R)])
     frac = np.mean(firsts > 0.999)
     assert frac >= 0.999 - 3 * np.sqrt(0.001 * 0.999 / R)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 20])
+def test_prior_mixture_draw_is_pinned_bit_for_bit(depth):
+    # the conditional draw given no observations is the prior draw written
+    # out: Beta(1, alpha) sticks, then every variance, then every location,
+    # from the same stream, with the generator left in the same state
+    base = NormalInvGammaBase(0.4, 0.3, 2.5, 1.7)
+    spec = GaussianDpSpec(1.3, base, truncation=depth)
+    draws = {"prior": lambda rng: dp_mixture_arrays(spec, rng),
+             "empty state": lambda rng: update_mixture_emissions(
+                 [np.array([])], None, spec, rng)[0]}
+    for seed in range(5):
+        want_rng = np.random.default_rng(seed)
+        w = sticks_to_weights(want_rng.beta(1.0, spec.alpha, size=depth - 1))
+        var = base.scale / want_rng.gamma(base.shape, size=depth)
+        z = want_rng.normal(base.loc, np.sqrt(var / base.loc_count))
+        want = np.stack([w, z, np.sqrt(var)])
+        for name, draw in draws.items():
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(draw(rng), want), (name, seed)
+            assert rng.bit_generator.state == want_rng.bit_generator.state, (name, seed)
 
 
 def test_dp_mixture_draw_shape():
@@ -218,7 +247,7 @@ def test_inverse_scale_nig_moment_matches_monte_carlo():
     base = NormalInvGammaBase(0.0, 1.0, 3.0, 2.0)
     rep = check_inverse_scale_integrable(base)
     rng = np.random.default_rng(14)
-    _, sigma = base.sample(rng, 200_000)
+    sigma = dp_mixture_arrays(GaussianDpSpec(1.0, base, truncation=200_000), rng)[2]
     inv = 1.0 / sigma
     se = inv.std(ddof=1) / np.sqrt(inv.size)
     assert abs(inv.mean() - rep.value) <= 3 * se
