@@ -3,8 +3,8 @@
 Three families share a duck-typed interface (``density``, ``sample``,
 ``discrete`` flag):
 
-* ``DiscreteEmission``      pmf on {0, ..., S-1} (counting measure); the last
-  index may act as a folded tail symbol for truncated infinite supports.
+* ``DiscreteEmission``      pmf on {0, ..., S-1} (counting measure), zero past
+  its last index; pmfs of different lengths meet on one zero-padded alphabet.
 * ``GaussianMixtureEmission``  finite location-scale mixture of normals
   (Lebesgue measure on the line).
 * ``TranslatedEmission``    a shared continuous density shifted by a
@@ -174,12 +174,12 @@ class TranslatedEmission(ValueEquality):
 EmissionModel = DiscreteEmission | GaussianMixtureEmission | TranslatedEmission
 
 
-def pad_pmfs(*emissions: DiscreteEmission) -> np.ndarray:
-    """Stack discrete pmfs into one (n, S) array, zero-padding to a common S."""
-    size = max(e.support_size for e in emissions)
-    out = np.zeros((len(emissions), size))
-    for i, e in enumerate(emissions):
-        out[i, : e.support_size] = e.pmf
+def pad_pmfs(*pmfs, support: int = 0) -> np.ndarray:
+    """Stack pmf vectors into one (n, S) array, S the longest length or
+    ``support`` if larger: a pmf is zero past its last index."""
+    out = np.zeros((len(pmfs), max(support, *map(len, pmfs))))
+    for row, p in zip(out, pmfs):
+        row[:len(p)] = p
     return out
 
 
@@ -194,10 +194,8 @@ def l1_distance(f: EmissionModel, g: EmissionModel, n_samples: int | None = None
     if f.discrete != g.discrete:
         raise DataError("cannot compare a discrete emission with a continuous one")
     if f.discrete:
-        if f.pmf.size == g.pmf.size:
-            return Estimate(float(np.abs(f.pmf - g.pmf).sum()), 0.0)
-        pmfs = pad_pmfs(f, g)
-        return Estimate(float(np.abs(pmfs[0] - pmfs[1]).sum()), 0.0)
+        a, b = (f.pmf, g.pmf) if f.pmf.size == g.pmf.size else pad_pmfs(f.pmf, g.pmf)
+        return Estimate(float(np.abs(a - b).sum()), 0.0)
     n = DEFAULT_MC_SAMPLES if n_samples is None else int(n_samples)
     half = mc_half(n)
     rng = as_generator(seed)

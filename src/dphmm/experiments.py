@@ -166,7 +166,7 @@ def run_cell(config: ExperimentConfig, n: int, replication: int,
     both seeds."""
     truth = config.truth
     names = config.metrics
-    stationary_truth = truth.with_mu(stationary_distribution(truth.trans).probs)
+    stationary_truth = truth.with_mu(stationary_distribution(truth.trans))
     _, y = simulate(stationary_truth, n, sim_seed)
     samples = run_chain(y, replace(config.gibbs, seed=chain_seed))
     align_rng = np.random.default_rng([sim_seed, chain_seed])
@@ -271,7 +271,7 @@ def draw_near_truth(theta_star: HmmParams, epsilon: float,
             break
     else:
         raise StarvationError("no emission vector landed in the neighborhood")
-    init = stationary_distribution(theta_star.trans).probs
+    init = stationary_distribution(theta_star.trans)
     return HmmParams(TransitionMatrix(rows, trans_prior.q_floor), init, emissions), used
 
 

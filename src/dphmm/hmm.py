@@ -63,23 +63,6 @@ class TransitionMatrix(ValueEquality):
 
 
 @dataclass(frozen=True, eq=False)
-class StationaryLaw(ValueEquality):
-    """Left-invariant probability vector of a transition matrix."""
-
-    probs: np.ndarray
-    q_floor: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", readonly(self.probs))
-        p, q = self.probs, float(self.q_floor)
-        k = p.size
-        if abs(float(p.sum()) - 1.0) > ALGORITHM_TOL:
-            raise ValueError("stationary law must sum to 1")
-        if np.any(p < q - ALGORITHM_TOL) or np.any(p > 1.0 - (k - 1) * q + ALGORITHM_TOL):
-            raise ValueError("stationary law violates the [q_floor, 1-(k-1)q_floor] bounds")
-
-
-@dataclass(frozen=True, eq=False)
 class HmmParams(ValueEquality):
     """Transition matrix, initial law and per-state emissions.
 
@@ -157,13 +140,16 @@ class SmoothingTable(ValueEquality):
             raise ValueError("the block table must sum to 1")
 
 
-def stationary_distribution(trans: TransitionMatrix) -> StationaryLaw:
-    """Unique left eigenvector of the transition matrix for eigenvalue 1.
+def stationary_distribution(trans: TransitionMatrix) -> np.ndarray:
+    """Unique left eigenvector of the transition matrix for eigenvalue 1, as a
+    read-only float64 vector.
 
     One direct solve, with the last equation replaced by the sum-to-one
     row. A singular system, a non-finite solution, a residual above 1e-12
     or an entry below -1e-12 raises StationarySolveError: the chain has no
-    unique stationary law (a reducible matrix, say).
+    unique stationary law (a reducible matrix, say). So does a normalized
+    law outside the floor bounds [q_floor, 1 - (k-1) q_floor] by more than
+    1e-10, which every stationary law of a floored matrix meets.
     """
     Q = trans.rows
     k = trans.k
@@ -182,7 +168,12 @@ def stationary_distribution(trans: TransitionMatrix) -> StationaryLaw:
             "the matrix has no unique stationary law")
     probs = np.clip(cand, 0.0, None)
     probs /= probs.sum()
-    return StationaryLaw(probs, trans.q_floor)
+    q = trans.q_floor
+    if np.any(probs < q - ALGORITHM_TOL) or np.any(probs > 1.0 - (k - 1) * q + ALGORITHM_TOL):
+        raise StationarySolveError(
+            "stationary law violates the [q_floor, 1-(k-1)q_floor] bounds")
+    probs.flags.writeable = False
+    return probs
 
 
 def emission_matrix(params: HmmParams, y) -> np.ndarray:

@@ -60,9 +60,7 @@ def _block_densities(params: HmmParams, block_len: int, support: int,
                      mu: np.ndarray) -> np.ndarray:
     """Densities of every symbol block, indexed big-endian (first symbol is
     the most significant digit). Shape (support ** block_len,)."""
-    pmfs = pad_pmfs(*params.emissions)
-    F = np.zeros((params.k, support))          # zero-padded to the common support
-    F[:, :pmfs.shape[1]] = pmfs
+    F = pad_pmfs(*(e.pmf for e in params.emissions), support=support)
     Q = params.trans.rows
     A = (F * mu[:, None]).T                    # (support, k)
     for _ in range(1, block_len):
@@ -73,7 +71,7 @@ def _block_densities(params: HmmParams, block_len: int, support: int,
 
 def _stationary_block_law(params: HmmParams, block_len: int, support: int) -> np.ndarray:
     return _block_densities(params, block_len, support,
-                            stationary_distribution(params.trans).probs)
+                            stationary_distribution(params.trans))
 
 
 def _exact_block_laws(theta: HmmParams, theta_ref: HmmParams, block_len: int):
@@ -103,7 +101,7 @@ def _simulated_blocks(theta: HmmParams, theta_ref: HmmParams, block_len: int,
     rng = as_generator(seed)
     out = []
     for source, count in ((theta, half), (theta_ref, n_samples - half)):
-        start = source.with_mu(stationary_distribution(source.trans).probs)
+        start = source.with_mu(stationary_distribution(source.trans))
         blocks = np.empty((count, block_len))
         for r in range(count):
             blocks[r] = simulate(start, block_len, rng)[1]
@@ -232,10 +230,11 @@ def emission_log_ratio_term(emissions, emissions_ref) -> float:
     """max over states i of sum_y f_ref_i(y) * max_j log(f_ref_j(y) / f_j(y)).
 
     +inf as soon as some f_j vanishes where f_ref_j does not (on the
-    reference support). Discrete emissions only.
+    reference support). Discrete emissions only, of any lengths: each pmf
+    is zero past its last index.
     """
-    F = pad_pmfs(*emissions)
-    G = pad_pmfs(*emissions_ref)
+    F, G = np.split(pad_pmfs(*(e.pmf for e in (*emissions, *emissions_ref))),
+                    [len(emissions)])
     safe_f = np.where(F > 0.0, F, 1.0)
     safe_g = np.where(G > 0.0, G, 1.0)
     per_state_log = np.where(G > 0.0, np.log(safe_g) - np.log(safe_f), -np.inf)
@@ -264,7 +263,7 @@ def kl_rate_bound(theta: HmmParams, theta_ref: HmmParams, n: int) -> KlRateBound
         raise DataError("the bound requires one shared transition floor")
     if q <= 0.0:
         raise DataError("the bound requires a positive transition floor")
-    mu_ref = stationary_distribution(theta_ref.trans).probs
+    mu_ref = stationary_distribution(theta_ref.trans)
     init = float(np.max(np.abs(theta.mu - mu_ref))) / (n * q)
     trans = (n - 1) / (n * q) * matrix_gap(theta.trans.rows, theta_ref.trans.rows)
     emis = emission_log_ratio_term(theta.emissions, theta_ref.emissions)
@@ -281,7 +280,7 @@ def kl_rate_exact(theta: HmmParams, theta_ref: HmmParams, n: int) -> float:
     if n < 1:
         raise ValueError("n must be at least 1")
     support = _common_support(theta, theta_ref, n)
-    mu_ref = stationary_distribution(theta_ref.trans).probs
+    mu_ref = stationary_distribution(theta_ref.trans)
     p_ref = _block_densities(theta_ref, n, support, mu_ref)
     p = _block_densities(theta, n, support, np.asarray(theta.mu))
     mask = p_ref > 0.0

@@ -23,7 +23,7 @@ from .hmm import HmmParams, TransitionMatrix, stationary_distribution
 from .metrics import (BLOCK_BUDGET, CONSISTENCY_METRICS, SMOOTHING_METRICS,
                       check_metric_names)
 from .priors import (DiscreteDpSpec, GaussianDpSpec, NormalInvGammaBase,
-                     TruncatedDirichletSpec)
+                     TruncatedDirichletSpec, check_ratio_summable)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def params_from_payload(payload: dict) -> HmmParams:
         if isinstance(mu, str):
             if mu != "stationary":
                 raise ConfigError(f"unknown initial-law keyword {mu!r}")
-            mu_vec = stationary_distribution(trans).probs
+            mu_vec = stationary_distribution(trans)
         else:
             mu_vec = np.asarray(mu, dtype=np.float64)
         return HmmParams(trans, mu_vec, emissions)
@@ -407,8 +407,20 @@ class RunConfig:
                     f"one of {', '.join(EXPERIMENT_KINDS)} (former kinds: {retired})")
         if kind in ("kl", "ldir") and not isinstance(self.emission_prior, DiscreteDpSpec):
             raise ConfigError(f"the {kind} experiment needs a discrete emission prior")
-        if kind == "kl" and not (self.truth.discrete and self.truth.q_floor > 0.0):
-            raise ConfigError("the kl experiment needs a discrete truth with q_floor > 0")
+        if kind == "kl":
+            if not (self.truth.discrete and self.truth.q_floor > 0.0):
+                raise ConfigError("the kl experiment needs a discrete truth with q_floor > 0")
+            # the KL bound shares one floor, and a base with no mass at a truth
+            # symbol gives no draw a finite emission log-ratio
+            if self.trans_prior.q_floor != self.truth.q_floor:
+                raise ConfigError(f"the kl experiment needs prior.transitions.q_floor "
+                                  f"{self.trans_prior.q_floor} to equal the truth's "
+                                  f"q_floor {self.truth.q_floor}")
+            for i, emission in enumerate(self.truth.emissions):
+                ratio = check_ratio_summable(emission, self.emission_prior.base)
+                if not ratio.holds:
+                    raise ConfigError(f"the kl experiment needs prior.emissions.base to pass "
+                                      f"ratio_summable for truth state {i}: {ratio.detail}")
         support = self.emission_prior.truncation if kind == "ldir" else 0
         # the kl kind's exact KL rate enumerates the symbol blocks of each grid length
         kl = kind == "kl"

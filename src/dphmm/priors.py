@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .emissions import DiscreteEmission, PMF_TOL
+from .emissions import DiscreteEmission, PMF_TOL, pad_pmfs
 from .errors import SamplerBudgetError
 from .util import ValueEquality, as_generator, readonly
 
@@ -270,12 +270,9 @@ class ConditionReport:
 def check_ratio_summable(truth: DiscreteEmission, base) -> ConditionReport:
     """Decide whether sum_l truth(l) / base(l) is finite: an exact sum over
     the truth's finite support, which fails at the first supported symbol
-    where the base pmf, zero-padded to that support, has no mass."""
+    where the base pmf, zero past its last index, has no mass."""
     cond = "ratio_summable"
-    f = truth.pmf
-    g = np.zeros(f.size)
-    head = np.asarray(base, dtype=np.float64)[:f.size]
-    g[:head.size] = head
+    f, g = pad_pmfs(truth.pmf, base)
     bad = np.nonzero((f > 0.0) & (g == 0.0))[0]
     if bad.size:
         return ConditionReport(cond, FAILS, None,

@@ -128,7 +128,7 @@ def _block_expectation(params, h, block_len=3, support=2):
     """E h over the stationary law of ``block_len`` observations: a sum over
     every symbol block of h times the block's probability, itself a sum over
     every hidden path."""
-    start = params.with_mu(stationary_distribution(params.trans).probs)
+    start = params.with_mu(stationary_distribution(params.trans))
     return sum(h(block) * brute_force_path_probs(start, block)[1].sum()
                for block in itertools.product(range(support), repeat=block_len))
 
@@ -336,7 +336,26 @@ def test_simulate_and_fit_take_a_truth_beyond_the_alignment_cap(tmp_path):
     assert len(modelio.read_samples(tmp_path / "samples_chain0.jsonl")) == 2
 
 
-def test_kl_grid_over_block_budget_fails_before_any_draw(tmp_path, capsys, monkeypatch):
+# kl configs that exit 2 before any draw: (config changes, message)
+KL_ERRORS = {
+    "grid": ({"experiment": {"kind": "kl", "n_grid": [100, 300]}}, "experiment.n_grid"),
+    "floor": ({"experiment": {"kind": "kl"},
+               "prior": {"transitions": {"alpha": [1.0, 1.0], "q_floor": 0.1}}},
+              "prior.transitions.q_floor 0.1 to equal the truth's q_floor 0.15"),
+    "base_hole": ({"experiment": {"kind": "kl"},
+                   "prior": {"emissions": {"family": "discrete", "alpha": 2.0,
+                                           "base": [1.0, 0.0]}}},
+                  "ratio_summable for truth state 0: base has zero mass at supported symbol 1"),
+    "base_short": ({"experiment": {"kind": "kl"},
+                    "prior": {"emissions": {"family": "discrete", "alpha": 2.0,
+                                            "base": [1.0]}}},
+                   "ratio_summable for truth state 0: base has zero mass at supported symbol 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(KL_ERRORS))
+def test_kl_grid_over_block_budget_fails_before_any_draw(tmp_path, capsys, monkeypatch, case):
+    changes, message = KL_ERRORS[case]
     calls = []
 
     def spy(*args, **kwargs):
@@ -345,9 +364,9 @@ def test_kl_grid_over_block_budget_fails_before_any_draw(tmp_path, capsys, monke
 
     draw_near_truth = experiments.draw_near_truth
     monkeypatch.setattr(experiments, "draw_near_truth", spy)
-    config = _bad_config(tmp_path, {"experiment": {"kind": "kl", "n_grid": [100, 300]}})
+    config = _bad_config(tmp_path, changes)
     assert _run("experiment", "--config", config, "--out", tmp_path / "out") == 2
-    assert "experiment.n_grid" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert calls == []
 
 

@@ -135,7 +135,7 @@ def test_discrete_l1_equals_the_padded_sum_bit_for_bit(sizes):
     rng = np.random.default_rng(sizes)
     for _ in range(20):
         f, g = (DiscreteEmission(rng.dirichlet(np.ones(m))) for m in sizes)
-        pmfs = pad_pmfs(f, g)
+        pmfs = pad_pmfs(f.pmf, g.pmf)
         want = float(np.abs(pmfs[0] - pmfs[1]).sum())
         assert l1_distance(f, g).value.hex() == want.hex()
 

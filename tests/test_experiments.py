@@ -202,7 +202,7 @@ def test_weak_gap_mass_is_the_fraction_of_its_values_under_the_radius(golden_tru
                        epsilons={"block_l1": 0.2, name: radius})
     report = golden_experiment(cfg)
     assert report.tracked == ("block_l1", name)
-    stationary = golden_truth.with_mu(stationary_distribution(golden_truth.trans).probs)
+    stationary = golden_truth.with_mu(stationary_distribution(golden_truth.trans))
     masses = set()
     for cell in report.cells:
         _, y = simulate(stationary, cell.n, cell.sim_seed)
@@ -220,15 +220,17 @@ def test_weak_gap_mass_is_the_fraction_of_its_values_under_the_radius(golden_tru
 
 
 def test_kl_lemma_zero_violations(golden_truth):
-    report = kl_lemma_experiment(
-        golden_truth, epsilon=0.05, n_grid=(2, 3, 4), n_draws=5,
-        trans_prior=TruncatedDirichletSpec(np.ones(2), 0.15),
-        emission_prior=DiscreteDpSpec(2.0, np.array([0.5, 0.5])),
-        seed=6)
-    assert report.bound_violations == 0
-    assert len(report.rows) == 15
-    for row in report.rows:
-        assert row["exact"] <= row["bound"] + 1e-12
+    # the truth's pmfs have 2 symbols; a 3-symbol base draws pmfs of 3
+    for base in ([0.5, 0.5], [0.4, 0.4, 0.2]):
+        report = kl_lemma_experiment(
+            golden_truth, epsilon=0.05, n_grid=(2, 3, 4), n_draws=5,
+            trans_prior=TruncatedDirichletSpec(np.ones(2), 0.15),
+            emission_prior=DiscreteDpSpec(2.0, np.array(base)),
+            seed=6)
+        assert report.bound_violations == 0 and report.conclusion_violations == 0
+        assert len(report.rows) == 15
+        for row in report.rows:
+            assert row["exact"] <= row["bound"] + 1e-12
 
 
 def test_kl_lemma_starves_on_impossible_neighborhood(golden_truth):

@@ -7,7 +7,7 @@ from dphmm import (DiscreteDpSpec, DiscreteEmission, GaussianDpSpec,
                    GibbsConfig, HmmParams, NormalInvGammaBase, PosteriorSample,
                    TransitionMatrix, TruncatedDirichletSpec,
                    ZeroLikelihoodError, ffbs_states, geweke_check, kernels,
-                   run_chain, simulate, smoothing_exact, stationary_distribution)
+                   run_chain, simulate, smoothing_exact)
 from dphmm.emissions import SQRT_2PI, gaussian_kernels, mixture_density
 from dphmm import gibbs
 from dphmm.gibbs import (_allocations, _log_components,
@@ -512,8 +512,6 @@ def test_samples_laws_tables_and_specs_compare_and_hash_by_value(golden_truth):
     pairs = [
         (lambda: PosteriorSample(golden_truth, np.arange(4) % 2, 3, 0),
          PosteriorSample(golden_truth, np.array([0, 1, 0, 0]), 3, 0)),
-        (lambda: stationary_distribution(golden_truth.trans),
-         stationary_distribution(TransitionMatrix(np.array([[0.6, 0.4], [0.4, 0.6]]), 0.15))),
         (lambda: smoothing_exact(golden_truth, y, 2), smoothing_exact(golden_truth, y, 1)),
         (lambda: TruncatedDirichletSpec(np.ones(2), 0.1), TruncatedDirichletSpec(np.ones(2), 0.2)),
         (lambda: DiscreteDpSpec(2.0, np.array([0.5, 0.5])),

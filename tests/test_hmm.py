@@ -87,15 +87,17 @@ def test_params_compare_and_hash_by_value():
 def test_stationary_two_state():
     tm = TransitionMatrix(np.array([[0.7, 0.3], [0.4, 0.6]]), 0.2)
     law = stationary_distribution(tm)
-    assert np.allclose(law.probs, [4.0 / 7.0, 3.0 / 7.0], atol=1e-12)
-    assert np.max(np.abs(law.probs @ tm.rows - law.probs)) <= 1e-10
+    assert isinstance(law, np.ndarray) and law.dtype == np.float64 and law.shape == (2,)
+    assert not law.flags.writeable
+    assert np.allclose(law, [4.0 / 7.0, 3.0 / 7.0], atol=1e-12)
+    assert np.max(np.abs(law @ tm.rows - law)) <= 1e-10
 
 
 def test_stationary_symmetric_and_doubly_stochastic():
     uniform3 = TransitionMatrix(np.full((3, 3), 1.0 / 3.0), 1.0 / 3.0)
-    assert np.allclose(stationary_distribution(uniform3).probs, 1.0 / 3.0, atol=1e-12)
+    assert np.allclose(stationary_distribution(uniform3), 1.0 / 3.0, atol=1e-12)
     flat2 = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]), 0.5)
-    assert np.allclose(stationary_distribution(flat2).probs, 0.5, atol=1e-12)
+    assert np.allclose(stationary_distribution(flat2), 0.5, atol=1e-12)
 
 
 def test_stationary_solves_periodic_and_rejects_reducible():
@@ -105,7 +107,7 @@ def test_stationary_solves_periodic_and_rejects_reducible():
     rows = np.zeros((k, k))
     rows[0, 1:] = 1.0 / (k - 1)
     rows[1:, 0] = 1.0
-    law = stationary_distribution(TransitionMatrix(rows, 0.0)).probs
+    law = stationary_distribution(TransitionMatrix(rows, 0.0))
     assert np.allclose(law, [0.5] + [0.5 / (k - 1)] * (k - 1), rtol=0.0, atol=1e-15)
     with pytest.raises(StationarySolveError):
         stationary_distribution(TransitionMatrix(np.eye(3), 0.0))
@@ -117,8 +119,8 @@ def test_stationary_bounds_hold_randomly():
         params = random_discrete_params(rng)
         law = stationary_distribution(params.trans)
         q, k = params.q_floor, params.k
-        assert np.all(law.probs >= q - 1e-10)
-        assert np.all(law.probs <= 1 - (k - 1) * q + 1e-10)
+        assert np.all(law >= q - 1e-10)
+        assert np.all(law <= 1 - (k - 1) * q + 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,7 @@ def block_density(params, y_block) -> float:
     """Density of a block under the stationary start, read off the block law
     that the block metrics enumerate (big-endian block index)."""
     support = max(e.support_size for e in params.emissions)
-    law = stationary_distribution(params.trans).probs
+    law = stationary_distribution(params.trans)
     dens = _block_densities(params, len(y_block), support, law)
     return float(dens[np.ravel_multi_index(y_block, (support,) * len(y_block))])
 
@@ -200,7 +202,7 @@ def test_marginal_density_hand_values(flat_binary):
 def test_marginal_density_one_step_mixture():
     rng = np.random.default_rng(7)
     params = random_discrete_params(rng, k=3, support=3)
-    law = stationary_distribution(params.trans).probs
+    law = stationary_distribution(params.trans)
     for s in range(3):
         expect = sum(law[i] * params.emissions[i].pmf[s] for i in range(3))
         assert block_density(params, [s]) == pytest.approx(expect, abs=1e-12)
@@ -326,7 +328,7 @@ def test_simulate_transition_frequencies(golden_truth):
 
 
 def test_simulate_stationary_marginals(golden_truth):
-    law = stationary_distribution(golden_truth.trans).probs
+    law = stationary_distribution(golden_truth.trans)
     params = golden_truth.with_mu(law)
     rng = np.random.default_rng(12)
     R, n = 4000, 3

@@ -1,6 +1,7 @@
 """Block-marginal L1 pseudometric, alignment, KL rate, weak functionals."""
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_reference_block_law_is_kept_read_only_per_length_and_support(golden_tru
     assert list(laws) == [(3, 2)]
     law = laws[(3, 2)]
     assert not law.flags.writeable
-    direct = metrics._block_densities(truth, 3, 2, stationary_distribution(truth.trans).probs)
+    direct = metrics._block_densities(truth, 3, 2, stationary_distribution(truth.trans))
     assert law.tobytes() == direct.tobytes()
     # a second candidate at the same length and support reads the kept law
     weak_functional_gap(relabel(theta, (1, 0)), truth, 3, "ind_1_0")
@@ -94,8 +95,8 @@ def test_block_l1_matches_direct_enumeration():
         got = block_l1_distance(a, b, 3).value
         # independent path-based enumeration of both block laws
         total = 0.0
-        sa = stationary_distribution(a.trans).probs
-        sb = stationary_distribution(b.trans).probs
+        sa = stationary_distribution(a.trans)
+        sb = stationary_distribution(b.trans)
         for block in itertools.product(range(2), repeat=3):
             y = np.array(block)
             _, pa = brute_force_path_probs(a.with_mu(sa), y)
@@ -130,8 +131,8 @@ def test_block_l1_decomposition_bound():
         a = random_discrete_params(rng, k=2, support=3, q_floor=q)
         b = random_discrete_params(rng, k=2, support=3, q_floor=q)
         d = block_l1_distance(a, b, 3).value
-        law_gap = np.abs(stationary_distribution(a.trans).probs
-                         - stationary_distribution(b.trans).probs).sum()
+        law_gap = np.abs(stationary_distribution(a.trans)
+                         - stationary_distribution(b.trans)).sum()
         q_gap = np.abs(a.trans.rows - b.trans.rows).max()
         emission_gap = max(np.abs(f.pmf - g.pmf).sum()
                            for f, g in zip(a.emissions, b.emissions))
@@ -293,7 +294,7 @@ def test_alignment_makes_one_l1_call_per_state_and_permutation(monkeypatch, k):
 
 
 def test_kl_bound_zero_on_truth(golden_truth):
-    theta = golden_truth.with_mu(stationary_distribution(golden_truth.trans).probs)
+    theta = golden_truth.with_mu(stationary_distribution(golden_truth.trans))
     b = kl_rate_bound(theta, golden_truth, 10)
     assert b.total == 0.0
 
@@ -304,7 +305,7 @@ def test_kl_bound_transition_term_limit():
                     (DiscreteEmission(np.array([0.9, 0.1])),
                      DiscreteEmission(np.array([0.2, 0.8]))))
     moved = HmmParams(TransitionMatrix(np.array([[0.65, 0.35], [0.45, 0.55]]), 0.2),
-                      stationary_distribution(ref.trans).probs, ref.emissions)
+                      stationary_distribution(ref.trans), ref.emissions)
     n = 10 ** 7
     b = kl_rate_bound(moved, ref, n)
     assert b.total == pytest.approx(0.25, abs=1e-6)
@@ -336,18 +337,18 @@ def test_kl_bound_infinite_on_support_mismatch():
 
 
 def test_kl_exact_zero_on_truth(golden_truth):
-    theta = golden_truth.with_mu(stationary_distribution(golden_truth.trans).probs)
+    theta = golden_truth.with_mu(stationary_distribution(golden_truth.trans))
     assert kl_rate_exact(theta, golden_truth, 5) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_kl_exact_single_step_is_mixture_kl(golden_truth):
     rng = np.random.default_rng(7)
     theta = random_discrete_params(rng, k=2, support=2, q_floor=0.15)
-    theta = theta.with_mu(stationary_distribution(theta.trans).probs)
+    theta = theta.with_mu(stationary_distribution(theta.trans))
     got = kl_rate_exact(theta, golden_truth, 1)
     ref_mix = np.zeros(2)
     mix = np.zeros(2)
-    s_ref = stationary_distribution(golden_truth.trans).probs
+    s_ref = stationary_distribution(golden_truth.trans)
     for i in range(2):
         ref_mix += s_ref[i] * golden_truth.emissions[i].pmf
         mix += theta.mu[i] * theta.emissions[i].pmf
@@ -360,7 +361,7 @@ def test_kl_exact_matches_independent_enumeration(golden_truth):
     theta = random_discrete_params(rng, k=2, support=2, q_floor=0.15)
     n = 4
     got = kl_rate_exact(theta, golden_truth, n)
-    s_ref = stationary_distribution(golden_truth.trans).probs
+    s_ref = stationary_distribution(golden_truth.trans)
     total = 0.0
     for block in itertools.product(range(2), repeat=n):
         y = np.array(block)
@@ -391,6 +392,27 @@ def test_emission_log_ratio_term_plugin():
     expect = max(0.9 * worst0 + 0.1 * worst1, 0.2 * worst0 + 0.8 * worst1)
     assert got == 0.0
     assert emission_log_ratio_term(f, f_ref) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("tail", [0.0, 0.2])
+@pytest.mark.parametrize("long_side", ["candidate", "reference"])
+def test_kl_bound_on_pmfs_of_two_lengths_equals_the_zero_padded_bound(long_side, tail):
+    # pmfs of 2 and 3 symbols meet on one zero-padded alphabet; a reference
+    # tail the candidate lacks makes the emission term infinite
+    short = (DiscreteEmission(np.array([0.9, 0.1])), DiscreteEmission(np.array([0.2, 0.8])))
+    long = (DiscreteEmission(np.array([0.6, 0.4 - tail, tail])),
+            DiscreteEmission(np.array([0.3, 0.7 - tail, tail])))
+    padded = tuple(DiscreteEmission(np.append(e.pmf, 0.0)) for e in short)
+    ref_tm = TransitionMatrix(np.array([[0.7, 0.3], [0.4, 0.6]]), 0.15)
+    tm = TransitionMatrix(np.array([[0.65, 0.35], [0.45, 0.55]]), 0.15)
+    mu = stationary_distribution(tm)
+    pairs = {"candidate": ((long, short), (long, padded)),
+             "reference": ((short, long), (padded, long))}[long_side]
+    got, want = ([emission_log_ratio_term(f, g)]
+                 + list(astuple(kl_rate_bound(HmmParams(tm, mu, f), HmmParams(ref_tm, mu, g), 5)))
+                 for f, g in pairs)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert np.isfinite(got[0]) == (tail == 0.0 or long_side == "candidate")
 
 
 # ---------------------------------------------------------------------------
