@@ -12,8 +12,8 @@ from .errors import (ConfigError, DataError, DphmmError, NumericalError,
                      ZeroLikelihoodError)
 from .gibbs import (GibbsConfig, PosteriorSample, ffbs_states, geweke_check,
                     run_chain)
-from .hmm import (HmmParams, SmoothingTable, TransitionMatrix, simulate,
-                  smoothing_exact, stationary_distribution)
+from .hmm import (HmmParams, TransitionMatrix, simulate, smoothing_exact,
+                  stationary_distribution)
 from .metrics import (AlignmentResult, align_labels, block_l1_distance,
                       kl_rate_bound, kl_rate_exact, weak_functional_gap)
 from .priors import (DiscreteDpSpec, GaussianDpSpec, NormalInvGammaBase,

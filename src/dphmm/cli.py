@@ -165,12 +165,12 @@ def cmd_report(args, cfg: modelio.RunConfig) -> int:
 
 
 def cmd_check_prior(args, cfg: modelio.RunConfig) -> int:
+    if cfg.trans_prior is None:
+        raise ConfigError("config needs a 'prior' section to check the prior")
     truth = cfg.truth
-    rows = []
-    if cfg.trans_prior is not None:
-        feasible = bool(np.all(truth.trans.rows >= cfg.trans_prior.q_floor - 1e-12))
-        rows.append(("floor_feasible", "-", "holds" if feasible else "fails",
-                     f"q_floor={cfg.trans_prior.q_floor}"))
+    feasible = bool(np.all(truth.trans.rows >= cfg.trans_prior.q_floor - 1e-12))
+    rows = [("floor_feasible", "-", "holds" if feasible else "fails",
+             f"q_floor={cfg.trans_prior.q_floor}")]
     if isinstance(cfg.emission_prior, DiscreteDpSpec):
         if not truth.discrete:
             raise DataError("a discrete emission prior needs a discrete truth")
@@ -179,7 +179,7 @@ def cmd_check_prior(args, cfg: modelio.RunConfig) -> int:
             rows.append(("ratio_summable", str(i), r.verdict, r.detail))
             t = check_entropy_finite(emission)
             rows.append(("entropy_finite", str(i), t.verdict, t.detail))
-    elif cfg.emission_prior is not None:
+    else:
         r = check_inverse_scale_integrable(cfg.emission_prior.base)
         rows.append(("inverse_scale_integrable", "-", r.verdict, r.detail))
     out_lines = [f"{cond:<26} state={state:<3} {verdict:<13} {detail}"

@@ -26,11 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .emissions import PMF_TOL
+from .emissions import PMF_TOL, DiscreteEmission
 from .errors import ConfigError, DataError, StarvationError
 from .gibbs import GibbsConfig, run_chain
-from .hmm import (HmmParams, SmoothingTable, TransitionMatrix, simulate, smoothing_exact,
-                  stationary_distribution)
+from .hmm import HmmParams, TransitionMatrix, simulate, smoothing_exact, stationary_distribution
 from .metrics import (ALIGN_MAX_K, SMOOTHING_METRICS, align_labels, check_metric_names,
                       emission_log_ratio_term, kl_rate_bound, kl_rate_exact,
                       parameter_metrics)
@@ -140,19 +139,17 @@ def trend_verdict(curve: Sequence[float]) -> bool:
     return monotone and curve[-1] >= FINAL_MASS_FLOOR
 
 
-def smoothing_max_deviation(table: SmoothingTable, ref_table: SmoothingTable,
-                            j_indices: Sequence[int], sigma=None) -> float:
-    """Largest absolute gap between two smoothing tables over the block joint
-    law and the requested marginals, after relabeling ``table`` by sigma."""
-    m = ref_table.block_len
+def smoothing_max_deviation(laws, ref_laws, j_indices: Sequence[int], sigma=None) -> float:
+    """Largest absolute gap between two ``(marginals, blocks)`` pairs of
+    ``smoothing_exact`` over the block joint law and the requested
+    marginals, after relabeling ``laws`` by sigma."""
+    (marginals, blocks), (ref_marginals, ref_blocks) = laws, ref_laws
     if sigma is None:
-        sigma = tuple(range(ref_table.marginals.shape[1]))
+        sigma = tuple(range(ref_marginals.shape[1]))
     perm = np.asarray(sigma, dtype=np.int64)
-    blocks = table.blocks[np.ix_(*([perm] * m))]
-    dev = float(np.max(np.abs(blocks - ref_table.blocks)))
+    dev = float(np.max(np.abs(blocks[np.ix_(*([perm] * ref_blocks.ndim))] - ref_blocks)))
     for j in j_indices:
-        dev = max(dev, float(np.max(np.abs(table.marginals[j][perm]
-                                           - ref_table.marginals[j]))))
+        dev = max(dev, float(np.max(np.abs(marginals[j][perm] - ref_marginals[j]))))
     return dev
 
 
@@ -174,7 +171,7 @@ def run_cell(config: ExperimentConfig, n: int, replication: int,
     smoothing = tuple(m for m in names if m in SMOOTHING_METRICS)
     aligned = any(m in _ALIGNED for m in names)
     j_idx = sorted({min(int(round(f * (n - 1))), n - 1) for f in SMOOTHING_POSITIONS})
-    ref_table = smoothing_exact(truth, y, config.smoothing_block_len) if smoothing else None
+    ref_laws = smoothing_exact(truth, y, config.smoothing_block_len) if smoothing else None
     values: dict[str, list[float]] = {m: [] for m in names}
     for s in samples:
         align = align_labels(s.params, truth, seed=align_rng) if aligned else None
@@ -182,10 +179,10 @@ def run_cell(config: ExperimentConfig, n: int, replication: int,
         for name, est in zip(scored, estimates):
             values[name].append(est.value)
         if smoothing:
-            table = smoothing_exact(s.params, y, config.smoothing_block_len)
+            laws = smoothing_exact(s.params, y, config.smoothing_block_len)
             for name in smoothing:
                 sigma = align.sigma if name == "smoothing_aligned" else None
-                values[name].append(smoothing_max_deviation(table, ref_table, j_idx, sigma))
+                values[name].append(smoothing_max_deviation(laws, ref_laws, j_idx, sigma))
     masses = {name: float(np.mean(np.asarray(values[name]) < config.epsilons[name]))
               for name in names}
     return CellResult(n=n, replication=replication, sim_seed=sim_seed,
@@ -266,7 +263,8 @@ def draw_near_truth(theta_star: HmmParams, epsilon: float,
             raise StarvationError("no transition row landed in the neighborhood")
     for attempt in range(budget):
         used += 1
-        emissions = tuple(sample_dp_discrete(emission_prior, rng) for _ in range(k))
+        emissions = tuple(DiscreteEmission(sample_dp_discrete(emission_prior, rng)[0])
+                          for _ in range(k))
         if emission_log_ratio_term(emissions, theta_star.emissions) < epsilon:
             break
     else:
@@ -370,9 +368,7 @@ def dp_gamma_moment_check(spec: DiscreteDpSpec, n_draws: int,
     pmfs = np.empty((n_draws, support))
     totals = np.empty(n_draws)
     for r in range(n_draws):
-        emission, total = sample_dp_discrete(spec, rng, with_normalizer=True)
-        pmfs[r] = emission.pmf
-        totals[r] = total
+        pmfs[r], totals[r] = sample_dp_discrete(spec, rng)
 
     records = []
     for pi, blocks in enumerate(partitions):

@@ -45,7 +45,7 @@ from .errors import ConfigError, DataError, NumericalError, ZeroLikelihoodError
 from .hmm import CONSTRUCTION_TOL, HmmParams, TransitionMatrix, simulate
 from .priors import (DiscreteDpSpec, GaussianDpSpec, TruncatedDirichletSpec,
                      dp_mixture_arrays, dp_mixture_posterior, gamma_normalize,
-                     sample_transition_row)
+                     sample_dp_discrete, sample_transition_row)
 from .util import ValueEquality, as_generator
 
 
@@ -261,8 +261,7 @@ def _prior_emissions(cfg: GibbsConfig, rng) -> np.ndarray:
     """An emission array of k independent prior draws."""
     prior = cfg.emission_prior
     if cfg.discrete:
-        return np.stack([gamma_normalize(prior.alpha * prior.base, rng)[0]
-                         for _ in range(cfg.k)])
+        return np.stack([sample_dp_discrete(prior, rng)[0] for _ in range(cfg.k)])
     return np.stack([dp_mixture_arrays(prior, rng) for _ in range(cfg.k)])
 
 

@@ -115,31 +115,6 @@ class HmmParams(ValueEquality):
         return HmmParams(self.trans, np.asarray(mu, dtype=np.float64), self.emissions)
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothingTable(ValueEquality):
-    """Conditional state laws given a full observation record.
-
-    ``marginals[j]`` is the law of the state at position j; ``blocks`` is the
-    joint law of the first ``block_len`` states, shaped (k,) * block_len.
-    """
-
-    n: int
-    block_len: int
-    marginals: np.ndarray
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "marginals", readonly(self.marginals))
-        object.__setattr__(self, "blocks", readonly(self.blocks))
-        m = self.marginals
-        if np.any(m < -ALGORITHM_TOL) or np.any(m > 1.0 + ALGORITHM_TOL):
-            raise ValueError("smoothing entries must lie in [0, 1]")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > ALGORITHM_TOL):
-            raise ValueError("each smoothing marginal must sum to 1")
-        if abs(float(self.blocks.sum()) - 1.0) > ALGORITHM_TOL:
-            raise ValueError("the block table must sum to 1")
-
-
 def stationary_distribution(trans: TransitionMatrix) -> np.ndarray:
     """Unique left eigenvector of the transition matrix for eigenvalue 1, as a
     read-only float64 vector.
@@ -187,16 +162,19 @@ def emission_matrix(params: HmmParams, y) -> np.ndarray:
     return B
 
 
-def smoothing_exact(params: HmmParams, y, block_len: int = 1) -> SmoothingTable:
+def smoothing_exact(params: HmmParams, y, block_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Forward-backward conditional laws of the hidden states given y.
 
-    Produces the marginal at every position and the joint law of the first
-    ``block_len`` states. Zero-likelihood inputs are rejected, and so are
-    overflowing backward messages (zero transition entries allow them).
+    Returns ``(marginals, blocks)`` as read-only float64 arrays: row j of
+    ``marginals`` is the law of the state at position j, and ``blocks`` is
+    the joint law of the first ``block_len`` states, shaped
+    (k,) * block_len. Zero-likelihood inputs are rejected, and so are
+    overflowing backward messages (zero transition entries allow them). A
+    marginal entry outside [0, 1] or a marginal or block table whose sum
+    misses 1, each by more than 1e-10, raises NumericalError.
     """
     y = np.asarray(y)
-    n = y.size
-    if not 1 <= block_len <= n:
+    if not 1 <= block_len <= y.size:
         raise ValueError("block_len must lie in [1, n]")
     B = emission_matrix(params, y)
     Q = params.trans.rows
@@ -212,8 +190,13 @@ def smoothing_exact(params: HmmParams, y, block_len: int = 1) -> SmoothingTable:
         step = Q * (B[t] / c[t])
         blocks = blocks[..., :, None] * step
     blocks = blocks * beta[block_len - 1]
-    return SmoothingTable(n=int(n), block_len=int(block_len),
-                          marginals=marginals, blocks=blocks)
+    if (np.any(marginals < -ALGORITHM_TOL) or np.any(marginals > 1.0 + ALGORITHM_TOL)
+            or np.any(np.abs(marginals.sum(axis=1) - 1.0) > ALGORITHM_TOL)
+            or abs(float(blocks.sum()) - 1.0) > ALGORITHM_TOL):
+        raise NumericalError("smoothing laws missed their normalization check")
+    marginals.flags.writeable = False
+    blocks.flags.writeable = False
+    return marginals, blocks
 
 
 def _walk_table(params) -> tuple[tuple[float, ...], ...]:

@@ -188,18 +188,17 @@ def gamma_normalize(shapes: np.ndarray, seed):
     raise SamplerBudgetError("gamma normalization produced only zero draws")
 
 
-def sample_dp_discrete(spec: DiscreteDpSpec, seed, with_normalizer: bool = False):
-    """Draw a pmf from the discrete DP by Gamma normalization.
+def sample_dp_discrete(spec: DiscreteDpSpec, seed) -> tuple[np.ndarray, float]:
+    """Draw a pmf from the discrete DP by Gamma normalization, as the pair
+    (pmf, normalizer).
 
     Independent Z_l ~ Gamma(alpha * base_l, 1) are normalized by their sum;
     block masses over any partition of the support are then jointly
     Dirichlet with the partition's base masses as concentrations, and the
     normalizer itself is Gamma(alpha, 1). An all-zero draw (possible when
     every shape parameter is tiny) is resampled a few times before failing.
-    With ``with_normalizer`` the (emission, normalizer) pair is returned.
     """
-    pmf, total = gamma_normalize(spec.alpha * spec.base, seed)
-    return (DiscreteEmission(pmf), total) if with_normalizer else DiscreteEmission(pmf)
+    return gamma_normalize(spec.alpha * spec.base, seed)
 
 
 def sticks_to_weights(v) -> np.ndarray:

@@ -546,8 +546,9 @@ EXACT_ROWS = ["ratio_summable             state={i}   holds         finite suppo
 NIG_ROW = ("inverse_scale_integrable   state=-   holds         "
            "inverse-gamma variance: closed-form moment")
 
-# (config changes, exit code, stdout lines); state 0's pmf in "wider" has a
-# symbol the base [0.5, 0.5] does not carry
+# (config changes, exit code, stdout lines), where a change of None removes
+# the section; state 0's pmf in "wider" has a symbol the base [0.5, 0.5]
+# does not carry
 CHECK_PRIOR_CASES = {
     "golden": ({}, 0, [FLOOR_ROW] + [r.format(i=i) for i in (0, 1) for r in EXACT_ROWS]),
     "truth-wider-than-base": (
@@ -561,6 +562,7 @@ CHECK_PRIOR_CASES = {
                            [FLOOR_ROW, NIG_ROW]),
     "dpm-discrete-truth": ({"prior": GAUSSIAN["prior"]}, 0, [FLOOR_ROW, NIG_ROW]),
     "discrete-prior-gaussian-truth": ({"truth": GAUSSIAN["truth"]}, 3, []),
+    "no-prior": ({"prior": None}, 2, []),
 }
 
 
@@ -569,7 +571,10 @@ def test_check_prior_table(tmp_path, capsys, case):
     changes, code, lines = CHECK_PRIOR_CASES[case]
     payload = json.loads(GOLDEN_CONFIG.read_text())
     for section, values in changes.items():
-        payload[section] = {**payload[section], **values}
+        if values is None:
+            del payload[section]
+        else:
+            payload[section] = {**payload[section], **values}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
     out = tmp_path / "out"
@@ -577,7 +582,7 @@ def test_check_prior_table(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out.splitlines() == lines
     if code:
-        assert captured.err.startswith("data error: ")
+        assert captured.err.startswith({2: "config error: ", 3: "data error: "}[code])
         assert not (out / "check_prior.jsonl").exists()
         return
     records = []

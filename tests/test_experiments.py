@@ -144,16 +144,19 @@ def test_degenerate_single_state_truth_concentrates_trivially():
 
 def test_smoothing_deviation_zero_on_same_table(golden_truth):
     _, y = simulate(golden_truth, 12, 0)
-    table = smoothing_exact(golden_truth, y, 1)
-    assert smoothing_max_deviation(table, table, [0, 5, 11]) == 0.0
+    laws = smoothing_exact(golden_truth, y, 1)
+    assert smoothing_max_deviation(laws, laws, [0, 5, 11]) == 0.0
 
 
-def test_smoothing_deviation_alignment_cancels_relabeling(golden_truth):
+@pytest.mark.parametrize("block_len", [1, 2, 3])
+def test_smoothing_deviation_alignment_cancels_relabeling(golden_truth, block_len):
+    # the block table is relabeled on every axis: one relabeled axis leaves a
+    # gap of about 0.35 at block lengths 2 and 3
     _, y = simulate(golden_truth, 12, 1)
-    table = smoothing_exact(golden_truth, y, 1)
-    moved = smoothing_exact(relabel(golden_truth, (1, 0)), y, 1)
-    raw = smoothing_max_deviation(moved, table, [0, 11])
-    aligned = smoothing_max_deviation(moved, table, [0, 11], sigma=(1, 0))
+    laws = smoothing_exact(golden_truth, y, block_len)
+    moved = smoothing_exact(relabel(golden_truth, (1, 0)), y, block_len)
+    raw = smoothing_max_deviation(moved, laws, [0, 11])
+    aligned = smoothing_max_deviation(moved, laws, [0, 11], sigma=(1, 0))
     assert aligned <= 1e-12
     assert raw > 0.1
 
@@ -274,9 +277,8 @@ def test_dp_moment_check_whole_support_block(monkeypatch):
 
     # draws from the wrong base still fail, by z-score and by exact mass
     def draws_from(base):
-        def sample(_spec, rng, with_normalizer=False):
-            return sample_dp_discrete(DiscreteDpSpec(2.0, base), rng,
-                                      with_normalizer=with_normalizer)
+        def sample(_spec, rng):
+            return sample_dp_discrete(DiscreteDpSpec(2.0, base), rng)
         return sample
 
     monkeypatch.setattr(experiments, "sample_dp_discrete", draws_from(np.array([0.3, 0.7])))
@@ -296,7 +298,7 @@ def test_dp_moment_check_detects_wrong_alpha():
     rng = np.random.default_rng(10)
     from dphmm import sample_dp_discrete
 
-    masses = np.array([sample_dp_discrete(draws_spec, rng).pmf[0]
+    masses = np.array([sample_dp_discrete(draws_spec, rng)[0][0]
                        for _ in range(4000)])
     target_var = 0.5 * 0.5 / (2.0 + 1.0)   # claimed alpha = 2
     z = (masses.var(ddof=1) - target_var) / (target_var / np.sqrt(len(masses)))

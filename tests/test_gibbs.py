@@ -16,7 +16,7 @@ from dphmm.gibbs import (_allocations, _log_components,
                          update_mixture_emissions)
 from dphmm.hmm import emission_matrix
 from dphmm.modelio import sample_to_record
-from dphmm.priors import dp_mixture_arrays
+from dphmm.priors import dp_mixture_arrays, gamma_normalize, sample_transition_row
 from tests import kernel_oracles as oracles
 from tests import mixture_oracles
 from tests.conftest import (brute_force_path_probs, random_discrete_params,
@@ -83,13 +83,13 @@ def test_ffbs_marginals_match_smoothing():
     rng = np.random.default_rng(3)
     params = random_discrete_params(rng, k=3, support=3, q_floor=0.05)
     _, y = simulate(params, 6, rng)
-    table = smoothing_exact(params, y, 1)
+    marginals, _ = smoothing_exact(params, y, 1)
     R = 30_000
     B = emission_matrix(params, y)
     draws = np.stack([ffbs_states(params.mu, params.trans.rows, B, rng) for _ in range(R)])
     for t in range(6):
         for i in range(3):
-            p = table.marginals[t, i]
+            p = marginals[t, i]
             se = np.sqrt(p * (1 - p) / R)
             assert abs(np.mean(draws[:, t] == i) - p) <= 3.5 * se + 1e-12
 
@@ -415,6 +415,21 @@ def test_run_chain_deterministic(flat_binary):
     assert a != c
 
 
+def test_init_from_prior_draws_rows_then_one_dp_pmf_per_state():
+    # the draw order of the prior start: every transition row, then each
+    # state's discrete DP pmf, all from one stream
+    cfg = _binary_config(emission_prior=DiscreteDpSpec(2.0, np.array([0.2, 0.5, 0.3])))
+    rows, emissions = gibbs.init_from_prior(cfg, 31)
+    rng = np.random.default_rng(31)
+    want_rows = np.stack([sample_transition_row(cfg.transition_prior, rng).row
+                          for _ in range(2)])
+    prior = cfg.emission_prior
+    want_emissions = np.stack([gamma_normalize(prior.alpha * prior.base, rng)[0]
+                               for _ in range(2)])
+    assert rows.tobytes() == want_rows.tobytes()
+    assert emissions.shape == (2, 3) and emissions.tobytes() == want_emissions.tobytes()
+
+
 def test_geweke_joint_distribution_check():
     # prior simulation and the successive-conditional chain target the same
     # joint law of (theta, path, data); six summaries must agree. The model is
@@ -508,11 +523,9 @@ def test_run_chain_same_samples_with_oracle_kernels(family, monkeypatch):
 
 
 def test_samples_laws_tables_and_specs_compare_and_hash_by_value(golden_truth):
-    _, y = simulate(golden_truth, 20, 5)
     pairs = [
         (lambda: PosteriorSample(golden_truth, np.arange(4) % 2, 3, 0),
          PosteriorSample(golden_truth, np.array([0, 1, 0, 0]), 3, 0)),
-        (lambda: smoothing_exact(golden_truth, y, 2), smoothing_exact(golden_truth, y, 1)),
         (lambda: TruncatedDirichletSpec(np.ones(2), 0.1), TruncatedDirichletSpec(np.ones(2), 0.2)),
         (lambda: DiscreteDpSpec(2.0, np.array([0.5, 0.5])),
          DiscreteDpSpec(2.0, np.array([0.4, 0.6]))),

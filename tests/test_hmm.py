@@ -223,9 +223,9 @@ def test_marginal_density_identical_emissions_factorizes():
 
 
 def test_smoothing_bayes_rule(flat_binary):
-    table = smoothing_exact(flat_binary, [0], 1)
-    assert np.allclose(table.marginals[0], [9.0 / 11.0, 2.0 / 11.0], atol=1e-12)
-    assert np.allclose(table.blocks, [9.0 / 11.0, 2.0 / 11.0], atol=1e-12)
+    marginals, blocks = smoothing_exact(flat_binary, [0], 1)
+    assert np.allclose(marginals[0], [9.0 / 11.0, 2.0 / 11.0], atol=1e-12)
+    assert np.allclose(blocks, [9.0 / 11.0, 2.0 / 11.0], atol=1e-12)
 
 
 def test_smoothing_identical_emissions_gives_prior_marginal():
@@ -233,10 +233,10 @@ def test_smoothing_identical_emissions_gives_prior_marginal():
     Q = np.array([[0.8, 0.2], [0.3, 0.7]])
     params = HmmParams(TransitionMatrix(Q, 0.1), np.array([0.9, 0.1]),
                        (DiscreteEmission(pmf), DiscreteEmission(pmf)))
-    table = smoothing_exact(params, [0, 1, 0], 1)
+    marginals, _ = smoothing_exact(params, [0, 1, 0], 1)
     prior = params.mu.copy()
     for t in range(3):
-        assert np.allclose(table.marginals[t], prior, atol=1e-12)
+        assert np.allclose(marginals[t], prior, atol=1e-12)
         prior = prior @ Q
 
 
@@ -246,10 +246,25 @@ def test_smoothing_matches_enumeration():
         params = random_discrete_params(rng, k=2)
         _, y = simulate(params, 3, rng)
         m = int(rng.integers(1, 4))
-        table = smoothing_exact(params, y, m)
-        marg, blocks = brute_force_smoothing(params, y, m)
-        assert np.allclose(table.marginals, marg, atol=1e-12)
-        assert np.allclose(table.blocks, blocks, atol=1e-12)
+        marginals, blocks = smoothing_exact(params, y, m)
+        want_marginals, want_blocks = brute_force_smoothing(params, y, m)
+        assert np.allclose(marginals, want_marginals, atol=1e-12)
+        assert np.allclose(blocks, want_blocks, atol=1e-12)
+
+
+def test_smoothing_laws_are_read_only(flat_binary):
+    marginals, blocks = smoothing_exact(flat_binary, [0, 1, 1], 2)
+    assert marginals.dtype == blocks.dtype == np.float64
+    assert marginals.shape == (3, 2) and blocks.shape == (2, 2)
+    assert not marginals.flags.writeable and not blocks.flags.writeable
+
+
+def test_smoothing_rejects_unnormalized_laws(flat_binary, monkeypatch):
+    # backward messages twice too large put every marginal sum at 2
+    backward = kernels.backward_messages
+    monkeypatch.setattr(kernels, "backward_messages", lambda *a: 2.0 * backward(*a))
+    with pytest.raises(NumericalError, match="normalization"):
+        smoothing_exact(flat_binary, [0, 1, 1], 1)
 
 
 def test_smoothing_rejects_zero_likelihood(flat_binary):
@@ -264,8 +279,8 @@ def test_smoothing_rejects_overflowing_backward_messages():
     params = HmmParams(TransitionMatrix(np.eye(2), 0.0), np.array([1.0, 0.0]),
                        (DiscreteEmission(np.array([0.1, 0.9])),
                         DiscreteEmission(np.array([0.9, 0.1]))))
-    table = smoothing_exact(params, np.zeros(300, dtype=np.int64), 2)
-    assert np.isfinite(table.marginals).all() and np.isfinite(table.blocks).all()
+    marginals, blocks = smoothing_exact(params, np.zeros(300, dtype=np.int64), 2)
+    assert np.isfinite(marginals).all() and np.isfinite(blocks).all()
     with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
         smoothing_exact(params, np.zeros(400, dtype=np.int64), 2)
 
@@ -285,8 +300,8 @@ def test_windowed_deviation_within_bound_randomly():
         _, y = simulate(params, n, rng)
         N = int(rng.integers(2, n + 1))
         j = int(rng.integers(0, N))
-        windowed = smoothing_exact(params, y[:N], 1).marginals[j]
-        exact = smoothing_exact(params, y, 1).marginals[j]
+        windowed = smoothing_exact(params, y[:N], 1)[0][j]
+        exact = smoothing_exact(params, y, 1)[0][j]
         r = (1.0 - q) ** (N - j)
         assert np.max(np.abs(windowed - exact)) <= 2.0 * r / (q + r) + 1e-12
 

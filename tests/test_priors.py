@@ -9,7 +9,7 @@ from dphmm import (DiscreteDpSpec, GaussianDpSpec, GaussianMixtureEmission,
                    check_ratio_summable, sample_dp_discrete, sample_transition_row)
 from dphmm.emissions import DiscreteEmission
 from dphmm.gibbs import update_mixture_emissions
-from dphmm.priors import dp_mixture_arrays, sticks_to_weights
+from dphmm.priors import dp_mixture_arrays, gamma_normalize, sticks_to_weights
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_fallback_away_from_corner():
 def test_dp_two_symbols_is_flat_beta():
     spec = DiscreteDpSpec(2.0, np.array([0.5, 0.5]))  # Dirichlet(1, 1)
     rng = np.random.default_rng(4)
-    draws = np.array([sample_dp_discrete(spec, rng).pmf[0] for _ in range(20_000)])
+    draws = np.array([sample_dp_discrete(spec, rng)[0][0] for _ in range(20_000)])
     assert abs(draws.mean() - 0.5) <= 3 * np.sqrt(1 / 12 / draws.size)
     assert abs(draws.var() - 1 / 12) <= 3 * np.sqrt((1 / 80.0 - 1 / 144.0) / draws.size)
 
@@ -95,7 +95,7 @@ def test_dp_two_symbols_is_flat_beta():
 def test_dp_normalizer_gamma_moments():
     spec = DiscreteDpSpec(3.0, np.array([0.25, 0.25, 0.25, 0.25]))
     rng = np.random.default_rng(5)
-    totals = np.array([sample_dp_discrete(spec, rng, with_normalizer=True)[1]
+    totals = np.array([sample_dp_discrete(spec, rng)[1]
                        for _ in range(20_000)])
     assert abs(totals.mean() - 3.0) <= 3 * np.sqrt(3.0 / totals.size)
     var_se = np.sqrt((np.mean((totals - totals.mean()) ** 4) - totals.var() ** 2)
@@ -103,17 +103,25 @@ def test_dp_normalizer_gamma_moments():
     assert abs(totals.var() - 3.0) <= 3 * var_se
 
 
+def test_dp_draw_is_the_gamma_normalization_of_alpha_times_base():
+    spec = DiscreteDpSpec(1.5, np.array([0.2, 0.0, 0.3, 0.5]))
+    for seed in range(5):
+        pmf, total = sample_dp_discrete(spec, seed)
+        want_pmf, want_total = gamma_normalize(spec.alpha * spec.base, seed)
+        assert pmf.tobytes() == want_pmf.tobytes() and total == want_total
+
+
 def test_dp_draw_sums_to_one_exactly():
     spec = DiscreteDpSpec(1.5, np.array([0.2, 0.3, 0.5]))
     rng = np.random.default_rng(6)
     for _ in range(100):
-        pmf = sample_dp_discrete(spec, rng).pmf
+        pmf = sample_dp_discrete(spec, rng)[0]
         assert abs(pmf.sum() - 1.0) <= 1e-15
 
 
 def test_dp_zero_base_entries_stay_zero():
     spec = DiscreteDpSpec(2.0, np.array([0.5, 0.0, 0.5]))
-    pmf = sample_dp_discrete(spec, 7).pmf
+    pmf = sample_dp_discrete(spec, 7)[0]
     assert pmf[1] == 0.0
 
 
