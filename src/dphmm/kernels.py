@@ -18,8 +18,17 @@ draw's 1-D ``w.sum()`` adds fewer than 8 contiguous entries one at a time
 and more pairwise, so on the same uniforms the path is the same to the bit.
 The drawn state is ``F[t, j] = #{i < k - 1 : running_i < u_t * s[t, j]}``,
 one comparison pass per column; the running sums never decrease, so this is
-the count over all i capped at k - 1. The path is then the integer walk
-``x_t = F[t, x_{t+1}]`` over the flat row-major table.
+the count over all i capped at k - 1. F is an (m, k) array of small
+integers, and the path is the walk ``x_t = F[t, x_{t+1}]`` down its rows.
+Each row maps the next state to this one, and composing maps is
+associative, so ``_walk`` cuts the m rows into C chunks of
+``L = isqrt(m // 32)`` (the last topped up with rows that pass the state
+through), composes each chunk's map by L - 1 gathers over all chunks at
+once, walks the C maps in Python and fills in the chunks' other rows by
+L - 1 more gathers: about sqrt(32 m) Python steps and 2 sqrt(m / 32)
+gathers per block in place of m Python steps. Below 128 rows L is 1 and the
+walk is the plain one. The states are integers, so the path is the
+step-by-step walk's exactly.
 
 Forward filter and backward messages, as a prefix scan. The filtered law is
 ``alpha_t ∝ alpha_{t-1} Q diag(B_t)``, so the laws of a block are the prefix
@@ -95,11 +104,15 @@ at k = 32; below about 30 steps the loop is ahead by up to 50 microseconds
 per call. Neither is branched on. A column pass is one array call over a
 whole block, where a reduction over an axis only k long pays a fixed cost
 per row: the draw table makes about 3k such calls per block and a row sum
-k. At n = 20000 on the same host the draw took about 125, 170 and 215 ns
-per step at k = 2, 4 and 6 (155, 210 and 285 with 2048-step blocks); about
-60 ns of it is the walk, one list comprehension over the flat table.
+k. At n = 20000 on the same host the draw took about 45, 95 and 185 ns per
+step at k = 2, 4 and 6 (75, 120 and 195 with 2048-step blocks), of which
+the chunked walk takes about 12, 30 and 40 ns; walked one row at a time, as
+a list comprehension over the table, it took about 55, 90 and 105 ns, and
+the draw 140, 160 and 250.
 """
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -212,8 +225,8 @@ def _step(prev, Q, b, alpha, c):
 
 
 def _draw_table(alpha, QT, u):
-    """Total weights ``s[t, j]`` and the drawn states ``F[t, j]`` (as a flat
-    row-major list) for every step t of a block and next state j."""
+    """Total weights ``s[t, j]`` and the drawn states ``F[t, j]``, an (m, k)
+    array, for every step t of a block and next state j."""
     k = QT.shape[0]
     W = np.einsum("ti,ji->tji", alpha, QT)  # W[t, j, i] = alpha[t, i] Q[i, j], i contiguous
     if k >= 8:
@@ -226,7 +239,40 @@ def _draw_table(alpha, QT, u):
     F = np.zeros(s.shape, dtype=np.min_scalar_type(k - 1))
     for i in range(k - 1):
         F += W[:, :, i] < target
-    return s, F.ravel().tolist()
+    return s, F
+
+
+def _walk(F, x):
+    """The states ``x_t = F[t, x_{t+1}]`` for t = m - 1, ..., 0 from
+    ``x_m = x``, as an (m,) array.
+
+    The rows form C chunks of L, the last one topped up with rows that pass
+    the state through. Each chunk's map from the state above it to the state
+    at its first row is composed by L - 1 gathers over all chunks at once;
+    the C maps are walked in Python, which gives each chunk's first state,
+    and L - 1 more gathers fill in the other rows of every chunk.
+    """
+    m, k = F.shape
+    L = max(1, isqrt(m // 32))
+    C = -(-m // L)
+    if C * L > m:
+        padded = np.empty((C * L, k), dtype=F.dtype)
+        padded[:m] = F
+        padded[m:] = np.arange(k)   # rows that pass the state through
+        F = padded
+    flat = F.ravel()
+    G = F[L - 1::L]     # G[c, j]: chunk c's state at row r given state j above it
+    for r in range(L - 2, -1, -1):
+        G = flat.take(np.arange(r * k, C * L * k, L * k)[:, None] + G)
+    table = G.ravel().tolist()
+    path = np.empty(C * L + 1, dtype=np.int64)
+    path[C * L] = x
+    path[(C - 1) * L::-L] = [x := table[i + x] for i in range((C - 1) * k, -1, -k)]
+    above = path[L::L]      # the state above each chunk's row r, from r = L - 1 down
+    for r in range(L - 1, 0, -1):
+        above = flat.take(np.arange(r * k, C * L * k, L * k) + above)
+        path[r::L] = above
+    return path[:m]
 
 
 def forward_filter(mu, Q, B):
@@ -314,12 +360,10 @@ def ffbs(Q, alpha, u):
     block = block_len(k)
     for t1 in range(n - 1, 0, -block):
         t0 = max(t1 - block, 0)
-        s, table = _draw_table(alpha[t0:t1], QT, u[t0:t1])
-        # x_t = F[t, x_{t+1}], walked from the block's last row down
-        x = int(states[t1])
-        states[t0:t1][::-1] = [x := table[r + x] for r in range((t1 - t0 - 1) * k, -1, -k)]
-        if np.any(s[np.arange(t1 - t0), states[t0 + 1:t1 + 1]] <= 0.0):
+        s, F = _draw_table(alpha[t0:t1], QT, u[t0:t1])
+        states[t0:t1] = _walk(F, int(states[t1]))
+        if (s <= 0.0).any() and (s[np.arange(t1 - t0), states[t0 + 1:t1 + 1]] <= 0.0).any():
             states[0] = -1
             return states
-        del s, table    # s views the table W: free both before the next block's
+        del s, F    # s views the table W: free both before the next block's
     return states

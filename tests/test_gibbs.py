@@ -522,7 +522,7 @@ def test_run_chain_same_samples_with_oracle_kernels(family, monkeypatch):
     assert len(fast) == 2 and fast == slow
 
 
-def test_samples_laws_tables_and_specs_compare_and_hash_by_value(golden_truth):
+def test_posterior_samples_and_prior_specs_compare_and_hash_by_value(golden_truth):
     pairs = [
         (lambda: PosteriorSample(golden_truth, np.arange(4) % 2, 3, 0),
          PosteriorSample(golden_truth, np.array([0, 1, 0, 0]), 3, 0)),

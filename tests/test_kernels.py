@@ -1,5 +1,6 @@
 """Kernels: parity with the scalar-loop oracles, enumeration, edge cases."""
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -214,11 +215,36 @@ def test_scan_memory_does_not_grow_with_n():
     assert max(filter_4, messages_4) <= 2 * kernels.TABLE_FLOATS * 8 + 64 * 1024
 
 
+def test_draw_memory_does_not_grow_with_n():
+    # per block: the draw table of TABLE_FLOATS floats, its targets
+    # u_t * s[t, j] (block * k floats), the drawn states and one comparison
+    # mask (block * k bytes each); the walk's arrays, which come after the
+    # targets and the mask are freed, hold fewer
+    k = 4
+    block = kernels.block_len(k)
+    peaks = []
+    for n in (4 * block + 1, 16 * block + 1):
+        mu, Q, B, u = _problem(3, n=n, k=k)
+        alpha, _ = kernels.forward_filter(mu, Q, B)
+        peaks.append(_peak_above_outputs(lambda: kernels.ffbs(Q, alpha, u), 8 * n))
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+    assert peaks[0] <= 8 * kernels.TABLE_FLOATS + 10 * block * k + 64 * 1024
+
+
+# the walk cuts a block of m rows into chunks of isqrt(m // 32) rows: 5 for
+# m from 800 to 1151
+_WALK_L, _WALK_C = 5, 200
+
+
 @pytest.mark.parametrize("n, t", [(4, 1), (8, 2), (_FIXED_BLOCK + 10, 2),
-                                  (kernels.block_len(2) + 10, 2)])
+                                  (kernels.block_len(2) + 10, 2),
+                                  *((_WALK_L * _WALK_C, t) for t in (2, 499, 500, 996))])
 def test_ffbs_zero_weight_column_returns_minus_one(n, t):
     # state 1 at t + 1 is forced, and no state with mass at t can move to it;
-    # at n = block + 10 the table meets this in the second block drawn
+    # at n = block + 10 the table meets this in the second block drawn. At
+    # n = 1000 the block's 999 rows form 200 walk chunks of 5, the last topped
+    # up by one row: t = 2 lies in the chunk walked last, 499 and 500 on either
+    # side of a chunk edge, and 996 in the topped-up chunk
     Q = np.array([[1.0, 0.0], [0.5, 0.5]])
     alpha = np.full((n, 2), 0.5)
     alpha[t] = [1.0, 0.0]
@@ -240,6 +266,46 @@ def _numpy_step_draw(Q, alpha, u):
         cs = np.cumsum(w)
         states[t] = min(int(np.searchsorted(cs, u[t] * w.sum())), k - 1)
     return states
+
+
+def _walk_lengths(k):
+    """Block lengths about the walk's chunk edges: the most rows with
+    one-row chunks (127) and the fewest with two-row ones (128); 200 chunks
+    of 5 rows one row short (the last chunk topped up by one row), exact,
+    and one row over (topped up by 4); and about the block length."""
+    assert isqrt(127 // 32) == 1 and isqrt(128 // 32) == 2
+    assert all(isqrt(m // 32) == _WALK_L for m in range(800, 1152))
+    block = kernels.block_len(k)
+    rows = _WALK_L * _WALK_C
+    return sorted({127, 128, rows - 1, rows, rows + 1, block - 1, block + 1})
+
+
+@pytest.mark.parametrize("k, m", [(k, m) for k in (1, 2, 3, 4, 9) for m in _walk_lengths(k)])
+def test_ffbs_walk_across_chunk_edges(k, m):
+    # n = m + 1 gives one block of m rows below the last state; m = block + 1
+    # gives a full block and a block of one row
+    mu, Q, B, u = _problem(70 + k, n=m + 1, k=k)
+    alpha, _ = kernels.forward_filter(mu, Q, B)
+    path = kernels.ffbs(Q, alpha, u)
+    assert np.array_equal(path, oracles.ffbs_loops(Q, alpha, u))
+    assert np.array_equal(path, _numpy_step_draw(Q, alpha, u))
+
+
+def _sequential_walk(F, x):
+    path = np.empty(len(F), dtype=np.int64)
+    for t in range(len(F) - 1, -1, -1):
+        x = path[t] = F[t, x]
+    return path
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_walk_equals_the_sequential_walk_from_every_state(k):
+    rng = np.random.default_rng(80 + k)
+    rows = _WALK_L * _WALK_C
+    for m in (1, 2, 3, 31, 32, 127, 128, 129, 130, rows - 1, rows, rows + 1, rows + 4, 8192):
+        F = rng.integers(0, k, (m, k), dtype=np.uint8)
+        for x in range(k):
+            assert np.array_equal(kernels._walk(F, x), _sequential_walk(F, x)), (m, x)
 
 
 def test_ffbs_table_reduces_like_the_step_loop():
@@ -295,7 +361,7 @@ def test_column_pass_sums_equal_numpy_reductions_bit_for_bit(k):
     s, table = kernels._draw_table(alpha, QT, u)
     assert np.array_equal(s, totals)
     below = running < (u[:, None] * totals)[:, :, None]
-    assert table == np.minimum(below.sum(axis=2), k - 1).ravel().tolist()
+    assert np.array_equal(table, np.minimum(below.sum(axis=2), k - 1))
 
 
 def test_forward_matches_enumeration():
