@@ -30,43 +30,81 @@ gathers per block in place of m Python steps. Below 128 rows L is 1 and the
 walk is the plain one. The states are integers, so the path is the
 step-by-step walk's exactly.
 
-Forward filter and backward messages, as a prefix scan. The filtered law is
-``alpha_t ∝ alpha_{t-1} Q diag(B_t)``, so the laws of a block are the prefix
-products of the matrices ``Q diag(B_t)`` applied to the law carried in from
-the block before. The first level of pairs is formed straight from B and Q:
-with the block's rows scaled to sum 1, ``_pairs`` gives
-``Q diag(b_2j) Q diag(b_2j+1)`` for all block/2 pairs from one matrix
-product with the k x k^2 array ``Q[i, m] Q[m, l]``, each product scaled to
-sum 1. ``_prefix`` scans these pairs by pairing neighbours again, level by
-level, then fills one buffer of laws from the top level down: each entry
-the level above does not give is one vector-matrix product from its
-scanned predecessor. That is log2(block) levels and about block/2 small
-matrix products per block
-(Särkkä & García-Fernández, IEEE TAC 2021, on the temporal parallelisation
-of HMM inference), and it gives the laws at the block's odd offsets. The
-first level's fill is the correction pass, two steps of the recursion's own
-formula, ``a = (alpha[t-1] @ Q) * B[t]``, ``c[t] = a.sum()``,
-``alpha[t] = a / c[t]``: the even offsets step from the law carried in and
-the scanned odd laws, then the odd offsets from those even ones. So the
-normalisers are those of the step recursion and the scan's rounding does
-not carry from one block to the next. The backward messages scan the
-matrices ``diag(B_t / c_t) Q^T`` from the end, with the same first level
-(the transposes of ``Q diag(d_2j+1) Q diag(d_2j)``): with the forward
-normalisers these products keep the scale of ``beta``, so no normalisation
-is needed, and the same two-step correction follows. Kept scale needs the
-first level's ``Q[i, m] Q[m, l]`` exact: rounded once, their fixed errors
-entered every pair alike and beta's scale drifted by about 2e-17 per step
-(3e-12 after 32767 steps at k = 2, where the step recursion stays within
-1e-13 of an extended-precision reference). So the messages take them as the
-sum of two arrays, the exact products of Q's 26-bit halves and the small
-rest, at the cost of a second product of the same size; the filter, which
-keeps only directions, takes one. The correction's ``c`` and the scan's row
-normalisers follow the draw's 8-entry rule (``_rowsum``): column adds below
-8 states and ``sum(axis=1)`` from 8 on, equal to ``a.sum(axis=1)`` bit for
-bit. Results agree with the step
-recursion to within a few ulps (tests hold them to 1e-13 for alpha and c,
-1e-12 for beta). No scan temporary holds more than (block/2) k^2 floats,
-and a block's temporaries are freed before the next block starts.
+Forward filter, as a prefix scan over chunks (``_filter_block``). The
+filtered law is ``alpha_t ∝ alpha_{t-1} Q diag(B_t)``, so the laws of a
+block are the prefix products of the matrices ``Q diag(B_t)`` applied to the
+law carried in from the block before. A block of m steps is cut into F full
+chunks of L steps and, when L does not divide m, a last, short one; the scan
+runs over the chunks in three phases (the blocked two-level form of
+Särkkä & García-Fernández, IEEE TAC 2021, on the temporal parallelisation of
+HMM inference):
+
+1. ``_chunk_maps`` forms every full chunk's map ``Q diag(b_0) ... Q
+   diag(b_{L-1})``, with each step's likelihoods b scaled to sum 1, in one
+   chunk-contiguous (k, k, F) array. Each of its L - 1 steps after the
+   first is ``np.matmul(Q.T, T)``, k products (k, k) @ (k, F) that share the
+   one Q, then a multiply by the step's likelihoods divided by the sum of
+   the map's first row (see Guard). A scan over the products of step pairs
+   made one small matrix product per pair, each its own BLAS call: 625
+   stacked 4 x 4 products took about 23 microseconds, one step of 625
+   chunk maps at k = 4 about 5. Each map is scaled to sum 1 at the end.
+2. ``_prefix`` scans the F maps by pairing neighbours level by level, then
+   fills one buffer of laws from the top level down: each entry the level
+   above does not give is one vector-matrix product from its scanned
+   predecessor, and every product and law is scaled to sum 1. That is
+   log2(F) levels and about F small matrix products, and it gives the law
+   before each chunk.
+3. L passes of the recursion's own formula, ``a = (prev @ Q) * B[t]``,
+   ``c[t] = a.sum()``, ``alpha[t] = a / c[t]``, over all C chunks at once in
+   the state-major (k, C) layout: pass r fills step r of every chunk, from
+   the scanned law before the chunk when r = 0 and from step r - 1
+   otherwise.
+
+So every alpha and c comes from its predecessor by the step formula, and
+``c`` follows the draw's 8-entry rule (``_colsum``: row adds below 8 states,
+sums of contiguous rows from 8 on, equal to a 1-D ``a.sum()`` bit for bit).
+The scan's rounding enters only through the law that starts each chunk, a
+direction within a few ulps of the step recursion's, which the chunk's L
+steps carry as the recursion carries its own rounding; it does not carry
+from one chunk or block to the next. Results agree with the step recursion
+to within a few ulps (tests hold alpha and c to 1e-13). A step of zero
+likelihood has ``c`` exactly 0 and turns what follows it, in its chunk and
+through the maps of later chunks, into NaN under ``np.errstate``; the filter
+then clears alpha and c from the first zero on.
+
+The chunk length is ``L = max(2, isqrt(k m // 128))`` (``_chunk_len``), so a
+chunk is a pair, the first level of a plain pair scan, up to m = 575 at
+k = 2 and m = 287 at k = 4. A map step and a fill pass cost about ten array
+calls, a level of the tree about fifteen, and a map product grows with k, so
+the best L grows with m and k. An in-process sweep over k = 2, 3, 4, 6, 8
+and 16, m = 99, 499, 1999, 9999 and each k's block length, and L from 2 to
+64, put the best L at 2 to 4 for m = 99, 4 to 10 for m = 499, 4 to 12 for
+m = 1999, 6 to 12 at the block lengths of k = 3 to 16 and 20 at 32768
+steps (k = 2). The cost is flat to within about 10% over a factor of two
+or more in L. The rule's L lies at most 7% above the best at every point
+but one: at k = 3, m = 14563 it lies between L = 16 (10% above) and
+20 (16%).
+
+Backward messages, as a prefix scan over pairs. They scan the matrices
+``diag(B_t / c_t) Q^T`` from the end. ``_pairs`` forms the first level of
+pairs straight from B and Q, the transposes of ``Q diag(d_2j+1) Q
+diag(d_2j)``, from one matrix product with the k x k^2 array ``Q[i, m]
+Q[m, l]`` over all block/2 pairs, and ``_prefix`` scans them. With the
+forward normalisers these products keep the scale of ``beta``, so no
+normalisation is needed. A correction pass of two steps of the recursion's
+own formula gives the messages: the even offsets step from the message
+carried in and the scanned odd ones, then the odd offsets from those even
+ones. Kept scale needs the first level's ``Q[i, m] Q[m, l]`` exact: rounded
+once, their fixed errors entered every pair alike and beta's scale drifted
+by about 2e-17 per step (3e-12 after 32767 steps at k = 2, where the step
+recursion stays within 1e-13 of an extended-precision reference). So the
+messages take them as the sum of two arrays (``_products``), the exact
+products of Q's 26-bit halves and the small rest, at the cost of a second
+product of the same size. The scan's row normalisers follow the 8-entry
+rule too (``_rowsum``). Results agree with the step recursion to within a
+few ulps (tests hold beta to 1e-12). No scan temporary holds more than
+(block/2) k^2 floats, and a block's temporaries are freed before the next
+block starts.
 
 Guard. The scan needs every product of a block to keep its rows within
 range of each other: normalising a product to sum 1 would otherwise let a
@@ -74,13 +112,20 @@ row far below the largest underflow to 0, and a law carried in on that row's
 state would be lost (with Q = I and every B row [0.1, 0.9], after 512
 steps). When every entry of Q is at least ``SCAN_MIN_Q``, each row of a
 forward product is at least ``Q.min()`` times any other, and each backward
-product stays below ``Q.min() ** -2``, so nothing under- or overflows. A
+product stays below ``Q.min() ** -2``, so nothing under- or overflows. While
+a chunk map is formed, the sum of its first row falls by at most a factor
+``Q.min()`` per step (a step from a first row summing to 1, with likelihoods
+summing to 1), and dividing each step by it keeps every entry below
+``k / Q.min()``. The likelihoods are scaled to sum 1 before that division,
+not divided by the product of the two sums, which underflows where
+neither does (likelihoods of 1e-240 against a row sum of 1e-90). A
 smaller entry (a zero in a reducible or left-to-right chain, say) sends the
 filter and the messages through the step recursion instead; the table draw
 needs no guard.
 
-Cost. A pair product costs k^3 per step against the step recursion's k^2,
-and each block pays a fixed cost of a few dozen array calls, whatever k is.
+Cost. A map step or a pair product costs k^3 per step against the step
+recursion's k^2, and each block pays a fixed cost of a few dozen array
+calls, whatever k is.
 So blocks are as long as ``TABLE_FLOATS`` (2^17 floats, 1 MB) allows:
 32768 steps at k = 2, 8192 at k = 4, 2048 at k = 8 and 512 at k = 16. Small
 k pays the fixed cost seldom and large k keeps the draw's table in cache;
@@ -88,20 +133,26 @@ with 2048-step blocks the 4 MB table at k = 16 took the draw 2.3 times as
 long. The budget comes from an in-process sweep over k = 2, 3, 4, 6, 8 and
 16 at n = 2000 and 20000: half of it made the filter slower than 2048-step
 blocks at k = 8 and 16, and twice of it slowed the draw at n = 20000 from
-k = 4 on, by up to 1.4 times. Under it the correction's block-wide
-products, ``prev @ Q`` and ``(b * following) @ Q.T``, have at most
-(block + 1) / 2 rows, so at most half the budget plus k^2 multiply-adds:
-below ``PAIR_MACS`` for every k up to 512. The first level's matrix
-product is split into calls of at most ``PAIR_MACS`` multiply-adds, which
-OpenBLAS runs on one thread: with two BLAS threads on a 2-core host, one
-threaded call per block made the filter 3 times slower at k = 12. Measured
-on a 2-core x86-64 host with numpy 2.4 at n = 20000, the filter took about
-115, 180 and 250 ns per step at k = 2, 4 and 6 (195, 245 and 300 with
-2048-step blocks, side by side) and the messages about 90, 140 and 155
-(120, 135 and 175 with 2048-step blocks and one rounded product). At
-n = 2000 the scan is ahead of the step loop up to k = 24 and level with it
-at k = 32; below about 30 steps the loop is ahead by up to 50 microseconds
-per call. Neither is branched on. A column pass is one array call over a
+k = 4 on, by up to 1.4 times. Under it the block-wide products, the
+filter's ``Q.T @ prev`` over at most (block + 1) / 2 chunks and the
+messages' ``(b * following) @ Q.T`` over at most (block + 1) / 2 rows,
+take at most half the budget plus k^2 multiply-adds, and each of a map
+step's k products k^2 F, at most half the budget: below ``PAIR_MACS`` for
+every k up to 512. The messages' first-level product is split into calls
+of at most ``PAIR_MACS`` multiply-adds, which OpenBLAS runs on one thread:
+with two BLAS threads on a 2-core host, one threaded call per block made
+the filter 3 times slower at k = 12. Measured in process on a 2-core x86-64
+host with numpy 2.4 at n = 20000, best of interleaved calls, the filter
+took about 59, 116 and 207 ns per step at k = 2, 4 and 6, against 129, 213
+and 318 for a scan over step pairs (side by side), and the messages about
+90, 140 and 155 (120, 135 and 175 with 2048-step blocks and one rounded
+product). At n = 100, where a chunk is a pair, a call took about 124
+microseconds at k = 2 and 137 at k = 4, level with the pair scan (122 and
+137); the step loop took 325. At n = 2000 the scan is level with the step
+loop at k = 32 (7.8 against 7.2 ms) and behind it at k = 48 (20.9 against
+7.8 ms), where a block is 56 steps and its fixed cost returns; below about
+30 steps the loop is ahead by up to 40 microseconds per call. Neither is
+branched on. A column pass is one array call over a
 whole block, where a reduction over an axis only k long pays a fixed cost
 per row: the draw table makes about 3k such calls per block and a row sum
 k. At n = 20000 on the same host the draw took about 45, 95 and 185 ns per
@@ -178,13 +229,11 @@ def _prefix(v, M, normalise):
     return out
 
 
-def _products(Q, exact):
-    """k x k^2 arrays whose sum is ``QQ[m, i * k + l] = Q[i, m] Q[m, l]``: the
-    rounded products, or with ``exact`` two arrays that hold them to within
-    2^-79, those of Q's 26-bit halves (which are exact) and the rest."""
+def _products(Q):
+    """Two k x k^2 arrays whose sum holds ``QQ[m, i * k + l] = Q[i, m] Q[m, l]``
+    to within 2^-79: the products of Q's 26-bit halves (which are exact) and
+    the rest."""
     k = Q.shape[0]
-    if not exact:
-        return ((Q.T[:, :, None] * Q[:, None, :]).reshape(k, k * k),)
     t = 134217729.0 * Q          # (2^27 + 1) Q: Veltkamp's split into 26-bit halves
     hi = t - (t - Q)
     lo = Q - hi
@@ -192,16 +241,13 @@ def _products(Q, exact):
     return (hi.T[:, :, None] * hi[:, None, :]).reshape(k, k * k), rest.reshape(k, k * k)
 
 
-def _pairs(QQ, rows, reverse=False):
-    """The products ``Q diag(rows[2j]) Q diag(rows[2j + 1])`` of adjacent
+def _pairs(QQ, rows):
+    """The products ``diag(rows[2j]) Q^T diag(rows[2j + 1]) Q^T`` of adjacent
     rows, shaped (h, k, k), from one matrix product per array of
-    ``_products`` over all h pairs; with ``reverse``, ``diag(rows[2j]) Q^T
-    diag(rows[2j + 1]) Q^T``, which is the transpose of ``Q diag(rows[2j + 1])
+    ``_products`` over all h pairs: the transposes of ``Q diag(rows[2j + 1])
     Q diag(rows[2j])``."""
     h, k = len(rows) // 2, rows.shape[1]
-    first, second = rows[0:2 * h:2], rows[1:2 * h:2]
-    if reverse:
-        first, second = second, first
+    first, second = rows[1:2 * h:2], rows[0:2 * h:2]
     # (first @ QQ)[j, i * k + l] = sum_m first[j, m] Q[i, m] Q[m, l], in
     # products of at most PAIR_MACS multiply-adds each
     P = np.empty((h, k * k))
@@ -212,16 +258,7 @@ def _pairs(QQ, rows, reverse=False):
             P[j:j + step] += first[j:j + step] @ rest
     P = P.reshape(h, k, k)
     P *= second[:, None, :]
-    return P.transpose(0, 2, 1) if reverse else P
-
-
-def _step(prev, Q, b, alpha, c):
-    """One step of the forward recursion for every row: ``alpha`` receives
-    ``(prev @ Q) * b`` scaled to sum 1 and ``c`` its sum; rows that sum to 0
-    stay 0."""
-    a = (prev @ Q) * b
-    c[:] = _rowsum(a)
-    np.divide(a, np.where(c > 0.0, c, 1.0)[:, None], out=alpha)
+    return P.transpose(0, 2, 1)
 
 
 def _draw_table(alpha, QT, u):
@@ -275,6 +312,64 @@ def _walk(F, x):
     return path[:m]
 
 
+def _chunk_len(m, k):
+    """Steps per chunk of the forward filter for a block of m steps at k
+    states."""
+    return max(2, isqrt(k * m // 128))
+
+
+def _colsum(a, out):
+    """The sums over states of a state-major (k, C) array ``a`` into ``out``,
+    bit for bit the 1-D ``sum`` of each column: row adds below 8 states and
+    the sums of contiguous rows from 8 on."""
+    if a.shape[0] >= 8:
+        return np.ascontiguousarray(a.T).sum(axis=1, out=out)
+    return np.add.reduce(a, axis=0, out=out)
+
+
+def _chunk_maps(Q, b):
+    """The maps ``Q diag(b[:, 0, f]) Q diag(b[:, 1, f]) ... Q diag(b[:, L - 1,
+    f])`` of F chunks, each scaled to sum 1, shaped (F, k, k), from the
+    (k, L, F) likelihoods ``b``."""
+    k, L, F = b.shape
+    b = b / b.sum(axis=0)   # each step's likelihoods scaled to sum 1
+    T = Q[:, :, None] * b[:, 0]     # T[i, l, f]: chunk f's map so far
+    for r in range(1, L):
+        # k products (k, k) @ (k, F) with the one Q, then the step's
+        # likelihoods, with the map scaled to a first row summing to 1
+        w = b[:, r] / T[0].sum(axis=0)
+        T = np.matmul(Q.T, T)
+        T *= w
+    T /= T.reshape(k * k, F).sum(axis=0)
+    return np.ascontiguousarray(T.transpose(2, 0, 1))
+
+
+def _filter_block(law, Q, b, alpha, c):
+    """Fill ``alpha`` and ``c`` for the m steps of ``b`` from the law
+    carried in."""
+    m, k = b.shape
+    L = _chunk_len(m, k)
+    F, C = m // L, -(-m // L)
+    e = m - F * L   # the steps of a last, short chunk
+    bt = np.zeros((k, L, C))    # bt[:, r, j]: step r of chunk j, 0 past the block's end
+    bt[:, :, :F] = b[:F * L].reshape(F, L, k).transpose(2, 1, 0)
+    if e:
+        bt[:, :e, F] = b[F * L:].T
+    laws = _prefix(law, _chunk_maps(Q, bt[:, :, :F]), True) if F else law[None]
+    A = np.empty((L, k, C))
+    cs = np.empty((L, C))
+    prev = laws[:C].T
+    for r in range(min(L, m)):
+        prev = np.matmul(Q.T, prev, out=A[r])
+        prev *= bt[:, r]
+        prev /= _colsum(prev, cs[r])
+    alpha[:F * L].reshape(F, L, k)[...] = A[:, :, :F].transpose(2, 0, 1)
+    c[:F * L].reshape(F, L)[...] = cs[:, :F].T
+    if e:
+        alpha[F * L:] = A[:e, :, F]
+        c[F * L:] = cs[:e, F]
+
+
 def forward_filter(mu, Q, B):
     """Scaled forward pass.
 
@@ -302,22 +397,17 @@ def forward_filter(mu, Q, B):
                 return alpha, c
             alpha[t] = a / s
         return alpha, c
-    block, QQ = block_len(k), _products(Q, False)
-    for t0 in range(1, n, block):
-        t1 = min(t0 + block, n)
-        b = B[t0:t1]
-        # the law carried in, then the laws at offsets 1, 3, ...; each row and
-        # each product is scaled to sum 1, and every temporary is freed before
-        # the steps
-        laws = _prefix(alpha[t0 - 1], _unit(_pairs(QQ, _unit(b.copy(), 1)), (1, 2)), True)
-        _step(laws[:(t1 - t0 + 1) // 2], Q, b[0::2], alpha[t0:t1:2], c[t0:t1:2])
-        _step(alpha[t0:t1 - 1:2], Q, b[1::2], alpha[t0 + 1:t1:2], c[t0 + 1:t1:2])
-        zero = np.flatnonzero(c[t0:t1] <= 0.0)
-        if zero.size:
-            stop = t0 + int(zero[0])
-            alpha[stop:t1] = 0.0
-            c[stop:t1] = 0.0
-            break
+    block = block_len(k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t0 in range(1, n, block):
+            t1 = min(t0 + block, n)
+            _filter_block(alpha[t0 - 1], Q, B[t0:t1], alpha[t0:t1], c[t0:t1])
+            zero = np.flatnonzero(c[t0:t1] <= 0.0)
+            if zero.size:
+                stop = t0 + int(zero[0])
+                alpha[stop:t1] = 0.0
+                c[stop:t1] = 0.0
+                break
     return alpha, c
 
 
@@ -333,13 +423,13 @@ def backward_messages(Q, B, c):
         for t in range(n - 2, -1, -1):
             beta[t] = (Q @ (B[t + 1] * beta[t + 1])) / c[t + 1]
         return beta
-    block, QQ = block_len(k), _products(Q, True)
+    block, QQ = block_len(k), _products(Q)
     for t1 in range(n - 1, 0, -block):
         t0 = max(t1 - block, 0)
         # step r of the reversed block gives beta[t1 - 1 - r] from beta[t1 - r]
         b, cb = B[t1:t0:-1], c[t1:t0:-1, None]
         # beta[t1], then the messages after steps 1, 3, ...
-        following = _prefix(beta[t1], _pairs(QQ, b / cb, reverse=True), False)[:(t1 - t0 + 1) // 2]
+        following = _prefix(beta[t1], _pairs(QQ, b / cb), False)[:(t1 - t0 + 1) // 2]
         rev = beta[t1 - 1:None if t0 == 0 else t0 - 1:-1]
         rev[0::2] = (b[0::2] * following) @ Q.T / cb[0::2]
         rev[1::2] = (b[1::2] * rev[0:-1:2]) @ Q.T / cb[1::2]

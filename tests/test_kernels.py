@@ -61,11 +61,25 @@ _SMALL_BLOCK = 64
 _FIXED_BLOCK = 2048     # the block of every k before blocks were sized by k
 
 
-@pytest.mark.parametrize("k", [2, 3, 8, 9, 16])
-@pytest.mark.parametrize("n", _lengths(_SMALL_BLOCK))
+def _chunk_edge(k, near):
+    """The first block length m from ``near`` on that is a whole number C of
+    the filter's chunks of L steps, with m - 1 and m + 1 cut into chunks of
+    L as well."""
+    m = near
+    while True:
+        L = kernels._chunk_len(m, k)
+        if m % L == 0 and kernels._chunk_len(m - 1, k) == L == kernels._chunk_len(m + 1, k):
+            return m
+        m += 1
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (*_lengths(_SMALL_BLOCK), _SMALL_BLOCK + 2)
+                                  for k in (*range(1, 11), 16)])
 def test_parity_across_blocks(n, k, monkeypatch):
     # a small budget brings every block edge within reach of the scalar
-    # oracles at k = 16, which take seconds per call over two full blocks
+    # oracles at k = 16, which take seconds per call over two full blocks.
+    # Its blocks are cut into chunks of 2 steps; n = 2 and n = block + 2
+    # end in a block of one step, shorter than a chunk
     monkeypatch.setattr(kernels, "TABLE_FLOATS", _SMALL_BLOCK * k * k)
     assert kernels.block_len(k) == _SMALL_BLOCK
     _assert_parity(n, k)
@@ -79,15 +93,23 @@ def _full_block_cases():
     block of block - 1, 1 and 2 steps, and the backward ones start in it.
     The k = 2 cases run up to 65539 steps: with the messages' first level
     rounded once, beta's scale drifted past the tolerance there (3e-12). The
-    edges of the former fixed block stay as cases inside a block."""
+    edges of the former fixed block stay as cases inside a block.
+
+    The filter cuts a block into chunks: for k = 1 to 10, one block of
+    n - 1 = C L steps and of C L - 1 and C L + 1 (about 1000 steps, L from 2
+    to 8), and at k = 2 and 4 a full block followed by such a block."""
     cases = []
-    for k in (2, 3, 4, 9):
+    for k in range(1, 11):
         block = kernels.block_len(k)
-        lengths = {*_lengths(block // 2)[-4:], *_lengths(block)[-4:]}
-        if k != 4:
+        lengths = set()
+        if k in (2, 3, 4, 9):
+            lengths |= {*_lengths(block // 2)[-4:], *_lengths(block)[-4:]}
+        if k in (2, 3, 9):
             lengths |= {*_lengths(_FIXED_BLOCK // 2)[-4:], *_lengths(_FIXED_BLOCK)[-4:]}
         if k in (2, 4):
             lengths |= {2 * block, 2 * block + 2, 2 * block + 3}
+            lengths |= {block + _chunk_edge(k, 1000) + d for d in (0, 1, 2)}
+        lengths |= {_chunk_edge(k, 1000) + d for d in (0, 1, 2)}
         cases += [(n, k) for n in sorted(lengths)]
     return cases
 
@@ -99,13 +121,18 @@ def test_parity_at_full_block_edges(n, k):
 
 @pytest.mark.parametrize("k", range(1, 65))
 def test_block_products_stay_within_one_blas_thread(k):
-    # The block-wide products of the correction pass, ``prev @ Q`` in
-    # ``_step`` and ``(b * following) @ Q.T`` in ``backward_messages``, have
-    # at most (block + 1) // 2 rows. Under the table budget they stay below
-    # the size from which OpenBLAS may split a call over threads.
+    # The block-wide products, ``Q.T @ prev`` over the filter's C chunks and
+    # ``(b * following) @ Q.T`` in ``backward_messages``' correction pass,
+    # have at most (block + 1) // 2 columns or rows; a step of the chunk
+    # maps is k products ``Q.T @ T[i]`` of k^2 F multiply-adds over the F
+    # full chunks. Under the table budget they stay below the size from
+    # which OpenBLAS may split a call over threads.
     block = kernels.block_len(k)
     assert block * k * k <= kernels.TABLE_FLOATS
     assert (block + 1) // 2 * k * k <= kernels.PAIR_MACS
+    L = kernels._chunk_len(block, k)
+    assert 2 <= L and -(-block // L) <= (block + 1) // 2
+    assert k * k * (block // L) <= kernels.PAIR_MACS
 
 
 def test_message_pair_products_sum_to_the_exact_products():
@@ -114,13 +141,11 @@ def test_message_pair_products_sum_to_the_exact_products():
     from fractions import Fraction
     k = 5
     Q = np.random.default_rng(8).dirichlet(np.ones(k), size=k)
-    (rounded,) = kernels._products(Q, False)
-    hi, lo = kernels._products(Q, True)
+    hi, lo = kernels._products(Q)
     for m in range(k):
         for i in range(k):
             for l in range(k):
                 exact = Fraction(Q[i, m]) * Fraction(Q[m, l])
-                assert rounded[m, i * k + l] == Q[i, m] * Q[m, l]
                 assert abs(Fraction(hi[m, i * k + l]) + Fraction(lo[m, i * k + l]) - exact) \
                     <= exact * 2.0 ** -78
 
@@ -138,19 +163,28 @@ def _sparse_transition_problem(case):
     if case == "left_to_right":
         Q = np.array([[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 1.0]])
         return np.array([1.0, 0.0, 0.0]), Q, np.random.default_rng(11).random((n, 3)) + 0.01
-    return np.array([1.0, 0.0]), np.array([[1.0 - tiny, tiny], [tiny, 1.0 - tiny]]), skew
+    Q = np.array([[1.0 - tiny, tiny], [tiny, 1.0 - tiny]])
+    if case == "tiny_likelihoods":
+        return np.array([0.5, 0.5]), Q, np.tile([0.0, 1e-240], (n, 1))
+    return np.array([1.0, 0.0]), Q, skew
 
 
-@pytest.mark.parametrize("case", ["identity", "reducible", "left_to_right", "tiny_entries"])
+@pytest.mark.parametrize("case", ["identity", "reducible", "left_to_right", "tiny_entries",
+                                  "tiny_likelihoods"])
 def test_parity_with_zero_and_tiny_transition_entries(case):
     # With Q = I the rows of a block's product part by a factor 9 per step.
     # Scanned, the forward row of state 0, which holds the law, underflows
     # after 512 steps and the likelihood reads 0 from there on; the backward
     # row of state 1 overflows after 323 steps and meets beta = 0 as NaN.
     # Zeros in Q send the filter and the messages step by step;
-    # "tiny_entries" stays on the scan, just above the guard.
+    # "tiny_entries" stays on the scan, just above the guard. In
+    # "tiny_likelihoods" every likelihood, 1e-240, is on state 1, so the
+    # first row of a chunk's map, which starts in state 0, keeps about 1e-90
+    # of its sum per step while the law loses nothing: the maps scale each
+    # step's likelihoods to sum 1 before dividing by that row's sum, as the
+    # product of the two divisors underflows to 0.
     mu, Q, B = _sparse_transition_problem(case)
-    assert (Q.min() >= kernels.SCAN_MIN_Q) == (case == "tiny_entries")
+    assert (Q.min() >= kernels.SCAN_MIN_Q) == case.startswith("tiny")
     alpha, c = kernels.forward_filter(mu, Q, B)
     ref_alpha, ref_c = oracles.forward_filter_loops(mu, Q, B)
     assert np.all(c > 0.0)
@@ -164,18 +198,28 @@ def test_parity_with_zero_and_tiny_transition_entries(case):
 
 
 _C3 = kernels.block_len(3)
+_L3 = kernels._chunk_len(_C3, 3)    # 18: the blocks of 14563 steps end in a chunk of one
+_E3 = 1003      # a third block: 250 chunks of 4 steps and a last one of 3
 
 
 @pytest.mark.parametrize("t_zero", sorted({0, 100, 101, *(_C3 // 2 + d for d in (0, 1)),
                                            *(_C3 + d for d in (0, 1, 2)),
                                            *(_FIXED_BLOCK // 2 + d for d in (0, 1)),
-                                           *(_FIXED_BLOCK + d for d in (0, 1, 2))}))
+                                           *(_FIXED_BLOCK + d for d in (0, 1, 2)),
+                                           1 + 7 * _L3, _C3 + 1 + 400 * _L3,
+                                           _C3 + 400 * _L3, 2 * _C3,
+                                           2 * _C3 + 1 + 1000, 2 * _C3 + 1 + 1001}))
 def test_zero_likelihood_inside_and_between_blocks(t_zero):
-    # at k = 3 the scanned filter blocks time as [1, C], [C + 1, 2C], ...;
-    # within a block the even offsets step from the scanned odd laws and the
-    # odd offsets from the even ones (101 is offset 100, C + 2 offset 1); the
-    # former fixed block's edges now fall inside the first block
-    mu, Q, B, _ = _problem(7, n=2 * _C3 + 1, k=3)
+    # at k = 3 the scanned filter blocks time as [1, C], [C + 1, 2C], ...,
+    # and cuts each block into chunks of L = 18 steps: offsets 0, L, 2L, ...
+    # step from the scanned laws, the others from the step before. 1 + 7L
+    # and C + 1 + 400L are the first steps of chunks, C + 400L the last step
+    # of the chunk before; C and 2C are the last, one-step chunks of the two
+    # full blocks. The third block's last, short chunk starts at offset 1000;
+    # 1001 lies inside it. The former fixed block's edges fall inside the
+    # first block
+    assert kernels._chunk_len(_E3, 3) == 4
+    mu, Q, B, _ = _problem(7, n=2 * _C3 + 1 + _E3, k=3)
     B[t_zero] = 0.0
     alpha, c = kernels.forward_filter(mu, Q, B)
     ref_alpha, ref_c = oracles.forward_filter_loops(mu, Q, B)
@@ -344,6 +388,10 @@ def test_column_pass_sums_equal_numpy_reductions_bit_for_bit(k):
     rng = np.random.default_rng(40 + k)
     x = _wide_rows(rng, 3000, k)
     assert np.array_equal(kernels._rowsum(x), x.sum(axis=1))
+    # the filter's normalisers c, summed over the states of its state-major
+    # (k, C) layout
+    assert np.array_equal(kernels._colsum(np.ascontiguousarray(x.T), np.empty(3000)),
+                          x.sum(axis=1))
     unit = kernels._unit(x.copy(), 1)
     s = x.sum(axis=1, keepdims=True)
     assert np.array_equal(unit, x / np.where(s > 0.0, s, 1.0))
