@@ -10,6 +10,15 @@ Three families share a duck-typed interface (``density``, ``sample``,
 * ``TranslatedEmission``    a shared continuous density shifted by a
   state-specific offset.
 
+Gaussian kernel tables are component-major: ``gaussian_kernels`` returns
+the (R,) + y.shape table, so each elementwise pass runs over one contiguous
+row per component, and per-component scalars broadcast along the leading
+axis (``component_axis``). ``mixture_density`` reduces the table over the
+components by ``weights @ table``; up to two components that keeps the bits
+of the point-major ``table @ weights``, and from three on the dot may round
+its last bits differently. The sampler's allocations and log-space
+fallbacks (``gibbs``) use the same layout.
+
 L1 distances are exact sums for discrete pairs and importance-sampled for
 continuous ones, with the equal mixture of the two densities as proposal.
 """
@@ -42,23 +51,40 @@ def _inverse_cdf(p):
     return cdf
 
 
+def component_axis(v, ndim):
+    """The per-component vector ``v`` shaped (R,) + (1,) * ndim, to broadcast
+    along the leading axis of a component-major table."""
+    return v.reshape((-1,) + (1,) * ndim)
+
+
 def gaussian_kernels(y, locations, scales):
-    """exp(-z * z / 2) for z = (y - z_r) / sigma_r, shaped y.shape + (R,).
+    """exp(-z * z / 2) for z = (y - z_r) / sigma_r, shaped (R,) + y.shape:
+    component-major, so every pass runs over one contiguous row per
+    component.
 
     Computed in one fresh buffer, in place, in the order subtract, divide,
-    square, scale by -1/2, exp; ``y`` is left as it is."""
-    buf = np.subtract(np.asarray(y, dtype=np.float64)[..., None], locations)
-    buf /= scales
+    square, scale by -1/2, exp; ``y`` is left as it is. Each entry is that of
+    the point-major y.shape + (R,) table, bit for bit."""
+    y = np.asarray(y, dtype=np.float64)
+    buf = np.subtract(y, component_axis(locations, y.ndim))
+    buf /= component_axis(scales, y.ndim)
     buf *= buf
     buf *= -0.5
     return np.exp(buf, out=buf)
 
 
 def mixture_density(y, weights, locations, scales):
-    """Density of the normal mixture sum_r w_r N(z_r, sigma_r^2) at y, shaped like y."""
+    """Density of the normal mixture sum_r w_r N(z_r, sigma_r^2) at y, shaped like y.
+
+    The kernel table is divided by sqrt(2 pi) * sigma_r and reduced over the
+    components by ``weights @ table`` on its (R, y.size) form. Up to two
+    components this equals the point-major ``table.T @ weights`` bit for bit;
+    from three on the dot runs in the other BLAS orientation and may differ
+    in the last bits."""
+    y = np.asarray(y, dtype=np.float64)
     comp = gaussian_kernels(y, locations, scales)
-    comp /= SQRT_2PI * scales
-    return comp @ weights
+    comp /= component_axis(SQRT_2PI * scales, y.ndim)
+    return (weights @ comp.reshape(weights.size, -1)).reshape(y.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,9 +9,9 @@ normal-inverse-gamma atoms; Ishwaran & James, JASA 2001) in the mixture
 case.
 
 The block sweep works in whole-array passes. A state's allocation
-probabilities are one (n, truncation) buffer; the running sums of the
-first truncation - 1 components are formed by whole-row adds over a
-transposed copy, in the order ``cumsum`` adds them, and an observation's
+probabilities are one component-major (truncation, n) buffer; the running
+sums of the first truncation - 1 components are formed in place by
+whole-row adds, in the order ``cumsum`` adds them, and an observation's
 component is the count of running sums below its uniform. Three
 ``bincount`` passes then give each component's occupancy, mean and summed
 squared deviation, summed in observation order, and the sticks and atoms
@@ -39,14 +39,14 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .emissions import (SQRT_2PI, DiscreteEmission, GaussianMixtureEmission, gaussian_kernels,
-                        mixture_density)
+from .emissions import (SQRT_2PI, DiscreteEmission, GaussianMixtureEmission, component_axis,
+                        gaussian_kernels, mixture_density)
 from .errors import ConfigError, DataError, NumericalError, ZeroLikelihoodError
 from .hmm import CONSTRUCTION_TOL, HmmParams, TransitionMatrix, simulate
 from .priors import (DiscreteDpSpec, GaussianDpSpec, TruncatedDirichletSpec,
                      dp_mixture_arrays, dp_mixture_posterior, gamma_normalize,
                      sample_dp_discrete, sample_transition_row)
-from .util import ValueEquality, as_generator
+from .util import ValueEquality, as_generator, colsum
 
 
 @dataclass(frozen=True)
@@ -155,44 +155,48 @@ def update_discrete_emissions(counts: np.ndarray, spec: DiscreteDpSpec,
 
 
 def _log_components(y, weights, locations, scales):
-    """log(w_r N(y; z_r, sigma_r^2)) shaped y.shape + (R,); a zero weight
-    gives -inf."""
-    z = (y[..., None] - locations) / scales
+    """log(w_r N(y; z_r, sigma_r^2)) shaped (R,) + y.shape, component-major
+    like ``gaussian_kernels``; a zero weight gives -inf."""
+    z = (y - component_axis(locations, y.ndim)) / component_axis(scales, y.ndim)
     with np.errstate(divide="ignore"):
-        return np.log(weights) - np.log(SQRT_2PI * scales) - 0.5 * z * z
+        logw = np.log(weights) - np.log(SQRT_2PI * scales)
+    return component_axis(logw, y.ndim) - 0.5 * z * z
 
 
 def _shifted_exp(logs):
-    """exp(logs) shifted by each row's maximum, so the largest entry of a row
-    is 1; a row with no finite maximum gives NaN."""
+    """exp(logs) shifted by each column's maximum over the leading axis, so
+    the largest entry of a column is 1; a column with no finite maximum gives
+    NaN."""
     with np.errstate(invalid="ignore"):
-        return np.exp(logs - logs.max(axis=-1, keepdims=True))
+        return np.exp(logs - logs.max(axis=0))
 
 
 def _allocations(ys, weights, locations, scales, u):
     """Each observation's component given its uniform ``u``.
 
-    The allocation probabilities are formed in one (n, R) buffer in this
-    order: kernels times weights, divided by sqrt(2 pi) * scales, divided by
-    the row totals ``sum(axis=1)``. A row whose total underflows to 0 is
-    recomputed in log space, shifted by its maximum; the other rows keep
-    their bits. The division writes the first R - 1 components transposed,
-    one contiguous row each, and whole-row adds turn them into the running
+    The allocation probabilities are formed in the component-major (R, n)
+    table of ``gaussian_kernels`` in this order: kernels times weights,
+    divided by sqrt(2 pi) * scales, divided by the totals over the
+    components. The totals follow the 8-entry rule (``util.colsum``), so
+    they equal the point-major row sums ``sum(axis=1)`` bit for bit. A
+    column whose total underflows to 0 is recomputed in log space, shifted by
+    its maximum; the other columns keep their bits. Only the first R - 1
+    rows are divided, and whole-row adds turn them in place into the running
     sums with the additions ``cumsum`` makes. The component is the count of
     those R - 1 running sums below u: they never decrease, so that is the
     count over all R capped at R - 1."""
     resp = gaussian_kernels(ys, locations, scales)
-    resp *= weights
-    resp /= SQRT_2PI * scales
-    totals = resp.sum(axis=1)
+    resp *= weights[:, None]
+    resp /= (SQRT_2PI * scales)[:, None]
+    totals = colsum(resp, np.empty(ys.size))
     under = np.flatnonzero(totals <= 0.0)
     if under.size:
-        resp[under] = _shifted_exp(_log_components(ys[under], weights, locations, scales))
-        totals[under] = resp[under].sum(axis=1)
+        resp[:, under] = _shifted_exp(_log_components(ys[under], weights, locations, scales))
+        totals[under] = colsum(resp[:, under], np.empty(under.size))
         if not np.all(totals[under] > 0.0):
             raise ZeroLikelihoodError("an observation has zero density under every component")
-    running = np.divide(resp.T[:-1], totals, order="C")
-    del resp                            # one (n, R) buffer at a time from here
+    running = resp[:-1]
+    running /= totals
     for r in range(1, running.shape[0]):
         running[r] += running[r - 1]
     return (u > running).sum(axis=0)
@@ -239,9 +243,9 @@ def _mixture_emission_matrix(y, emissions) -> np.ndarray:
     B = np.stack([mixture_density(y, *e) for e in emissions], axis=1)
     under = np.flatnonzero(np.einsum("ti->t", B) <= 0.0)
     if under.size:
-        logs = np.stack([np.logaddexp.reduce(_log_components(y[under], *e), axis=1)
-                         for e in emissions], axis=1)
-        B[under] = np.nan_to_num(_shifted_exp(logs), nan=0.0)
+        logs = np.stack([np.logaddexp.reduce(_log_components(y[under], *e), axis=0)
+                         for e in emissions])
+        B[under] = np.nan_to_num(_shifted_exp(logs), nan=0.0).T
     return B
 
 

@@ -61,8 +61,9 @@ HMM inference):
    otherwise.
 
 So every alpha and c comes from its predecessor by the step formula, and
-``c`` follows the draw's 8-entry rule (``_colsum``: row adds below 8 states,
-sums of contiguous rows from 8 on, equal to a 1-D ``a.sum()`` bit for bit).
+``c`` follows the draw's 8-entry rule (``util.colsum``: row adds below 8
+states, sums of contiguous rows from 8 on, equal to a 1-D ``a.sum()`` bit for
+bit).
 The scan's rounding enters only through the law that starts each chunk, a
 direction within a few ulps of the step recursion's, which the chunk's L
 steps carry as the recursion carries its own rounding; it does not carry
@@ -166,6 +167,8 @@ from __future__ import annotations
 from math import isqrt
 
 import numpy as np
+
+from .util import colsum
 
 TABLE_FLOATS = 2 ** 17   # block * k * k, the draw table's floats, stays at or below this
 SCAN_MIN_Q = 1e-100     # below this transition entry the filter and messages step
@@ -318,15 +321,6 @@ def _chunk_len(m, k):
     return max(2, isqrt(k * m // 128))
 
 
-def _colsum(a, out):
-    """The sums over states of a state-major (k, C) array ``a`` into ``out``,
-    bit for bit the 1-D ``sum`` of each column: row adds below 8 states and
-    the sums of contiguous rows from 8 on."""
-    if a.shape[0] >= 8:
-        return np.ascontiguousarray(a.T).sum(axis=1, out=out)
-    return np.add.reduce(a, axis=0, out=out)
-
-
 def _chunk_maps(Q, b):
     """The maps ``Q diag(b[:, 0, f]) Q diag(b[:, 1, f]) ... Q diag(b[:, L - 1,
     f])`` of F chunks, each scaled to sum 1, shaped (F, k, k), from the
@@ -362,7 +356,7 @@ def _filter_block(law, Q, b, alpha, c):
     for r in range(min(L, m)):
         prev = np.matmul(Q.T, prev, out=A[r])
         prev *= bt[:, r]
-        prev /= _colsum(prev, cs[r])
+        prev /= colsum(prev, cs[r])
     alpha[:F * L].reshape(F, L, k)[...] = A[:, :, :F].transpose(2, 0, 1)
     c[:F * L].reshape(F, L)[...] = cs[:, :F].T
     if e:

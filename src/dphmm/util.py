@@ -21,6 +21,16 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def colsum(a, out):
+    """The sums over the leading axis of a 2-D (m, C) array ``a`` into
+    ``out``, bit for bit the 1-D ``sum`` of each column: row adds below 8
+    rows, the one-at-a-time order numpy keeps there, and numpy's pairwise
+    sums of contiguous rows of the transpose from 8 on."""
+    if a.shape[0] >= 8:
+        return np.ascontiguousarray(a.T).sum(axis=1, out=out)
+    return np.add.reduce(a, axis=0, out=out)
+
+
 def readonly(a) -> np.ndarray:
     """Copy to a contiguous float64 array and lock it against writes."""
     out = np.array(a, dtype=np.float64, copy=True, order="C")

@@ -22,15 +22,16 @@ from dphmm.util import as_generator
 def cumulative_responsibilities(ys, weights, locations, scales):
     """The running sums over the components of each observation's allocation
     probabilities, shaped (n, R): kernels times weights, divided by
-    sqrt(2 pi) * scales, divided by the row totals, then ``cumsum``. Rows
-    whose total underflows to 0 are recomputed in log space."""
-    resp = gaussian_kernels(ys, locations, scales)
+    sqrt(2 pi) * scales, divided by the row totals, then ``cumsum``, on the
+    point-major transpose of the component-major kernel table. Rows whose
+    total underflows to 0 are recomputed in log space."""
+    resp = np.ascontiguousarray(gaussian_kernels(ys, locations, scales).T)
     resp *= weights
     resp /= SQRT_2PI * scales
     totals = resp.sum(axis=1, keepdims=True)
     under = np.flatnonzero(totals[:, 0] <= 0.0)
     if under.size:
-        resp[under] = _shifted_exp(_log_components(ys[under], weights, locations, scales))
+        resp[under] = _shifted_exp(_log_components(ys[under], weights, locations, scales)).T
         totals[under] = resp[under].sum(axis=1, keepdims=True)
         if not np.all(totals[under] > 0.0):
             raise ZeroLikelihoodError("an observation has zero density under every component")

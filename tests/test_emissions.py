@@ -4,7 +4,7 @@ import pytest
 
 from dphmm import (DataError, DiscreteEmission, GaussianMixtureEmission,
                    TranslatedEmission, l1_distance)
-from dphmm.emissions import SQRT_2PI, mixture_density, pad_pmfs
+from dphmm.emissions import SQRT_2PI, gaussian_kernels, mixture_density, pad_pmfs
 
 
 def test_discrete_density_lookup():
@@ -46,20 +46,70 @@ def test_gaussian_mixture_density_is_weighted_sum():
     assert np.allclose(e.density(y), parts[0] + parts[1], atol=1e-12)
 
 
+def _point_major_kernels(y, locations, scales):
+    """The y.shape + (R,) kernel table, in gaussian_kernels' order of passes:
+    subtract, divide, square, scale by -1/2, exp."""
+    buf = np.subtract(np.asarray(y, dtype=np.float64)[..., None], locations)
+    buf /= scales
+    buf *= buf
+    buf *= -0.5
+    return np.exp(buf, out=buf)
+
+
+def _density_arguments(locations):
+    """0-d, 1-d and 2-d points: |z| from 0 (on a location) past 40, where
+    exp(-z*z/2) underflows to 0, up to the overflow of z*z at a 1e200
+    outlier."""
+    y = np.concatenate([np.linspace(-25.0, 25.0, 4002), locations,
+                        [1e200, -1e200, locations[-1] + 2.05]])
+    return y, (np.stack([y, y[::-1]]), 0.7, 1e200, [-1, 0, 2])
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 7, 8, 9, 20, 50])
+def test_gaussian_kernels_are_the_point_major_table_transposed(R):
+    rng = np.random.default_rng(60 + R)
+    locations, scales = rng.normal(0.0, 3.0, R), rng.uniform(0.05, 2.0, R)
+    y, others = _density_arguments(locations)
+    with np.errstate(over="ignore"):                  # z * z overflows at the outlier
+        for arg in (y, *others):
+            got = gaussian_kernels(arg, locations, scales)
+            want = _point_major_kernels(arg, locations, scales)
+            assert got.shape == (R,) + np.shape(arg)
+            assert np.array_equal(got, np.moveaxis(want, -1, 0))
+        assert gaussian_kernels(y, locations, scales).min() == 0.0
+
+
+@pytest.mark.parametrize("R", [1, 2])
+def test_mixture_density_up_to_two_components_is_the_point_major_product(R):
+    # the component-major reduction ``weights @ table`` keeps the bits of
+    # the point-major ``table @ weights`` while there are at most two terms
+    rng = np.random.default_rng(70 + R)
+    weights = rng.dirichlet(np.ones(R))
+    locations, scales = rng.normal(0.0, 3.0, R), rng.uniform(0.05, 2.0, R)
+    y, others = _density_arguments(locations)
+    y = np.concatenate([y, rng.normal(0.0, 5.0, 20000)])
+    with np.errstate(over="ignore"):
+        for arg in (y, *others):
+            kern = _point_major_kernels(arg, locations, scales)
+            want = (kern / (SQRT_2PI * scales)) @ weights
+            got = mixture_density(arg, weights, locations, scales)
+            assert got.shape == np.shape(want) and np.array_equal(got, want)
+
+
 def test_mixture_density_matches_its_expression_bit_for_bit():
     weights, locations = np.array([0.2, 0.5, 0.3]), np.array([-1.0, 0.0, 3.0])
     scales = np.array([0.5, 1.0, 0.05])
 
     def expression(y):
-        z = (np.asarray(y, dtype=np.float64)[..., None] - locations) / scales
-        return (np.exp(-0.5 * z * z) / (SQRT_2PI * scales)) @ weights
+        y = np.asarray(y, dtype=np.float64)
+        z = (y.reshape(1, -1) - locations[:, None]) / scales[:, None]
+        table = np.exp(-0.5 * z * z) / (SQRT_2PI * scales)[:, None]
+        return (weights @ table).reshape(y.shape)
 
-    # |z| runs from 0 (y on a location) past 40, where exp(-z*z/2) underflows
-    # to 0, up to the overflow of z*z at a 1e200 outlier
-    y = np.concatenate([np.linspace(-25.0, 25.0, 4002), locations, [1e200, -1e200, 3.0 + 2.05]])
+    y, others = _density_arguments(locations)
     kept = y.copy()
     with np.errstate(over="ignore"):                  # z * z overflows at the outlier
-        for arg in (y, y.reshape(4, -1), 0.7, 3.0, 1e200, [-1, 0, 2]):
+        for arg in (y, *others, 3.0):
             got, want = mixture_density(arg, weights, locations, scales), expression(arg)
             assert got.shape == want.shape and np.array_equal(got, want)
         assert expression(y).min() == 0.0 and expression(y).max() > 0.0

@@ -207,7 +207,7 @@ def _mixture_arrays(seed, depth=12):
 
 
 def _responsibilities_in_order(ys, weights, locations, scales, swapped=False):
-    kern = gaussian_kernels(ys, locations, scales)
+    kern = np.ascontiguousarray(gaussian_kernels(ys, locations, scales).T)
     resp = (kern / (SQRT_2PI * scales) * weights if swapped
             else kern * weights / (SQRT_2PI * scales))
     return np.cumsum(resp / resp.sum(axis=1, keepdims=True), axis=1)
@@ -259,7 +259,8 @@ def test_underflowed_responsibility_rows_are_recomputed_in_log_space():
     near, far = [0, 2, 4], [1, 3]
     expected = np.empty((ys.size, weights.size))
     expected[near] = _responsibilities_in_order(ys[near], weights, locations, scales)
-    expected[far] = _softmax_cumsum(_log_components(ys[far], weights, locations, scales))
+    logs = np.ascontiguousarray(_log_components(ys[far], weights, locations, scales).T)
+    expected[far] = _softmax_cumsum(logs)
     assert np.all(np.isfinite(expected)) and np.all(expected[far, 3] == expected[far, 2])
     for u in _uniforms_on_running_sums(expected):
         got = _allocations(ys, weights, locations, scales, u)
@@ -343,7 +344,7 @@ def test_mixture_emission_rows_zero_under_every_state_are_rescaled():
     assert np.all(linear[[1, 3]] == 0.0)
     assert np.array_equal(B[[0, 2, 4]], linear[[0, 2, 4]])
     # each far row is the states' densities divided by the largest of them
-    logs = np.stack([np.logaddexp.reduce(_log_components(y[[1, 3]], *e), axis=1)
+    logs = np.stack([np.logaddexp.reduce(_log_components(y[[1, 3]], *e), axis=0)
                      for e in emissions], axis=1)
     assert np.array_equal(B[[1, 3]], np.exp(logs - logs.max(axis=1, keepdims=True)))
     assert np.all(B[[1, 3]].max(axis=1) == 1.0)

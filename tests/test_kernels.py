@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dphmm import kernels
+from dphmm.util import colsum
 from tests import kernel_oracles as oracles
 from tests.conftest import brute_force_loglik, random_discrete_params
 
@@ -390,7 +391,7 @@ def test_column_pass_sums_equal_numpy_reductions_bit_for_bit(k):
     assert np.array_equal(kernels._rowsum(x), x.sum(axis=1))
     # the filter's normalisers c, summed over the states of its state-major
     # (k, C) layout
-    assert np.array_equal(kernels._colsum(np.ascontiguousarray(x.T), np.empty(3000)),
+    assert np.array_equal(colsum(np.ascontiguousarray(x.T), np.empty(3000)),
                           x.sum(axis=1))
     unit = kernels._unit(x.copy(), 1)
     s = x.sum(axis=1, keepdims=True)
