@@ -208,7 +208,7 @@ def cmd_experiment(args, cfg: modelio.RunConfig) -> int:
         for name, curve in report.curves.items():
             pts = "  ".join(f"n={n}:{mass:.3f}" for n, mass in curve.items())
             lines.append(f"{name:<20} {pts}")
-    elif exp.kind == "kl":
+    else:
         report = experiments.kl_lemma_experiment(
             theta_star=cfg.truth, epsilon=exp.epsilon, n_grid=exp.n_grid,
             n_draws=exp.n_draws, trans_prior=cfg.trans_prior,
@@ -217,13 +217,6 @@ def cmd_experiment(args, cfg: modelio.RunConfig) -> int:
         lines = [f"bound violations: {report.bound_violations}",
                  f"conclusion violations: {report.conclusion_violations}",
                  f"threshold 3*eps/q: {report.conclusion_threshold:.4f}"]
-    else:
-        report = experiments.dp_gamma_moment_check(
-            cfg.emission_prior, exp.n_draws, exp.partitions,
-            significance=exp.significance, seed=seed)
-        records = report.to_records()
-        lines = [f"max |z| = {report.max_abs_z:.3f} vs threshold "
-                 f"{report.z_threshold:.3f}: {'PASS' if report.passed else 'FAIL'}"]
     out = _outdir(args)
     modelio.write_records(out / "experiment_records.jsonl", records)
     (out / "experiment_summary.txt").write_text("\n".join(lines) + "\n")

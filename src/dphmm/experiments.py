@@ -15,9 +15,7 @@ compared after applying the alignment permutation (the raw deviation,
 ``smoothing_unaligned``, is recorded for reference only).
 
 Also here: the per-instance check that the exact KL rate never exceeds its
-closed-form bound on a realized neighborhood of the truth, and moment
-validation of the Gamma-normalization construction of discrete Dirichlet
-process draws.
+closed-form bound on a realized neighborhood of the truth.
 """
 from __future__ import annotations
 
@@ -26,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .emissions import PMF_TOL, DiscreteEmission
+from .emissions import DiscreteEmission
 from .errors import ConfigError, DataError, StarvationError
 from .gibbs import GibbsConfig, run_chain
 from .hmm import HmmParams, TransitionMatrix, simulate, smoothing_exact, stationary_distribution
@@ -310,111 +308,3 @@ def kl_lemma_experiment(theta_star: HmmParams, epsilon: float,
                          n_draws=n_draws, draws_attempted=attempted,
                          bound_violations=bound_viol, conclusion_violations=concl_viol,
                          rows=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Gamma-normalization moment validation
-
-
-@dataclass(frozen=True)
-class DpMomentReport:
-    n_draws: int
-    z_threshold: float
-    partition_z: tuple[dict, ...]
-    normalizer_z: dict
-    max_abs_z: float
-    passed: bool
-
-    def to_records(self):
-        recs = [dict(r) for r in self.partition_z]
-        recs.append(dict(self.normalizer_z))
-        return recs
-
-
-def _variance_z(samples: np.ndarray, target_var: float) -> float:
-    s2 = samples.var(ddof=1)
-    centered = samples - samples.mean()
-    m4 = np.mean(centered ** 4)
-    se = np.sqrt(max(m4 - s2 ** 2, 1e-300) / samples.size)
-    return float((s2 - target_var) / se)
-
-
-def dp_gamma_moment_check(spec: DiscreteDpSpec, n_draws: int,
-                          partitions: Sequence[Sequence[Sequence[int]]],
-                          significance: float = 0.0027,
-                          seed=None) -> DpMomentReport:
-    """Moment checks of the Gamma-normalization DP construction.
-
-    For each partition of the support, block masses of the draws must match
-    the corresponding Dirichlet law in mean, variance and pairwise
-    covariance; the common normalizer must match a Gamma(alpha, 1) in mean
-    and variance. Each comparison is a z-score at the normal quantile of the
-    given two-sided significance.
-
-    A block whose base mass is 0 or 1 (no positive base entry inside it, or
-    none outside it) has a DP mass fixed at 0 or 1, so its target variance is
-    0 and a z-score has no scale. Such a block instead gets one "exact_mass"
-    record: every draw's block mass must lie within ``PMF_TOL`` of 0 or 1. It
-    takes no mean, variance or covariance z-score.
-    """
-    from statistics import NormalDist  # here, not at module level: only this check needs it
-
-    support = spec.truncation
-    if any(sorted(s for b in blocks for s in b) != list(range(support))
-           for blocks in partitions):
-        raise ConfigError("partition must cover the support exactly once")
-    rng = as_generator(seed)
-    z_threshold = NormalDist().inv_cdf(1.0 - significance / 2.0)
-    pmfs = np.empty((n_draws, support))
-    totals = np.empty(n_draws)
-    for r in range(n_draws):
-        pmfs[r], totals[r] = sample_dp_discrete(spec, rng)
-
-    records = []
-    for pi, blocks in enumerate(partitions):
-        idx_list = [np.asarray(b, dtype=np.int64) for b in blocks]
-        masses = np.stack([pmfs[:, b].sum(axis=1) for b in idx_list], axis=1)
-        gmass = np.array([spec.base[b].sum() for b in idx_list])
-        inside = np.array([np.count_nonzero(spec.base[b]) for b in idx_list])
-        fixed = (inside == 0) | (inside == np.count_nonzero(spec.base))
-        a = spec.alpha
-        means = gmass
-        variances = gmass * (1.0 - gmass) / (a + 1.0)
-        for m in range(len(idx_list)):
-            if fixed[m]:
-                target = float(inside[m] > 0)
-                dev = float(np.max(np.abs(masses[:, m] - target)))
-                records.append({"partition": pi, "block": m, "moment": "exact_mass",
-                                "target": target, "max_abs_dev": dev,
-                                "passed": dev <= PMF_TOL})
-                continue
-            z_mean = float((masses[:, m].mean() - means[m])
-                           / np.sqrt(max(variances[m], 1e-300) / n_draws))
-            records.append({"partition": pi, "block": m, "moment": "mean",
-                            "z": z_mean})
-            records.append({"partition": pi, "block": m, "moment": "variance",
-                            "z": _variance_z(masses[:, m], variances[m])})
-        for m in range(len(idx_list)):
-            for mm in range(m + 1, len(idx_list)):
-                if fixed[m] or fixed[mm]:
-                    continue
-                target = -gmass[m] * gmass[mm] / (a + 1.0)
-                prods = ((masses[:, m] - masses[:, m].mean())
-                         * (masses[:, mm] - masses[:, mm].mean()))
-                se = prods.std(ddof=1) / np.sqrt(n_draws)
-                records.append({"partition": pi, "block": (m, mm),
-                                "moment": "covariance",
-                                "z": float((prods.mean() - target) / se)})
-
-    norm_z = {
-        "moment": "normalizer",
-        "z_mean": float((totals.mean() - spec.alpha)
-                        / np.sqrt(spec.alpha / n_draws)),
-        "z_var": _variance_z(totals, spec.alpha),
-    }
-    zs = [abs(r["z"]) for r in records if "z" in r]
-    max_abs = float(max(zs + [abs(norm_z["z_mean"]), abs(norm_z["z_var"])]))
-    exact_ok = all(r["passed"] for r in records if "z" not in r)
-    return DpMomentReport(n_draws=n_draws, z_threshold=z_threshold,
-                          partition_z=tuple(records), normalizer_z=norm_z,
-                          max_abs_z=max_abs, passed=max_abs <= z_threshold and exact_ok)

@@ -24,8 +24,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .emissions import (DiscreteEmission, l1_distance, mc_half, mixture_l1_estimate,
-                        pad_pmfs)
+from .emissions import (DEFAULT_MC_SAMPLES, DiscreteEmission, l1_distance, mc_half,
+                        mixture_l1_estimate, pad_pmfs)
 from .errors import ConfigError, DataError
 from .hmm import HmmParams, simulate, stationary_distribution
 from .util import Estimate, as_generator, readonly
@@ -110,7 +110,7 @@ def _simulated_blocks(theta: HmmParams, theta_ref: HmmParams, block_len: int,
 
 
 def block_l1_distance(theta: HmmParams, theta_ref: HmmParams, block_len: int = 3,
-                      mode: str = "exact", n_samples: int = 200_000,
+                      mode: str = "exact", n_samples: int = DEFAULT_MC_SAMPLES,
                       seed=None) -> Estimate:
     """L1 distance between the stationary block laws of two parameters.
 
@@ -319,7 +319,7 @@ def _h_on_blocks(h_id: str, block_len: int):
 
 def weak_functional_gap(theta: HmmParams, theta_ref: HmmParams, block_len: int,
                         h_id: str, mode: str = "exact",
-                        n_samples: int = 200_000, seed=None) -> Estimate:
+                        n_samples: int = DEFAULT_MC_SAMPLES, seed=None) -> Estimate:
     """|E_theta h - E_ref h| for one dictionary test function on block laws.
 
     Exact sums in the discrete case, with h applied to the symbols at its

@@ -357,7 +357,7 @@ def _prior_from_payload(payload: dict, k: int):
         raise ConfigError(f"bad prior section: {exc}") from exc
 
 
-EXPERIMENT_KINDS = ("golden", "kl", "ldir")
+EXPERIMENT_KINDS = ("golden", "kl")
 
 
 class RunConfig:
@@ -403,11 +403,13 @@ class RunConfig:
         retired = "; ".join(f"{old} is kind golden with metrics.names {json.dumps(names)}"
                             for old, names in (("consistency", CONSISTENCY_METRICS),
                                                ("smoothing", SMOOTHING_METRICS)))
+        retired += ("; ldir is the test oracle tests/dp_oracles.py, run by the "
+                    "tests/test_experiments.py::test_dp_moment_check_* tests")
         kind = read("experiment", "kind", "golden", str, lambda v: v in EXPERIMENT_KINDS,
                     f"one of {', '.join(EXPERIMENT_KINDS)} (former kinds: {retired})")
-        if kind in ("kl", "ldir") and not isinstance(self.emission_prior, DiscreteDpSpec):
-            raise ConfigError(f"the {kind} experiment needs a discrete emission prior")
         if kind == "kl":
+            if not isinstance(self.emission_prior, DiscreteDpSpec):
+                raise ConfigError("the kl experiment needs a discrete emission prior")
             if not (self.truth.discrete and self.truth.q_floor > 0.0):
                 raise ConfigError("the kl experiment needs a discrete truth with q_floor > 0")
             # the KL bound shares one floor, and a base with no mass at a truth
@@ -421,7 +423,6 @@ class RunConfig:
                 if not ratio.holds:
                     raise ConfigError(f"the kl experiment needs prior.emissions.base to pass "
                                       f"ratio_summable for truth state {i}: {ratio.detail}")
-        support = self.emission_prior.truncation if kind == "ldir" else 0
         # the kl kind's exact KL rate enumerates the symbol blocks of each grid length
         kl = kind == "kl"
         point_ok = self._blocks_fit if kl else (lambda n: n >= 1)
@@ -435,13 +436,7 @@ class RunConfig:
             replications=count("experiment", "replications", 5),
             smoothing_block_len=count("experiment", "smoothing_block_len", 1),
             epsilon=read("experiment", "epsilon", 0.01, float, lambda v: v > 0.0, "positive"),
-            n_draws=count("experiment", "n_draws", 25 if kl else 10000,
-                          low=2 if kind == "ldir" else 1),
-            significance=read("experiment", "significance", 0.0027, float,
-                              lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-            partitions=read("experiment", "partitions", None, lambda v: [
-                [[int(s) for s in block] for block in part]
-                for part in v or [[[s] for s in range(support)]]]))
+            n_draws=count("experiment", "n_draws", 25))
         self.simulate = SimpleNamespace(n=count("simulate", "n", 100),
                                         seed=count("simulate", "seed", 0, low=0))
 

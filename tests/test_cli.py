@@ -220,7 +220,7 @@ BAD_CONFIGS = [
     ("experiment", {"metrics": {"l": 0}}),
     ("experiment", {"metrics": {"l": 40}}),
     ("experiment", {"experiment": {"n_grid": [2, 5], "smoothing_block_len": 3}}),
-    ("experiment", {"experiment": {"kind": "ldir", "significance": 2.0}}),
+    ("experiment", {"experiment": {"kind": "kl", "n_draws": 0}}),
     ("experiment", {"experiment": {"kind": "kl", "n_grid": [0]}}),
     ("experiment", {"experiment": {"kind": "nope"}}),
     ("metric", {"metrics": {"names": ["weak_gap:foo"]}}),
@@ -278,10 +278,12 @@ def test_missing_radius_fails_before_any_chain(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-# the replacement of each former chain kind, as the kind's error names it
+# the replacement of each former kind, as the kind's error names it
 RETIRED = ('(former kinds: consistency is kind golden with metrics.names '
            '["block_l1", "aligned_q", "aligned_emission"]; smoothing is kind golden '
-           'with metrics.names ["smoothing_aligned", "smoothing_unaligned"]), got ')
+           'with metrics.names ["smoothing_aligned", "smoothing_unaligned"]; ldir is the '
+           'test oracle tests/dp_oracles.py, run by the '
+           'tests/test_experiments.py::test_dp_moment_check_* tests), got ')
 
 # a k = 9 truth and its prior: one state more than the alignment search takes
 K9 = {"truth": {"k": 9, "q_floor": 0.05, "Q": [1 / 9] * 81, "mu": "stationary",
@@ -299,6 +301,7 @@ METRIC_LIST_ERRORS = {
                             "no radius configured for metric 'smoothing_unaligned'"),
     "kind-consistency": ({"experiment": {"kind": "consistency"}}, RETIRED + "'consistency'"),
     "kind-smoothing": ({"experiment": {"kind": "smoothing"}}, RETIRED + "'smoothing'"),
+    "kind-ldir": ({"experiment": {"kind": "ldir"}}, RETIRED + "'ldir'"),
     # no vacuous PASS: the verdict would read no curve
     "no-names": ({"metrics": {"names": []}}, "tracks no metric"),
     "untracked-only": ({"metrics": {"names": ["smoothing_unaligned"]}}, "tracks no metric"),
@@ -309,8 +312,9 @@ METRIC_LIST_ERRORS = {
 @pytest.mark.parametrize("case", list(METRIC_LIST_ERRORS))
 def test_metric_list_error_exits_2_before_any_chain(tmp_path, capsys, monkeypatch, case):
     changes, message = METRIC_LIST_ERRORS[case]
-    calls = []
-    monkeypatch.setattr(experiments, "run_chain", lambda *a, **kw: calls.append(a) or [])
+    calls = []   # chains run and prior pmfs drawn
+    for name in ("run_chain", "sample_dp_discrete"):
+        monkeypatch.setattr(experiments, name, lambda *a, **kw: calls.append(a) or [])
     payload = json.loads(GOLDEN_CONFIG.read_text())
     for section, values in changes.items():
         payload[section].update(values)

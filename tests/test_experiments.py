@@ -1,5 +1,5 @@
-"""Experiment harness: structure, reproducibility, trivial verdicts, and the
-neighborhood KL check."""
+"""Experiment harness: structure, reproducibility, trivial verdicts, the
+neighborhood KL check, and the moment check of discrete DP draws."""
 from dataclasses import replace
 
 import numpy as np
@@ -8,14 +8,15 @@ import pytest
 from dphmm import (DataError, DiscreteDpSpec, DiscreteEmission, GaussianDpSpec, GibbsConfig,
                    HmmParams, NormalInvGammaBase, StarvationError, TransitionMatrix,
                    TruncatedDirichletSpec, experiments, sample_dp_discrete)
+from dphmm.emissions import PMF_TOL
 from dphmm.errors import ConfigError
-from dphmm.experiments import (ExperimentConfig, dp_gamma_moment_check,
-                               golden_experiment, kl_lemma_experiment,
+from dphmm.experiments import (ExperimentConfig, golden_experiment, kl_lemma_experiment,
                                smoothing_max_deviation, trend_verdict)
 from dphmm.gibbs import run_chain
 from dphmm.hmm import simulate, smoothing_exact, stationary_distribution
 from dphmm.metrics import align_labels, parameter_metrics
 from tests.conftest import random_gaussian_params, relabel
+from tests.dp_oracles import Z_THRESHOLD, dp_moment_check
 
 PARAMETER = ("block_l1", "aligned_q", "aligned_emission")
 SMOOTHING = ("smoothing_aligned", "smoothing_unaligned")
@@ -246,60 +247,58 @@ def test_kl_lemma_starves_on_impossible_neighborhood(golden_truth):
 
 
 # ---------------------------------------------------------------------------
-# DP moment validation
+# DP moment validation: the Gamma-normalization draws against the oracle
+
+
+def _draws(spec, n, seed):
+    """n draws (pmfs, normalizers) of sample_dp_discrete on one stream."""
+    rng = np.random.default_rng(seed)
+    pmfs, totals = zip(*(sample_dp_discrete(spec, rng) for _ in range(n)))
+    return np.array(pmfs), np.array(totals)
+
+
+def _passes(max_z, exact):
+    return max_z <= Z_THRESHOLD and all(dev <= PMF_TOL for dev in exact.values())
 
 
 def test_dp_moment_check_passes():
     spec = DiscreteDpSpec(2.0, np.array([0.4, 0.3, 0.2, 0.1]))
-    report = dp_gamma_moment_check(
-        spec, n_draws=4000,
-        partitions=[[[0], [1], [2], [3]], [[0, 1], [2, 3]]],
-        significance=0.0027, seed=8)
-    assert report.passed, f"max |z| = {report.max_abs_z}"
-    assert report.z_threshold == pytest.approx(3.0, abs=0.01)
+    max_z, exact = dp_moment_check(*_draws(spec, 4000, seed=8), spec,
+                                   [[[0], [1], [2], [3]], [[0, 1], [2, 3]]])
+    assert _passes(max_z, exact), f"max |z| = {max_z}"
+    assert Z_THRESHOLD == pytest.approx(3.0, abs=0.01)
 
 
 def test_dp_moment_check_rejects_bad_partition():
     spec = DiscreteDpSpec(2.0, np.array([0.5, 0.5]))
     with pytest.raises(Exception):
-        dp_gamma_moment_check(spec, 100, [[[0], [0, 1]]], seed=9)
+        dp_moment_check(*_draws(spec, 100, seed=9), spec, [[[0], [0, 1]]])
 
 
-def test_dp_moment_check_whole_support_block(monkeypatch):
+def test_dp_moment_check_whole_support_block():
     # a block holding all the base mass has DP mass 1 in every draw: it is
     # checked exactly, not by a z-score over a zero target variance
     spec = DiscreteDpSpec(2.0, np.array([0.5, 0.5]))
     partitions = [[[0], [1]], [[0, 1]]]
-    report = dp_gamma_moment_check(spec, 3000, partitions, seed=0)
-    assert report.passed, f"max |z| = {report.max_abs_z}"
-    exact = [r for r in report.partition_z if r["moment"] == "exact_mass"]
-    assert [(r["partition"], r["target"]) for r in exact] == [(1, 1.0)]
+    max_z, exact = dp_moment_check(*_draws(spec, 3000, seed=0), spec, partitions)
+    assert _passes(max_z, exact), f"max |z| = {max_z}"
+    assert [(p, target) for p, _, target in exact] == [(1, 1.0)]
 
     # draws from the wrong base still fail, by z-score and by exact mass
-    def draws_from(base):
-        def sample(_spec, rng):
-            return sample_dp_discrete(DiscreteDpSpec(2.0, base), rng)
-        return sample
-
-    monkeypatch.setattr(experiments, "sample_dp_discrete", draws_from(np.array([0.3, 0.7])))
-    assert not dp_gamma_moment_check(spec, 3000, partitions, seed=0).passed
+    wrong = _draws(DiscreteDpSpec(2.0, np.array([0.3, 0.7])), 3000, seed=0)
+    assert not _passes(*dp_moment_check(*wrong, spec, partitions))
 
     padded = DiscreteDpSpec(2.0, np.array([0.5, 0.5, 0.0]))
-    monkeypatch.setattr(experiments, "sample_dp_discrete",
-                        draws_from(np.array([0.5, 0.49, 0.01])))
-    report = dp_gamma_moment_check(padded, 3000, [[[0], [1], [2]]], seed=0)
-    assert not report.passed
-    assert report.max_abs_z <= report.z_threshold
+    wrong = _draws(DiscreteDpSpec(2.0, np.array([0.5, 0.49, 0.01])), 3000, seed=0)
+    max_z, exact = dp_moment_check(*wrong, padded, [[[0], [1], [2]]])
+    assert not _passes(max_z, exact)
+    assert max_z <= Z_THRESHOLD
 
 
 def test_dp_moment_check_detects_wrong_alpha():
     # draws from alpha = 8 checked against alpha = 2 moments must blow past 3 sigma
-    draws_spec = DiscreteDpSpec(8.0, np.array([0.5, 0.5]))
-    rng = np.random.default_rng(10)
-    from dphmm import sample_dp_discrete
-
-    masses = np.array([sample_dp_discrete(draws_spec, rng)[0][0]
-                       for _ in range(4000)])
-    target_var = 0.5 * 0.5 / (2.0 + 1.0)   # claimed alpha = 2
-    z = (masses.var(ddof=1) - target_var) / (target_var / np.sqrt(len(masses)))
-    assert abs(z) > 3
+    draws = _draws(DiscreteDpSpec(8.0, np.array([0.5, 0.5])), 4000, seed=10)
+    max_z, exact = dp_moment_check(*draws, DiscreteDpSpec(2.0, np.array([0.5, 0.5])),
+                                   [[[0], [1]]])
+    assert not _passes(max_z, exact)
+    assert max_z > Z_THRESHOLD
