@@ -286,14 +286,17 @@ def to_params(rows: np.ndarray, emissions: np.ndarray, cfg: GibbsConfig) -> HmmP
 
 def _observations(y, cfg: GibbsConfig) -> np.ndarray:
     """The data as the sweeps read them: a nonempty sequence of finite
-    numbers, and nonnegative integers under a discrete prior."""
+    numbers, and nonnegative integers within the int64 range under a
+    discrete prior."""
     y = np.asarray(y)
     if y.ndim != 1 or y.size == 0 or y.dtype.kind not in "iuf" or not np.all(np.isfinite(y)):
         raise DataError("observations must form a nonempty sequence of finite numbers")
     if not cfg.discrete:
         return y
-    if np.any(y < 0) or np.any(y != np.floor(y)):
-        raise DataError("a discrete emission prior needs nonnegative integer observations")
+    if (np.any(y < 0) or np.any(y != np.floor(y))
+            or (y.dtype.kind != "i" and np.any(y >= 2.0 ** 63))):
+        raise DataError("a discrete emission prior needs nonnegative integer observations"
+                        " within the int64 range")
     return y.astype(np.int64, copy=False)
 
 

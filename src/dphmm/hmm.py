@@ -181,7 +181,7 @@ def smoothing_exact(params: HmmParams, y, block_len: int = 1) -> tuple[np.ndarra
     alpha, c = kernels.forward_filter(params.mu, Q, B)
     if np.any(c <= 0.0):
         raise ZeroLikelihoodError("observations have zero probability under these parameters")
-    beta = kernels.backward_messages(Q, B, c)
+    beta = kernels.backward_messages(Q, B, c, alpha)
     if not np.isfinite(beta).all():
         raise NumericalError("backward messages overflowed")
     marginals = alpha * beta

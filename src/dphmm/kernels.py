@@ -51,9 +51,10 @@ HMM inference):
 2. ``_prefix`` scans the F maps by pairing neighbours level by level, then
    fills one buffer of laws from the top level down: each entry the level
    above does not give is one vector-matrix product from its scanned
-   predecessor, and every product and law is scaled to sum 1. That is
-   log2(F) levels and about F small matrix products, and it gives the law
-   before each chunk.
+   predecessor, and every product and law is scaled to sum 1 (a law's
+   sum by the 8-entry rule below, ``util.colsum``). That is log2(F)
+   levels and about F small matrix products, and it gives the law before
+   each chunk.
 3. L passes of the recursion's own formula, ``a = (prev @ Q) * B[t]``,
    ``c[t] = a.sum()``, ``alpha[t] = a / c[t]``, over all C chunks at once in
    the state-major (k, C) layout: pass r fills step r of every chunk, from
@@ -90,22 +91,22 @@ Backward messages, as a prefix scan over pairs. They scan the matrices
 ``diag(B_t / c_t) Q^T`` from the end. ``_pairs`` forms the first level of
 pairs straight from B and Q, the transposes of ``Q diag(d_2j+1) Q
 diag(d_2j)``, from one matrix product with the k x k^2 array ``Q[i, m]
-Q[m, l]`` over all block/2 pairs, and ``_prefix`` scans them. With the
-forward normalisers these products keep the scale of ``beta``, so no
-normalisation is needed. A correction pass of two steps of the recursion's
-own formula gives the messages: the even offsets step from the message
-carried in and the scanned odd ones, then the odd offsets from those even
-ones. Kept scale needs the first level's ``Q[i, m] Q[m, l]`` exact: rounded
-once, their fixed errors entered every pair alike and beta's scale drifted
-by about 2e-17 per step (3e-12 after 32767 steps at k = 2, where the step
-recursion stays within 1e-13 of an extended-precision reference). So the
-messages take them as the sum of two arrays (``_products``), the exact
-products of Q's 26-bit halves and the small rest, at the cost of a second
-product of the same size. The scan's row normalisers follow the 8-entry
-rule too (``_rowsum``). Results agree with the step recursion to within a
-few ulps (tests hold beta to 1e-12). No scan temporary holds more than
-(block/2) k^2 floats, and a block's temporaries are freed before the next
-block starts.
+Q[m, l]`` over all block/2 pairs, and ``_prefix`` scans them without
+normalising. With the forward normalisers the products keep the scale of
+``beta`` up to rounding, but the first level's products are rounded once,
+their fixed errors enter every pair alike, and a scan that trusted that
+scale drifted by about 2e-17 per step (3e-12 after 32767 steps at k = 2,
+where the step recursion stays within 1e-13 of an extended-precision
+reference). So the scale comes from the scaled forward-backward identity
+``alpha_t @ beta_t = 1`` instead: each scanned message but the one carried
+in is divided by its dot product with the filter's law at its step, and no
+error of scale carries from one message to the next, whatever the block
+length. A correction pass of two steps of the recursion's own formula gives
+the messages: the even offsets step from the message carried in and the
+scanned odd ones, then the odd offsets from those even ones. Results agree
+with the step recursion to within a few ulps (tests hold beta to 1e-12).
+No scan temporary holds more than (block/2) k^2 floats, and a block's
+temporaries are freed before the next block starts.
 
 Guard. The scan needs every product of a block to keep its rows within
 range of each other: normalising a product to sum 1 would otherwise let a
@@ -146,8 +147,7 @@ the filter 3 times slower at k = 12. Measured in process on a 2-core x86-64
 host with numpy 2.4 at n = 20000, best of interleaved calls, the filter
 took about 59, 116 and 207 ns per step at k = 2, 4 and 6, against 129, 213
 and 318 for a scan over step pairs (side by side), and the messages about
-90, 140 and 155 (120, 135 and 175 with 2048-step blocks and one rounded
-product). At n = 100, where a chunk is a pair, a call took about 124
+80, 125 and 180. At n = 100, where a chunk is a pair, a call took about 124
 microseconds at k = 2 and 137 at k = 4, level with the pair scan (122 and
 137); the step loop took 325. At n = 2000 the scan is level with the step
 loop at k = 32 (7.8 against 7.2 ms) and behind it at k = 48 (20.9 against
@@ -181,23 +181,11 @@ def block_len(k):
     return max(1, TABLE_FLOATS // (k * k))
 
 
-def _rowsum(x):
-    """``x.sum(axis=1)`` of a 2-D ``x``, bit for bit, by whole-column adds
-    while a row is shorter than 8 (numpy adds those one at a time)."""
-    k = x.shape[1]
-    if k >= 8:
-        return x.sum(axis=1)
-    s = x[:, 0].copy()
-    for i in range(1, k):
-        s += x[:, i]
-    return s
-
-
 def _unit(x, axes):
     """x scaled in place to sum 1 over ``axes``, the rows (1) or the matrices
     ((1, 2)) of x; slices that sum to 0 stay 0."""
     if axes == 1:
-        s = _rowsum(x)[:, None]
+        s = colsum(x.T, np.empty(len(x)))[:, None]
     else:
         s = np.einsum("tij->t", x)[:, None, None]
     s[s <= 0.0] = 1.0
@@ -232,33 +220,20 @@ def _prefix(v, M, normalise):
     return out
 
 
-def _products(Q):
-    """Two k x k^2 arrays whose sum holds ``QQ[m, i * k + l] = Q[i, m] Q[m, l]``
-    to within 2^-79: the products of Q's 26-bit halves (which are exact) and
-    the rest."""
-    k = Q.shape[0]
-    t = 134217729.0 * Q          # (2^27 + 1) Q: Veltkamp's split into 26-bit halves
-    hi = t - (t - Q)
-    lo = Q - hi
-    rest = hi.T[:, :, None] * lo[:, None, :] + lo.T[:, :, None] * Q[:, None, :]
-    return (hi.T[:, :, None] * hi[:, None, :]).reshape(k, k * k), rest.reshape(k, k * k)
-
-
-def _pairs(QQ, rows):
+def _pairs(Q, rows):
     """The products ``diag(rows[2j]) Q^T diag(rows[2j + 1]) Q^T`` of adjacent
-    rows, shaped (h, k, k), from one matrix product per array of
-    ``_products`` over all h pairs: the transposes of ``Q diag(rows[2j + 1])
-    Q diag(rows[2j])``."""
+    rows, shaped (h, k, k), from one matrix product with the k x k^2 array
+    ``QQ[m, i * k + l] = Q[i, m] Q[m, l]`` over all h pairs: the transposes
+    of ``Q diag(rows[2j + 1]) Q diag(rows[2j])``."""
     h, k = len(rows) // 2, rows.shape[1]
     first, second = rows[1:2 * h:2], rows[0:2 * h:2]
+    QQ = (Q.T[:, :, None] * Q[:, None, :]).reshape(k, k * k)
     # (first @ QQ)[j, i * k + l] = sum_m first[j, m] Q[i, m] Q[m, l], in
     # products of at most PAIR_MACS multiply-adds each
     P = np.empty((h, k * k))
     step = max(1, PAIR_MACS // k ** 3)
     for j in range(0, h, step):
-        np.matmul(first[j:j + step], QQ[0], out=P[j:j + step])
-        for rest in QQ[1:]:
-            P[j:j + step] += first[j:j + step] @ rest
+        np.matmul(first[j:j + step], QQ, out=P[j:j + step])
     P = P.reshape(h, k, k)
     P *= second[:, None, :]
     return P.transpose(0, 2, 1)
@@ -405,10 +380,13 @@ def forward_filter(mu, Q, B):
     return alpha, c
 
 
-def backward_messages(Q, B, c):
-    """Scaled backward pass: beta[t] with beta[n-1] = 1.
+def backward_messages(Q, B, c, alpha):
+    """Scaled backward pass: beta[t] with beta[n-1] = 1, from the forward
+    filter's normalizers c and laws alpha for the same Q and B.
 
-    alpha[t] * beta[t] is the smoothing marginal at t given all observations.
+    alpha[t] * beta[t] is the smoothing marginal at t given all observations,
+    so ``alpha[t] @ beta[t] = 1``: the scan takes its messages' scale from
+    that identity.
     """
     n, k = B.shape
     beta = np.zeros((n, k))
@@ -417,13 +395,16 @@ def backward_messages(Q, B, c):
         for t in range(n - 2, -1, -1):
             beta[t] = (Q @ (B[t + 1] * beta[t + 1])) / c[t + 1]
         return beta
-    block, QQ = block_len(k), _products(Q)
+    block = block_len(k)
     for t1 in range(n - 1, 0, -block):
         t0 = max(t1 - block, 0)
         # step r of the reversed block gives beta[t1 - 1 - r] from beta[t1 - r]
         b, cb = B[t1:t0:-1], c[t1:t0:-1, None]
-        # beta[t1], then the messages after steps 1, 3, ...
-        following = _prefix(beta[t1], _pairs(QQ, b / cb), False)[:(t1 - t0 + 1) // 2]
+        # beta[t1], then the messages after steps 1, 3, ..., each scaled to
+        # alpha[t] @ beta[t] = 1
+        following = _prefix(beta[t1], _pairs(Q, b / cb), False)[:(t1 - t0 + 1) // 2]
+        scanned = following[1:]
+        scanned /= np.einsum("ti,ti->t", alpha[t1:t0:-2][1:], scanned)[:, None]
         rev = beta[t1 - 1:None if t0 == 0 else t0 - 1:-1]
         rev[0::2] = (b[0::2] * following) @ Q.T / cb[0::2]
         rev[1::2] = (b[1::2] * rev[0:-1:2]) @ Q.T / cb[1::2]

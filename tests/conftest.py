@@ -101,16 +101,3 @@ def golden_truth() -> HmmParams:
         (DiscreteEmission(np.array([0.9, 0.1])),
          DiscreteEmission(np.array([0.2, 0.8]))),
     )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger kernel compilation once so timed tests measure algorithms."""
-    from dphmm import kernels
-
-    mu = np.array([0.5, 0.5])
-    Q = np.array([[0.6, 0.4], [0.3, 0.7]])
-    B = np.array([[0.9, 0.2], [0.1, 0.8], [0.9, 0.2]])
-    alpha, c = kernels.forward_filter(mu, Q, B)
-    kernels.backward_messages(Q, B, c)
-    kernels.ffbs(Q, alpha, np.array([0.3, 0.6, 0.9]))

@@ -52,7 +52,8 @@ def forward_filter_loops(mu, Q, B):
     return alpha, c
 
 
-def backward_messages_loops(Q, B, c):
+def backward_messages_loops(Q, B, c, alpha):
+    # alpha, which the kernel scales its scanned messages by, is not used
     n, k = B.shape
     beta = np.zeros((n, k))
     for i in range(k):

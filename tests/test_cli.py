@@ -391,6 +391,8 @@ def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch):
 BAD_OBSERVATIONS = [
     ("fit", "0.0\n1.5\n0.0\n1.0\n", {}),
     ("fit", "-3\n", {}),
+    # integral, but beyond the int64 range the symbols are counted in
+    ("fit", "0\n1\n1e20\n0\n", {}),
     # the smoothing metrics alone, so that the chain, not the config, meets the data
     ("experiment", None, {"truth": GAUSSIAN["truth"],
                           "metrics": {"names": ["smoothing_aligned", "smoothing_unaligned"],
@@ -401,7 +403,7 @@ BAD_OBSERVATIONS = [
 
 
 @pytest.mark.parametrize("command, data, changes", BAD_OBSERVATIONS,
-                         ids=["real-valued", "negative", "gaussian-truth"])
+                         ids=["real-valued", "negative", "beyond-int64", "gaussian-truth"])
 def test_observations_unfit_for_a_discrete_prior_exit_3(tmp_path, capsys, command,
                                                          data, changes):
     config = _bad_config(tmp_path, changes)

@@ -29,8 +29,8 @@ def test_backend_parity(seed):
     assert np.allclose(a1, a2, atol=1e-13)
     assert np.allclose(c1, c2, atol=1e-13)
 
-    b1 = kernels.backward_messages(Q, B, c1)
-    b2 = oracles.backward_messages_loops(Q, B, c2)
+    b1 = kernels.backward_messages(Q, B, c1, a1)
+    b2 = oracles.backward_messages_loops(Q, B, c2, a2)
     assert np.allclose(b1, b2, atol=1e-12)
 
     s1 = kernels.ffbs(Q, a1, u)
@@ -46,8 +46,8 @@ def _assert_parity(n, k):
     np.testing.assert_allclose(a1, a2, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(c1, c2, rtol=0.0, atol=1e-13)
 
-    b1 = kernels.backward_messages(Q, B, c2)
-    b2 = oracles.backward_messages_loops(Q, B, c2)
+    b1 = kernels.backward_messages(Q, B, c2, a2)
+    b2 = oracles.backward_messages_loops(Q, B, c2, a2)
     np.testing.assert_allclose(b1, b2, rtol=0.0, atol=1e-12)
 
     assert np.array_equal(kernels.ffbs(Q, a2, u), oracles.ffbs_loops(Q, a2, u))
@@ -92,9 +92,10 @@ def _full_block_cases():
     of steps, the others straddle the edges. At k = 2 and 4 the forward
     blocks of 2 * block, 2 * block + 2 and 2 * block + 3 also end in a last
     block of block - 1, 1 and 2 steps, and the backward ones start in it.
-    The k = 2 cases run up to 65539 steps: with the messages' first level
-    rounded once, beta's scale drifted past the tolerance there (3e-12). The
-    edges of the former fixed block stay as cases inside a block.
+    The k = 2 cases run up to 65539 steps: a scan that carried beta's scale
+    through its products, rounded once, drifted past the tolerance there
+    (3e-12); the messages take their scale from the filter's laws instead.
+    The edges of the former fixed block stay as cases inside a block.
 
     The filter cuts a block into chunks: for k = 1 to 10, one block of
     n - 1 = C L steps and of C L - 1 and C L + 1 (about 1000 steps, L from 2
@@ -134,21 +135,6 @@ def test_block_products_stay_within_one_blas_thread(k):
     L = kernels._chunk_len(block, k)
     assert 2 <= L and -(-block // L) <= (block + 1) // 2
     assert k * k * (block // L) <= kernels.PAIR_MACS
-
-
-def test_message_pair_products_sum_to_the_exact_products():
-    # The messages keep beta's scale, so their first level must not round
-    # Q[i, m] Q[m, l] once: that fixed error would enter every pair alike.
-    from fractions import Fraction
-    k = 5
-    Q = np.random.default_rng(8).dirichlet(np.ones(k), size=k)
-    hi, lo = kernels._products(Q)
-    for m in range(k):
-        for i in range(k):
-            for l in range(k):
-                exact = Fraction(Q[i, m]) * Fraction(Q[m, l])
-                assert abs(Fraction(hi[m, i * k + l]) + Fraction(lo[m, i * k + l]) - exact) \
-                    <= exact * 2.0 ** -78
 
 
 def _sparse_transition_problem(case):
@@ -193,8 +179,8 @@ def test_parity_with_zero_and_tiny_transition_entries(case):
     np.testing.assert_allclose(c, ref_c, rtol=0.0, atol=1e-13)
     # beta reaches 1e24 to 1e90 here, so compare the smoothing marginals
     # alpha * beta, which are probabilities, at the tolerance for beta
-    beta = kernels.backward_messages(Q, B, ref_c)
-    ref_beta = oracles.backward_messages_loops(Q, B, ref_c)
+    beta = kernels.backward_messages(Q, B, ref_c, ref_alpha)
+    ref_beta = oracles.backward_messages_loops(Q, B, ref_c, ref_alpha)
     np.testing.assert_allclose(ref_alpha * beta, ref_alpha * ref_beta, rtol=0.0, atol=1e-12)
 
 
@@ -252,7 +238,7 @@ def test_scan_memory_does_not_grow_with_n():
         alpha, c = kernels.forward_filter(mu, Q, B)
         outputs = alpha.nbytes + c.nbytes
         peaks.append((_peak_above_outputs(lambda: kernels.forward_filter(mu, Q, B), outputs),
-                      _peak_above_outputs(lambda: kernels.backward_messages(Q, B, c),
+                      _peak_above_outputs(lambda: kernels.backward_messages(Q, B, c, alpha),
                                           alpha.nbytes)))
     (filter_4, messages_4), (filter_16, messages_16) = peaks
     assert abs(filter_16 - filter_4) <= 64 * 1024
@@ -388,7 +374,9 @@ def test_column_pass_sums_equal_numpy_reductions_bit_for_bit(k):
     # otherwise fails here rather than moving a draw silently.
     rng = np.random.default_rng(40 + k)
     x = _wide_rows(rng, 3000, k)
-    assert np.array_equal(kernels._rowsum(x), x.sum(axis=1))
+    # the scan's row normalisers, on rows and on a strided-row view
+    assert np.array_equal(colsum(x.T, np.empty(3000)), x.sum(axis=1))
+    assert np.array_equal(colsum(x[::2].T, np.empty(1500)), x[::2].sum(axis=1))
     # the filter's normalisers c, summed over the states of its state-major
     # (k, C) layout
     assert np.array_equal(colsum(np.ascontiguousarray(x.T), np.empty(3000)),
@@ -436,8 +424,12 @@ def test_zero_likelihood_zeroes_tail():
 
 
 def test_gamma_normalization_of_smoothing():
-    mu, Q, B, _ = _problem(11, n=25, k=2)
-    alpha, c = kernels.forward_filter(mu, Q, B)
-    beta = kernels.backward_messages(Q, B, c)
-    gamma = alpha * beta
-    assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-10)
+    # short; k = 2 at 65537 and 65539 steps, two full blocks of messages
+    # alone and followed by a block of two steps; k = 4 across two blocks
+    for n, k in [(25, 2), (2 * kernels.block_len(2) + 1, 2), (2 * kernels.block_len(2) + 3, 2),
+                 (kernels.block_len(4) + 1000, 4)]:
+        mu, Q, B, _ = _problem(11, n=n, k=k)
+        alpha, c = kernels.forward_filter(mu, Q, B)
+        beta = kernels.backward_messages(Q, B, c, alpha)
+        gamma = alpha * beta
+        np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=0.0, atol=1e-12, err_msg=f"{n, k}")
