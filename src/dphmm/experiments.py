@@ -156,15 +156,13 @@ def run_cell(config: ExperimentConfig, n: int, replication: int,
     """One grid cell, a function of its arguments alone: n observations
     simulated from the stationary truth with ``sim_seed``, one chain run with
     ``chain_seed``, and each listed metric's value on every retained sample
-    with the fraction of them inside its radius. Label alignments, one per
-    sample when a listed metric reads it, draw from a generator seeded by
-    both seeds."""
+    with the fraction of them inside its radius. A sample is aligned once
+    when a listed metric reads the alignment, which draws nothing."""
     truth = config.truth
     names = config.metrics
     stationary_truth = truth.with_mu(stationary_distribution(truth.trans))
     _, y = simulate(stationary_truth, n, sim_seed)
     samples = run_chain(y, replace(config.gibbs, seed=chain_seed))
-    align_rng = np.random.default_rng([sim_seed, chain_seed])
     scored = tuple(m for m in names if m not in SMOOTHING_METRICS)
     smoothing = tuple(m for m in names if m in SMOOTHING_METRICS)
     aligned = any(m in _ALIGNED for m in names)
@@ -172,7 +170,7 @@ def run_cell(config: ExperimentConfig, n: int, replication: int,
     ref_laws = smoothing_exact(truth, y, config.smoothing_block_len) if smoothing else None
     values: dict[str, list[float]] = {m: [] for m in names}
     for s in samples:
-        align = align_labels(s.params, truth, seed=align_rng) if aligned else None
+        align = align_labels(s.params, truth) if aligned else None
         estimates = parameter_metrics(s.params, truth, scored, config.block_len, align)
         for name, est in zip(scored, estimates):
             values[name].append(est.value)

@@ -11,11 +11,12 @@ of the two block laws.
 
 Label switching is resolved by exhaustive search over state permutations,
 scoring each by the relabeled transition gap plus the worst per-state
-emission L1 distance. The KL-rate functions give the exact per-observation
-Kullback-Leibler divergence between two chains (discrete, by enumeration)
-and its closed-form upper bound in terms of the initial-law gap, the
-transition gap and the emission log-ratio integral, each scaled by the
-entrywise transition floor.
+emission L1 distance, which is deterministic for both emission families.
+The KL-rate functions give the exact per-observation Kullback-Leibler
+divergence between two chains (discrete, by enumeration) and its
+closed-form upper bound in terms of the initial-law gap, the transition
+gap and the emission log-ratio integral, each scaled by the entrywise
+transition floor.
 """
 from __future__ import annotations
 
@@ -24,14 +25,15 @@ from itertools import permutations
 
 import numpy as np
 
-from .emissions import (DEFAULT_MC_SAMPLES, DiscreteEmission, l1_distance, mc_half,
-                        mixture_l1_estimate, pad_pmfs)
+from .emissions import DiscreteEmission, l1_distance, pad_pmfs
 from .errors import ConfigError, DataError
 from .hmm import HmmParams, simulate, stationary_distribution
 from .util import Estimate, as_generator, readonly
 
 BLOCK_BUDGET = 10_000_000
 ALIGN_MAX_K = 8
+DEFAULT_MC_SAMPLES = 200_000
+MIN_MC_SAMPLES = 4
 
 
 def matrix_gap(A, B) -> float:
@@ -90,6 +92,27 @@ def _exact_block_laws(theta: HmmParams, theta_ref: HmmParams, block_len: int):
         q.flags.writeable = False
         laws[(block_len, support)] = q
     return _stationary_block_law(theta, block_len, support), q, support
+
+
+def mc_half(n_samples: int) -> int:
+    """Draws for the first side of a two-sided Monte Carlo estimate, which
+    the second side tops up to ``n_samples``. Each side needs two draws for
+    a mean and a standard error, so ``n_samples`` must be at least 4."""
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"Monte Carlo mode needs n_samples >= {MIN_MC_SAMPLES} "
+                         f"(2 draws per side), got {n_samples}")
+    return n_samples // 2
+
+
+def mixture_l1_estimate(p: np.ndarray, q: np.ndarray, half: int) -> Estimate:
+    """Importance-sampled L1 distance between two densities against their
+    equal mixture, from their values ``p`` and ``q`` at points of which the
+    first ``half`` were drawn from the first law and the rest from the second."""
+    mix = 0.5 * (p + q)
+    h = np.abs(p - q) / mix
+    est = 0.5 * h[:half].mean() + 0.5 * h[half:].mean()
+    var = 0.25 * (h[:half].var() / half + h[half:].var() / (p.size - half))
+    return Estimate(float(est), float(np.sqrt(var)))
 
 
 def _simulated_blocks(theta: HmmParams, theta_ref: HmmParams, block_len: int,
@@ -180,19 +203,21 @@ class AlignmentResult:
 
 
 def align_labels(theta: HmmParams, theta_ref: HmmParams,
-                 n_samples: int | None = None, seed=None) -> AlignmentResult:
+                 n_samples=None, seed=None) -> AlignmentResult:
     """Exhaustive search over state permutations for the one minimizing
     relabeled-transition gap plus worst emission L1 distance.
 
     Ties keep the lexicographically smallest permutation (strict improvement
-    required to switch). Factorial search, capped at k = 8.
+    required to switch). Factorial search, capped at k = 8. Every emission
+    distance is deterministic, so the result depends on the parameters
+    alone: ``n_samples`` and ``seed`` are ignored, kept only for callers that
+    still pass them.
     """
     k = theta.k
     if k != theta_ref.k:
         raise DataError("parameters disagree on the number of states")
     if k > ALIGN_MAX_K:
         raise ConfigError(f"alignment search is capped at k = {ALIGN_MAX_K}")
-    rng = as_generator(seed)
     sigmas = list(permutations(range(k)))
     P = np.array(sigmas)
     # every relabeled transition matrix from one gather, (k!, k, k)
@@ -200,7 +225,7 @@ def align_labels(theta: HmmParams, theta_ref: HmmParams,
     q_gaps = np.abs(moved - theta_ref.trans.rows).max(axis=(1, 2)).tolist()
     best = None
     for sigma, qd in zip(sigmas, q_gaps):
-        dists = [l1_distance(theta.emissions[s], e, n_samples=n_samples, seed=rng).value
+        dists = [l1_distance(theta.emissions[s], e).value
                  for s, e in zip(sigma, theta_ref.emissions)]
         score = qd + max(dists)
         if best is None or score < best[0]:

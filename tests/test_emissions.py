@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from dphmm import (DataError, DiscreteEmission, GaussianMixtureEmission,
-                   TranslatedEmission, l1_distance)
+from dphmm import (DataError, DiscreteEmission, GaussianMixtureEmission, NumericalError,
+                   TranslatedEmission, emissions, l1_distance)
 from dphmm.emissions import SQRT_2PI, gaussian_kernels, mixture_density, pad_pmfs
+from dphmm.metrics import mixture_l1_estimate
 
 
 def test_discrete_density_lookup():
@@ -197,24 +198,116 @@ def test_l1_domain_mismatch_rejected():
         l1_distance(f, g)
 
 
-def test_l1_montecarlo_rejects_zero_budget():
-    g = GaussianMixtureEmission(np.array([1.0]), np.array([0.0]), np.array([1.0]))
-    h = GaussianMixtureEmission(np.array([1.0]), np.array([1.0]), np.array([1.0]))
-    for n_samples in (0, 1, 3):  # fewer than 2 draws on a side
-        with pytest.raises(ValueError, match="n_samples >= 4"):
-            l1_distance(g, h, n_samples=n_samples)
+def _normal(m, s=1.0):
+    return GaussianMixtureEmission(np.array([1.0]), np.array([m]), np.array([s]))
 
 
-def test_l1_montecarlo_accuracy_on_known_gap():
-    # L1 distance between N(0,1) and N(m,1) is 2(2 Phi(|m|/2) - 1)
+def _mixtures(rng, n_atoms, outliers=False):
+    """A random Gaussian mixture with scales from 0.05 to 1.5, its atoms on
+    [-4, 4], and with ``outliers`` two more atoms near -200 and +200."""
+    z = rng.uniform(-4.0, 4.0, n_atoms)
+    s = rng.uniform(0.05, 1.5, n_atoms)
+    if outliers:
+        z = np.concatenate([z, [-200.0 + rng.uniform(-1, 1), 200.0 + rng.uniform(-1, 1)]])
+        s = np.concatenate([s, rng.uniform(0.05, 1.5, 2)])
+    return GaussianMixtureEmission(rng.dirichlet(np.ones(z.size)), z, s)
+
+
+@pytest.mark.parametrize("m", [0.01, 0.3, 1.0, 3.0])
+def test_l1_equal_scale_normals_closed_form(m):
+    # N(0, 1) and N(m, 1) cross once, at m / 2, and their L1 distance is
+    # 2 (2 Phi(m / 2) - 1). A root interpolated on a grid of spacing h = 1/8
+    # is off by at most h^2 max|d''| / (8 |d'|), about 3e-3, and the value by
+    # |d'| / 2 times its square, below 1e-5 for m <= 3
     from scipy.stats import norm
 
-    g = GaussianMixtureEmission(np.array([1.0]), np.array([0.0]), np.array([1.0]))
-    h = GaussianMixtureEmission(np.array([1.0]), np.array([1.0]), np.array([1.0]))
-    est = l1_distance(g, h, n_samples=200_000, seed=0)
-    expect = 2 * (2 * norm.cdf(0.5) - 1)
-    assert abs(est.value - expect) <= 4 * est.stderr + 1e-3
-    assert est.stderr < 5e-3
+    est = l1_distance(_normal(0.0), _normal(m))
+    assert est.stderr == 0.0
+    assert abs(est.value - 2 * (2 * norm.cdf(m / 2) - 1)) <= 1e-5
+
+
+def test_l1_unequal_scale_normals_closed_form():
+    # N(0, 1) and N(0, 0.05^2) cross at +-x0, x0^2 = 2 log(s1 / s2) /
+    # (1 / s2^2 - 1 / s1^2), and their L1 distance is
+    # 4 (Phi(x0 / s2) - Phi(x0 / s1)); the roots sit on a grid of spacing
+    # 0.05 / 8, and their error enters the value squared
+    from scipy.stats import norm
+
+    s1, s2 = 1.0, 0.05
+    x0 = np.sqrt(2 * np.log(s1 / s2) / (1 / s2 ** 2 - 1 / s1 ** 2))
+    want = 4 * (norm.cdf(x0 / s2) - norm.cdf(x0 / s1))
+    assert abs(l1_distance(_normal(0.0, s1), _normal(0.0, s2)).value - want) <= 1e-5
+
+
+@pytest.mark.parametrize("outliers", [False, True])
+def test_l1_gaussian_mixtures_self_zero_and_symmetric_bit_for_bit(outliers):
+    # with outliers at +-200, both densities underflow to exactly 0 on long
+    # runs of the grid between the atoms
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        f, g = (_mixtures(rng, int(rng.integers(1, 21)), outliers) for _ in range(2))
+        assert l1_distance(f, f) == (0.0, 0.0)
+        fg, gf = l1_distance(f, g), l1_distance(g, f)
+        assert fg.value.hex() == gf.value.hex()
+        assert 0.0 < fg.value <= 2.0 and fg.stderr == 0.0
+
+
+def test_l1_translated_pair_equals_its_unshifted_bases():
+    base1 = GaussianMixtureEmission(np.array([0.5, 0.5]), np.array([-1.0, 1.0]),
+                                    np.array([0.8, 1.1]))
+    base2 = GaussianMixtureEmission(np.array([1.0]), np.array([0.3]), np.array([0.9]))
+    plain = l1_distance(base1, base2).value
+    for shift in (-40.0, -2.7, 0.0, 2.7, 1e3):
+        moved = l1_distance(TranslatedEmission(base1, shift),
+                            TranslatedEmission(base2, shift)).value
+        assert abs(moved - plain) <= 1e-12
+    # a translated emission against a plain mixture of the same atoms
+    assert l1_distance(TranslatedEmission(base2, 2.7),
+                       GaussianMixtureEmission(np.array([1.0]), np.array([3.0]),
+                                               np.array([0.9]))).value <= 1e-12
+
+
+def _posterior_like_pairs():
+    """Pairs of 20-atom mixtures drawn from the DP prior of the dpm-gaussian
+    benchmark workload, and pairs of random mixtures with scales down to
+    0.05, with and without atoms near +-200."""
+    from dphmm.priors import GaussianDpSpec, NormalInvGammaBase, dp_mixture_arrays
+
+    spec = GaussianDpSpec(1.0, NormalInvGammaBase(0.0, 0.1, 2.0, 1.0), 20)
+    rng = np.random.default_rng(2031)
+    pairs = [tuple(GaussianMixtureEmission(*dp_mixture_arrays(spec, rng)) for _ in range(2))
+             for _ in range(4)]
+    for outliers in (False, True):
+        pairs += [(_mixtures(rng, 8, outliers), _mixtures(rng, 5, outliers)) for _ in range(3)]
+    pairs.append((_normal(0.0, 0.05), _normal(200.0, 1.0)))
+    return pairs
+
+
+def test_l1_gaussian_mixtures_agree_with_an_eight_times_finer_grid(monkeypatch):
+    pairs = _posterior_like_pairs()
+    coarse = [l1_distance(f, g).value for f, g in pairs]
+    monkeypatch.setattr(emissions, "GRID_PER_SCALE", 8 * emissions.GRID_PER_SCALE)
+    fine = [l1_distance(f, g).value for f, g in pairs]
+    assert np.max(np.abs(np.subtract(coarse, fine))) <= 1e-5
+
+
+def test_l1_gaussian_mixtures_agree_with_importance_sampling():
+    # the estimator l1_distance replaced: half the draws from each density,
+    # weighted against their equal mixture
+    rng = np.random.default_rng(77)
+    for f, g in _posterior_like_pairs():
+        half = 100_000
+        ys = np.concatenate([f.sample(rng, size=half), g.sample(rng, size=half)])
+        mc = mixture_l1_estimate(f.density(ys), g.density(ys), half)
+        assert abs(l1_distance(f, g).value - mc.value) <= 4 * mc.stderr
+
+
+def test_l1_grid_beyond_its_cap_raises():
+    # a range of about 100 at a smallest scale of 1e-4 needs some 8e6 points
+    f = GaussianMixtureEmission(np.array([0.5, 0.5]), np.array([0.0, 100.0]),
+                                np.array([1e-4, 1.0]))
+    with pytest.raises(NumericalError, match="exceeds"):
+        l1_distance(f, _normal(0.0))
 
 
 def test_l1_pseudometric_properties():
@@ -224,19 +317,6 @@ def test_l1_pseudometric_properties():
         fg, gf = l1_distance(f, g).value, l1_distance(g, f).value
         assert fg == gf
         assert l1_distance(f, h).value <= fg + l1_distance(g, h).value + 1e-12
-
-
-def test_l1_translation_invariance_paired_seed():
-    base1 = GaussianMixtureEmission(np.array([0.5, 0.5]), np.array([-1.0, 1.0]),
-                                    np.array([0.8, 1.1]))
-    base2 = GaussianMixtureEmission(np.array([1.0]), np.array([0.3]), np.array([0.9]))
-    shift = 2.7
-    plain = l1_distance(base1, base2, n_samples=20_000, seed=42)
-    moved = l1_distance(TranslatedEmission(base1, shift),
-                        TranslatedEmission(base2, shift),
-                        n_samples=20_000, seed=42)
-    # identical generator stream shifts every draw by the same offset
-    assert moved.value == pytest.approx(plain.value, abs=1e-12)
 
 
 def test_sampling_moments():

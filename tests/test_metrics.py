@@ -262,16 +262,26 @@ def test_alignment_equals_the_permutation_loop_discrete(k):
 
 
 def test_alignment_equals_the_permutation_loop_montecarlo():
+    # Gaussian-mixture emissions: their distances come from the grid
     rng = np.random.default_rng(12)
-    a, b = random_gaussian_params(rng, k=2), random_gaussian_params(rng, k=2)
-    for n_samples in (4, 9, 500):
-        ours, theirs = np.random.default_rng(77), np.random.default_rng(77)
-        _same_alignment(align_labels(a, b, n_samples=n_samples, seed=ours),
-                        align_labels_loop(a, b, n_samples=n_samples, seed=theirs))
-        # both consumed the generator alike
-        assert ours.bit_generator.state == theirs.bit_generator.state
-    _same_alignment(align_labels(a, b, n_samples=500, seed=[3, 1]),
-                    align_labels_loop(a, b, n_samples=500, seed=[3, 1]))
+    for k in (1, 2, 3):
+        a, b = random_gaussian_params(rng, k=k), random_gaussian_params(rng, k=k)
+        moved = relabel(a, rng.permutation(k))
+        for other in (b, moved):
+            _same_alignment(align_labels(a, other), align_labels_loop(a, other))
+
+
+def test_alignment_ignores_the_former_monte_carlo_keywords():
+    # the benchmark's scoring still passes a draw budget and a seed; the
+    # alignment reads neither, and draws nothing
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        a, b = random_gaussian_params(rng, k=2), random_gaussian_params(rng, k=2)
+        _same_alignment(align_labels(a, b, n_samples=20000, seed=[1, 0]), align_labels(a, b))
+    gen = np.random.default_rng(5)
+    state = gen.bit_generator.state
+    align_labels(a, b, seed=gen)
+    assert gen.bit_generator.state == state
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -540,7 +550,7 @@ def test_montecarlo_values_are_pinned_bit_for_bit():
     a = align_labels(sample, truth, n_samples=20000, seed=[3, 0])
     assert a.sigma == (0, 1)
     assert hexes(a.q_distance, *a.emission_distances) == [
-        "0x1.99999999999a0p-4", "0x1.331570c43ad87p+0", "0x1.458ad8c5324eep+0"]
+        "0x1.99999999999a0p-4", "0x1.3455ebb1c42ecp+0", "0x1.4508329d5dfaep+0"]
     w = weak_functional_gap(sample, truth, 3, "sigmoid_1_0.5", mode="montecarlo",
                             n_samples=2000, seed=[3, 0])
     assert hexes(*w) == ["0x1.b384a3389f7f8p-4", "0x1.d5de3448c0f97p-7"]
