@@ -14,8 +14,8 @@ from .gibbs import (GibbsConfig, PosteriorSample, ffbs_states, geweke_check,
                     run_chain)
 from .hmm import (HmmParams, TransitionMatrix, simulate, smoothing_exact,
                   stationary_distribution)
-from .metrics import (AlignmentResult, align_labels, block_l1_distance,
-                      kl_rate_bound, kl_rate_exact, weak_functional_gap)
+from .metrics import (AlignmentResult, align_labels, block_l1_distance, block_mmd,
+                      kl_rate_bound, kl_rate_exact)
 from .priors import (DiscreteDpSpec, GaussianDpSpec, NormalInvGammaBase,
                      TruncatedDirichletSpec, check_entropy_finite,
                      check_inverse_scale_integrable, check_ratio_summable,

@@ -179,6 +179,8 @@ def cmd_check_prior(args, cfg: modelio.RunConfig) -> int:
             rows.append(("ratio_summable", str(i), r.verdict, r.detail))
             t = check_entropy_finite(emission)
             rows.append(("entropy_finite", str(i), t.verdict, t.detail))
+    elif truth.discrete:
+        raise DataError("a dpm_gaussian emission prior needs a continuous truth")
     else:
         r = check_inverse_scale_integrable(cfg.emission_prior.base)
         rows.append(("inverse_scale_integrable", "-", r.verdict, r.detail))

@@ -4,10 +4,11 @@ The consistency engine simulates data of growing length from a fixed truth,
 runs the Gibbs sampler on each dataset, and estimates the posterior mass of
 shrinking neighborhoods of the truth by the fraction of retained samples
 falling inside. The neighborhoods are those of the listed metric names:
-block-marginal L1, relabeled transition, relabeled emission, weak-topology
-and smoothing-table deviation balls. A PASS verdict requires every tracked
-mass curve to be non-decreasing in the sample size up to a fixed slack,
-ending above a floor.
+block-marginal L1, block-law maximum mean discrepancy (the weak topology),
+relabeled transition, relabeled emission and smoothing-table deviation
+balls. A PASS verdict requires every tracked mass curve to be
+non-decreasing in the sample size up to a fixed slack, ending above a
+floor.
 
 Because the prior is exchangeable over state labels, the posterior splits
 its mass over all relabelings of the truth; smoothing tables are therefore
@@ -80,7 +81,7 @@ class ExperimentConfig:
             raise ConfigError("neighborhood radii must be positive")
         if self.truth.k ** self.smoothing_block_len > 64:
             raise ConfigError("smoothing block table capped at 64 entries")
-        check_metric_names(self.metrics, self.block_len)
+        check_metric_names(self.metrics)
         for name in self.metrics:
             if self.epsilons.get(name) is None:
                 raise ConfigError(f"no radius configured for metric {name!r}")

@@ -394,9 +394,9 @@ class RunConfig:
             epsilon=read("metrics", "epsilon", {},
                          lambda v: {name: float(e) for name, e in dict(v).items()},
                          lambda eps: all(e > 0.0 for e in eps.values()), "positive radii"))
-        check_metric_names(self.metrics.names, self.metrics.l)
+        check_metric_names(self.metrics.names)
         try:
-            check_metric_names(list(self.metrics.epsilon), self.metrics.l)
+            check_metric_names(list(self.metrics.epsilon))
         except ConfigError as exc:
             raise ConfigError(f"metrics.epsilon: {exc}") from exc
 

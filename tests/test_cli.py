@@ -1,17 +1,17 @@
 """The command-line interface end to end on a tiny golden-truth config:
 records equal direct library calls, and each failure exits with its code."""
-import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dphmm import (DiscreteEmission, HmmParams, TransitionMatrix, cli, experiments,
-                   metrics, modelio, stationary_distribution)
-from tests.conftest import brute_force_path_probs
+                   metrics, modelio)
+from tests.metric_oracles import block_mmd_enumerated
 
-NAMES = ["block_l1", "aligned_q", "aligned_emission", "weak_gap:ind_0_1"]
+NAMES = ["block_l1", "aligned_q", "aligned_emission", "block_mmd"]
 
 GOLDEN = {
     "truth": {"k": 2, "q_floor": 0.15, "Q": [0.7, 0.3, 0.4, 0.6], "mu": "stationary",
@@ -76,8 +76,7 @@ def test_report_records_equal_direct_metric_calls(tmp_path):
                 "block_l1": metrics.block_l1_distance(s.params, truth, 3).value,
                 "aligned_q": align.q_distance,
                 "aligned_emission": float(align.emission_distances.max()),
-                "weak_gap:ind_0_1": metrics.weak_functional_gap(s.params, truth, 3,
-                                                                "ind_0_1").value,
+                "block_mmd": metrics.block_mmd(s.params, truth, 3).value,
             }
             expect += [{"sample": f"{path.stem}:{s.chain_id}:{s.iteration}",
                         "metric": name, "l": 3, "mode": "exact",
@@ -86,7 +85,7 @@ def test_report_records_equal_direct_metric_calls(tmp_path):
     assert _records(out) == expect
     summary = (out / "report_summary.txt").read_text().splitlines()
     assert [ln.split(":")[0] for ln in summary] == ["block_l1", "aligned_q",
-                                                    "aligned_emission", "weak_gap"]
+                                                    "aligned_emission", "block_mmd"]
 
 
 def test_report_on_the_golden_config_scores_its_parameter_names(tmp_path):
@@ -119,23 +118,10 @@ def test_metric_on_the_truth_is_zero(tmp_path):
                for r in records)
 
 
-# the continuous test functions, each written out, on the symbol they read
-SMOOTH_TESTS = {"weak_gap:sigmoid_0_0.5": lambda block: 1.0 / (1.0 + np.exp(0.5 - block[0])),
-                "weak_gap:gauss_1_1.0": lambda block: np.exp(-0.5 * (block[1] - 1.0) ** 2)}
-
-
-def _block_expectation(params, h, block_len=3, support=2):
-    """E h over the stationary law of ``block_len`` observations: a sum over
-    every symbol block of h times the block's probability, itself a sum over
-    every hidden path."""
-    start = params.with_mu(stationary_distribution(params.trans))
-    return sum(h(block) * brute_force_path_probs(start, block)[1].sum()
-               for block in itertools.product(range(support), repeat=block_len))
-
-
 def test_smooth_test_functions_score_exactly_in_metric_and_report(tmp_path):
-    names = list(SMOOTH_TESTS)
-    config = _config(tmp_path, GOLDEN, names=names)
+    # block_mmd is the largest gap over the unit ball of smooth test
+    # functions of the Gaussian kernel; each record equals the enumeration
+    config = _config(tmp_path, GOLDEN, names=["block_mmd"])
     truth = modelio.read_config(config).truth
     theta = HmmParams(TransitionMatrix(np.array([[0.6, 0.4], [0.25, 0.75]]), 0.15),
                       np.array([0.5, 0.5]), (DiscreteEmission(np.array([0.7, 0.3])),
@@ -146,22 +132,16 @@ def test_smooth_test_functions_score_exactly_in_metric_and_report(tmp_path):
     out = tmp_path / "report"
     samples = _fit(tmp_path, config, chains=1)
     assert _run("report", "--config", config, "--samples", *samples, "--out", out) == 0
-    report, m = _records(out), len(names)
     scored = [(theta, _records(tmp_path))]
-    scored += [(s.params, report[m * i:m * (i + 1)])
-               for i, s in enumerate(modelio.read_samples(samples[0]))]
+    scored += [(s.params, [record])
+               for s, record in zip(modelio.read_samples(samples[0]), _records(out))]
     assert len(scored) == 5
     for params, records in scored:
-        assert [r["metric"] for r in records] == names
-        for name, record in zip(names, records):
-            h = SMOOTH_TESTS[name]
-            brute = abs(_block_expectation(params, h) - _block_expectation(truth, h))
-            assert record["value"] == pytest.approx(brute, rel=0.0, abs=1e-12)
-    for name, record in zip(names, scored[0][1]):
-        assert record["value"] > 0.01
-        mc = metrics.weak_functional_gap(theta, truth, 3, name.split(":", 1)[1],
-                                         mode="montecarlo", n_samples=10_000, seed=0)
-        assert abs(mc.value - record["value"]) <= 4 * mc.stderr
+        assert [r["metric"] for r in records] == ["block_mmd"]
+        brute = block_mmd_enumerated(params, truth, 3)
+        assert records[0]["value"] == pytest.approx(math.sqrt(max(brute, 0.0)),
+                                                    rel=0.0, abs=1e-12)
+    assert scored[0][1][0]["value"] > 0.01
 
 
 def test_unknown_metric_name_exits_2(tmp_path, capsys):
@@ -224,14 +204,16 @@ BAD_CONFIGS = [
     ("experiment", {"experiment": {"kind": "kl", "n_grid": [0]}}),
     ("experiment", {"experiment": {"kind": "nope"}}),
     ("metric", {"metrics": {"names": ["weak_gap:foo"]}}),
-    ("simulate", {"metrics": {"names": ["bogus", "weak_gap:ind_7_1"]}}),
-    ("simulate", {"metrics": {"names": ["weak_gap:ind_3_1"]}}),
+    ("simulate", {"metrics": {"names": ["block_l1", "weak_gap:ind_0_1"]}}),
+    ("simulate", {"metrics": {"epsilon": {"weak_gap:ind_0_1": 0.05}}}),
     ("check-prior", {"metrics": {"names": ["weak_gap:ind_7_1"]}}),
-    ("check-prior", {"metrics": {"names": ["weak_gap:gauss_0_x"]}}),
+    ("check-prior", {"metrics": {"epsilon": {"block_l1": 0.2, "weak_gap:gauss_0_1.0": 0.05}}}),
     ("report", {"metrics": {"names": ["bogus"]}}),
-    ("report", {"metrics": {"names": ["block_l1", "weak_gap:const", "block_l1"]}}),
+    ("report", {"metrics": {"names": ["block_l1", "weak_gap:const"]}}),
     ("simulate", {"truth": {"q_floor": 0.0, "Q": [1.0, 0.0, 0.0, 1.0]}}),
     ("report", {"metrics": {"epsilon": {"blockl1": 0.2}}}),
+    ("fit", {"metrics": {"names": ["weak_gap:sigmoid_1_2.5"]}}),
+    ("experiment", {"metrics": {"names": ["block_l1", "block_mmd", "weak_gap:ind_0_1"]}}),
 ]
 
 
@@ -250,11 +232,15 @@ def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, command, c
     modelio.write_params(params, modelio.params_from_payload(GOLDEN["truth"]))
     empty = tmp_path / "samples_chain0.jsonl"
     empty.write_text("")
-    extra = {"metric": ["--params", params], "report": ["--samples", empty]}.get(command, [])
+    extra = {"metric": ["--params", params], "report": ["--samples", empty],
+             "fit": ["--data", empty]}.get(command, [])
     out = tmp_path / "out"
     assert _run(command, "--config", config, *extra, "--out", out) == 2
     captured = capsys.readouterr()
     assert "config error" in captured.err and captured.out == ""
+    if "weak_gap" in json.dumps(changes):      # a retired name points to its replacement
+        assert "retired" in captured.err and "one-step marginal only" in captured.err
+        assert "block_mmd" in captured.err
     assert not [path for path in out.rglob("*") if path.is_file()]
 
 
@@ -566,7 +552,7 @@ CHECK_PRIOR_CASES = {
          EXACT_ROWS[1].format(i=0)] + [r.format(i=1) for r in EXACT_ROWS]),
     "dpm-gaussian-truth": ({"truth": GAUSSIAN["truth"], "prior": GAUSSIAN["prior"]}, 0,
                            [FLOOR_ROW, NIG_ROW]),
-    "dpm-discrete-truth": ({"prior": GAUSSIAN["prior"]}, 0, [FLOOR_ROW, NIG_ROW]),
+    "dpm-discrete-truth": ({"prior": GAUSSIAN["prior"]}, 3, []),
     "discrete-prior-gaussian-truth": ({"truth": GAUSSIAN["truth"]}, 3, []),
     "no-prior": ({"prior": None}, 2, []),
 }
@@ -598,3 +584,12 @@ def test_check_prior_table(tmp_path, capsys, case):
                         "verdict": verdict, "detail": detail})
     rows = (out / "check_prior.jsonl").read_text().splitlines()
     assert [json.loads(row) for row in rows] == records
+
+
+def test_check_prior_of_a_dpm_gaussian_prior_on_a_discrete_truth_exits_3(tmp_path, capsys):
+    config = _config(tmp_path, {**GOLDEN, "prior": GAUSSIAN["prior"]})
+    assert _run("check-prior", "--config", config, "--out", tmp_path / "out") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "data error: a dpm_gaussian emission prior needs a continuous truth\n"
+    assert not (tmp_path / "out" / "check_prior.jsonl").exists()

@@ -53,8 +53,11 @@ def test_config_validation(golden_truth):
                        match="no radius configured for metric 'smoothing_unaligned'"):
         _tiny_config(golden_truth, metrics=SMOOTHING,
                      epsilons={"smoothing_aligned": 0.15})
-    assert _tiny_config(golden_truth, metrics=("weak_gap:ind_0_1",),
-                        epsilons={"weak_gap:ind_0_1": 0.1}).metrics == ("weak_gap:ind_0_1",)
+    assert _tiny_config(golden_truth, metrics=("block_mmd",),
+                        epsilons={"block_mmd": 0.1}).metrics == ("block_mmd",)
+    with pytest.raises(ConfigError, match="'weak_gap:ind_0_1' is retired.*block_mmd"):
+        _tiny_config(golden_truth, metrics=("weak_gap:ind_0_1",),
+                     epsilons={"weak_gap:ind_0_1": 0.1})
 
 
 def _dpm_gibbs(truth):
@@ -72,7 +75,7 @@ def test_exact_metrics_on_continuous_emissions_fail_in_the_config(golden_truth):
                   dict(truth=gaussian),
                   dict(truth=golden_truth, gibbs=_dpm_gibbs(golden_truth))]
     for changes in continuous:
-        for names in (PARAMETER + SMOOTHING, ("smoothing_aligned", "weak_gap:ind_0_1")):
+        for names in (PARAMETER + SMOOTHING, ("smoothing_aligned", "block_mmd")):
             with pytest.raises(DataError, match="exact metrics need discrete emissions"):
                 _tiny_config(metrics=names, epsilons=dict.fromkeys(names, 0.1), **changes)
         # the smoothing metrics are scored from smoothing tables, not in exact mode
@@ -200,8 +203,8 @@ def test_name_lists_restrict_the_golden_run(golden_truth):
                         SMOOTHING: ("FAIL", ("smoothing_aligned",))}
 
 
-def test_weak_gap_mass_is_the_fraction_of_its_values_under_the_radius(golden_truth):
-    name, radius = "weak_gap:ind_0_1", 0.05
+def test_block_mmd_mass_is_the_fraction_of_its_values_under_the_radius(golden_truth):
+    name, radius = "block_mmd", 0.05
     cfg = _tiny_config(golden_truth, metrics=("block_l1", name),
                        epsilons={"block_l1": 0.2, name: radius})
     report = golden_experiment(cfg)

@@ -1,4 +1,4 @@
-"""Block-marginal L1 pseudometric, alignment, KL rate, weak functionals."""
+"""Block-marginal L1 pseudometric, block-law MMD, alignment, KL rate."""
 import itertools
 import math
 from dataclasses import astuple
@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from dphmm import (AlignmentResult, ConfigError, DataError, DiscreteEmission,
-                   HmmParams, TransitionMatrix, align_labels, block_l1_distance,
-                   kl_rate_bound, kl_rate_exact, metrics, simulate,
-                   stationary_distribution, weak_functional_gap)
-from dphmm.emissions import l1_distance
+                   GaussianMixtureEmission, HmmParams, TransitionMatrix, TranslatedEmission,
+                   align_labels, block_l1_distance, block_mmd, kl_rate_bound, kl_rate_exact,
+                   metrics, simulate, stationary_distribution)
+from dphmm.emissions import l1_distance, pad_pmfs
 from dphmm.metrics import emission_log_ratio_term, parameter_metrics
 from dphmm.modelio import params_to_payload
 from tests.conftest import (all_paths, brute_force_path_probs,
                             random_discrete_params, random_gaussian_params, relabel)
-from tests.metric_oracles import align_labels_loop, alignment_scores
+from tests.metric_oracles import align_labels_loop, alignment_scores, block_mmd_enumerated
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +31,7 @@ def test_block_metrics_pad_a_smaller_support(golden_truth):
                       tuple(DiscreteEmission(np.append(e.pmf, 0.0))
                             for e in golden_truth.emissions))
     assert block_l1_distance(wider, golden_truth, 3).value == 0.0
-    assert weak_functional_gap(golden_truth, wider, 2, "ind_1_0").value == 0.0
+    assert block_mmd(golden_truth, wider, 2).value <= 1e-7
     assert kl_rate_exact(wider, golden_truth, 3) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -62,7 +62,7 @@ def test_reference_block_law_is_kept_read_only_per_length_and_support(golden_tru
     direct = metrics._block_densities(truth, 3, 2, stationary_distribution(truth.trans))
     assert law.tobytes() == direct.tobytes()
     # a second candidate at the same length and support reads the kept law
-    weak_functional_gap(relabel(theta, (1, 0)), truth, 3, "ind_1_0")
+    block_l1_distance(relabel(theta, (1, 0)), truth, 3)
     assert truth.__dict__["_block_laws"][(3, 2)] is law
     wider = random_discrete_params(np.random.default_rng(9), k=2, support=3)
     block_l1_distance(wider, truth, 3)
@@ -83,7 +83,7 @@ def test_kept_block_law_leaves_value_identity_alone(golden_truth):
     assert block_l1_distance(theta, _fresh(golden_truth), 3) == first
     # nothing is kept on the candidate
     assert "_block_laws" not in theta.__dict__
-    weak_functional_gap(theta, truth, 3, "ind_0_1")
+    block_l1_distance(theta, truth, 2)
     assert "_block_laws" not in theta.__dict__
 
 
@@ -426,73 +426,147 @@ def test_kl_bound_on_pmfs_of_two_lengths_equals_the_zero_padded_bound(long_side,
 
 
 # ---------------------------------------------------------------------------
-# weak functionals
+# block-law maximum mean discrepancy
 
 
-def test_weak_gap_zero_cases(golden_truth):
-    assert weak_functional_gap(golden_truth, golden_truth, 3, "ind_0_1").value == 0.0
-    other = relabel(golden_truth, (1, 0))
-    assert weak_functional_gap(other, golden_truth, 2, "const").value == 0.0
+def _iid_twin(params):
+    """The i.i.d. parameter with the same emissions and stationary law: every
+    transition row is that law."""
+    pi = stationary_distribution(params.trans)
+    return HmmParams(TransitionMatrix(np.tile(pi, (params.k, 1)), params.q_floor), pi,
+                     params.emissions)
 
 
-def test_weak_gap_bounded_by_block_l1():
+@pytest.mark.parametrize("block_len", [1, 2, 3, 4])
+def test_block_mmd_matches_the_enumeration_oracle(golden_truth, block_len):
+    rng = np.random.default_rng(40 + block_len)
+    # pmfs of 2 symbols against pmfs of 3, and 2 states against 3
+    pairs = [(golden_truth, _iid_twin(golden_truth))]
+    pairs += [(random_discrete_params(rng, k=2, support=2),
+               random_discrete_params(rng, k=3, support=3)) for _ in range(3)]
+    for a, b in pairs:
+        brute = block_mmd_enumerated(a, b, block_len)
+        got = block_mmd(a, b, block_len)
+        assert got.stderr == 0.0
+        assert got.value ** 2 == pytest.approx(brute, rel=0.0, abs=1e-12)
+        if brute > 1e-6:
+            assert got.value == pytest.approx(math.sqrt(brute), rel=0.0, abs=1e-12)
+
+
+def test_block_mmd_is_symmetric_and_exactly_zero_on_equal_parameters():
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        a = random_discrete_params(rng, k=2, support=3)
+        b = random_discrete_params(rng, k=3, support=2)
+        for block_len in (1, 3):
+            assert block_mmd(a, b, block_len).value == pytest.approx(
+                block_mmd(b, a, block_len).value, rel=0.0, abs=1e-12)
+            assert block_mmd(a, a, block_len) == (0.0, 0.0)
+            assert block_mmd(a, _fresh(a), block_len).value == 0.0
+    g = random_gaussian_params(rng, k=2)
+    assert block_mmd(g, _fresh(g), 3).value == 0.0
+
+
+def test_block_mmd_is_blind_to_relabeling(golden_truth):
+    rng = np.random.default_rng(15)
+    for params in (golden_truth, random_discrete_params(rng, k=3, support=3),
+                   random_gaussian_params(rng, k=3)):
+        for sigma in itertools.permutations(range(params.k)):
+            for block_len in (1, 2, 3, 4):
+                assert block_mmd(relabel(params, sigma), params, block_len).value <= 1e-7
+
+
+def test_block_mmd_separates_the_iid_twin_from_two_blocks_on(golden_truth):
+    # the twin shares every one-step marginal with the truth, so it differs
+    # from the truth only in the law of consecutive observations
+    twin = _iid_twin(golden_truth)
+    assert block_mmd(twin, golden_truth, 1).value <= 1e-7
+    for block_len in (2, 3, 4):
+        assert block_mmd(twin, golden_truth, block_len).value > 0.02
+
+
+def test_block_mmd_bounded_by_block_l1():
+    # MMD^2 = d^T G d <= |d|_1^2, for entries of G in [0, 1]
     rng = np.random.default_rng(10)
     for _ in range(10):
         a = random_discrete_params(rng, k=2, support=2)
-        b = random_discrete_params(rng, k=2, support=2)
-        d = block_l1_distance(a, b, 2).value
-        for h_id in ("const", "ind_0_0", "ind_0_1", "ind_1_0", "ind_1_1"):
-            gap = weak_functional_gap(a, b, 2, h_id).value
-            assert gap <= d + 1e-12
+        b = random_discrete_params(rng, k=2, support=3)
+        for block_len in (1, 2, 3):
+            assert (block_mmd(a, b, block_len).value
+                    <= block_l1_distance(a, b, block_len).value + 1e-12)
 
 
-@pytest.mark.parametrize("h_id, mode", [
-    ("mystery_3", "exact"),
-    ("sigmoid_5_0.0", "montecarlo"),
-    ("sigmoid_-1_0.0", "montecarlo"),
-    ("gauss_x_0.0", "montecarlo"),
-    ("gauss_0_x", "montecarlo"),
-])
-def test_weak_gap_unknown_id(golden_truth, h_id, mode):
-    with pytest.raises(ConfigError, match=repr(h_id)):
-        weak_functional_gap(golden_truth, golden_truth, 2, h_id, mode=mode,
-                            n_samples=100, seed=0)
+def test_block_mmd_bounds_every_retired_gauss_gap_at_one_position():
+    # h(y) = exp(-(y - c)^2 / 2) is the section K(., c) of the s = 1 kernel,
+    # of unit norm, so its gap between the stationary marginals is at most the MMD
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        a = random_discrete_params(rng, k=2, support=3)
+        b = random_discrete_params(rng, k=3, support=2)
+        mmd = block_mmd(a, b, 1).value
+        marginals = [stationary_distribution(p.trans)
+                     @ pad_pmfs(*(e.pmf for e in p.emissions), support=3) for p in (a, b)]
+        for c in (-1.0, 0.0, 0.5, 1.0, 2.5):
+            h = np.exp(-0.5 * (np.arange(3) - c) ** 2)
+            assert abs(h @ marginals[0] - h @ marginals[1]) <= mmd + 1e-12
 
 
-@pytest.mark.parametrize("h_id", ["gauss_0_x", "sigmoid_5_0.0", "mystery_3"])
-def test_weak_gap_checks_the_id_before_drawing_blocks(golden_truth, monkeypatch, h_id):
-    def no_draws(*args, **kwargs):
-        raise AssertionError("a block was drawn before the id was checked")
+def _stationary_blocks(params, m, block_len, rng):
+    """m independent blocks of the stationary chain, drawn state by state."""
+    x = rng.choice(params.k, size=m, p=stationary_distribution(params.trans))
+    cdf = params.trans.rows.cumsum(axis=1)
+    y = np.empty((m, block_len))
+    for t in range(block_len):
+        if t:
+            x = np.minimum((rng.random(m)[:, None] >= cdf[x]).sum(axis=1), params.k - 1)
+        for i, e in enumerate(params.emissions):
+            at = x == i
+            y[at, t] = e.sample(rng, int(at.sum()))
+    return y
 
-    monkeypatch.setattr(metrics, "simulate", no_draws)
-    with pytest.raises(ConfigError, match=repr(h_id)):
-        weak_functional_gap(golden_truth, golden_truth, 2, h_id, mode="montecarlo",
-                            n_samples=20_000, seed=0)
+
+def test_block_mmd_gaussian_cross_term_matches_montecarlo():
+    rng = np.random.default_rng(31)
+    a = random_gaussian_params(rng, k=2)
+    base = GaussianMixtureEmission(np.array([0.3, 0.7]), np.array([-0.5, 0.8]),
+                                   np.array([0.6, 1.1]))
+    b = HmmParams(TransitionMatrix(np.array([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1],
+                                             [0.3, 0.3, 0.4]]), 0.1), np.full(3, 1.0 / 3.0),
+                  tuple(TranslatedEmission(base, shift) for shift in (0.0, 1.2, 2.5)))
+    ya, yb = (_stationary_blocks(p, 20_000, 3, rng) for p in (a, b))
+    kernel = np.exp(-0.5 * ((ya - yb) ** 2).sum(axis=1))
+    stderr = kernel.std(ddof=1) / math.sqrt(kernel.size)
+    assert abs(kernel.mean() - metrics._block_inner(a, b, 3)) <= 4 * stderr
+    # a translated emission scores as the mixture of its moved atoms
+    moved = HmmParams(b.trans, b.mu, tuple(
+        GaussianMixtureEmission(base.weights, base.locations + e.shift, base.scales)
+        for e in b.emissions))
+    assert block_mmd(b, moved, 3).value == 0.0
+
+
+def test_block_mmd_rejects_mixed_domains(golden_truth):
+    gaussian = random_gaussian_params(np.random.default_rng(16), k=2)
+    for a, b in ((golden_truth, gaussian), (gaussian, golden_truth)):
+        with pytest.raises(DataError, match="discrete emission with a continuous one"):
+            block_mmd(a, b, 2)
+
+
+# valid ids of the retired grammar, and ids it rejected: every one is retired alike
+@pytest.mark.parametrize("name", [f"weak_gap:{h_id}" for h_id in (
+    "const", "ind_0_1", "gauss_0_1.0", "sigmoid_1_2.5",
+    "mystery_3", "sigmoid_5_0.0", "sigmoid_-1_0.0", "gauss_x_0.0", "gauss_0_x")])
+def test_weak_gap_names_are_retired(name):
+    with pytest.raises(ConfigError, match="retired.*one-step marginal only.*block_mmd"):
+        metrics.check_metric_names(["block_l1", name])
 
 
 @pytest.mark.parametrize("n_samples", [0, 1, 3])
-@pytest.mark.parametrize("metric", ["block_l1", "weak_gap"])
+@pytest.mark.parametrize("metric", ["block_l1"])
 def test_montecarlo_block_metrics_reject_budgets_below_two_per_side(golden_truth,
                                                                    metric, n_samples):
     with pytest.raises(ValueError, match="n_samples >= 4"):
-        if metric == "block_l1":
-            block_l1_distance(golden_truth, golden_truth, 2, mode="montecarlo",
-                              n_samples=n_samples, seed=0)
-        else:
-            weak_functional_gap(golden_truth, golden_truth, 2, "ind_0_1",
-                                mode="montecarlo", n_samples=n_samples, seed=0)
-
-
-def test_weak_gap_montecarlo_continuous():
-    from dphmm import GaussianMixtureEmission
-
-    tm = TransitionMatrix(np.array([[0.7, 0.3], [0.4, 0.6]]), 0.2)
-    a = HmmParams(tm, np.array([0.5, 0.5]),
-                  (GaussianMixtureEmission(np.array([1.0]), np.array([0.0]), np.array([1.0])),
-                   GaussianMixtureEmission(np.array([1.0]), np.array([2.0]), np.array([1.0]))))
-    gap = weak_functional_gap(a, a, 2, "sigmoid_0_0.0", mode="montecarlo",
-                              n_samples=4000, seed=11)
-    assert gap.value <= 4 * gap.stderr + 0.05
+        block_l1_distance(golden_truth, golden_truth, 2, mode="montecarlo",
+                          n_samples=n_samples, seed=0)
 
 
 @pytest.mark.parametrize("discrete", [True, False])
@@ -513,10 +587,6 @@ def test_montecarlo_block_metrics_simulate_one_block_per_call(monkeypatch, discr
 
     monkeypatch.setattr(metrics, "simulate", counting_simulate)
     block_l1_distance(a, b, 3, mode="montecarlo", n_samples=n_samples, seed=0)
-    assert lengths == [3] * n_samples
-    lengths.clear()
-    h_id = "ind_0_1" if discrete else "sigmoid_0_0.0"
-    weak_functional_gap(a, b, 3, h_id, mode="montecarlo", n_samples=n_samples, seed=0)
     assert lengths == [3] * n_samples
 
 
@@ -551,9 +621,6 @@ def test_montecarlo_values_are_pinned_bit_for_bit():
     assert a.sigma == (0, 1)
     assert hexes(a.q_distance, *a.emission_distances) == [
         "0x1.99999999999a0p-4", "0x1.3455ebb1c42ecp+0", "0x1.4508329d5dfaep+0"]
-    w = weak_functional_gap(sample, truth, 3, "sigmoid_1_0.5", mode="montecarlo",
-                            n_samples=2000, seed=[3, 0])
-    assert hexes(*w) == ["0x1.b384a3389f7f8p-4", "0x1.d5de3448c0f97p-7"]
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +629,9 @@ def test_montecarlo_values_are_pinned_bit_for_bit():
 
 def test_parameter_metrics_match_direct_calls_in_name_order(golden_truth):
     theta = random_discrete_params(np.random.default_rng(12), k=2, support=2)
-    names = ["weak_gap:ind_1_0", "aligned_emission", "block_l1", "aligned_q"]
+    names = ["block_mmd", "aligned_emission", "block_l1", "aligned_q"]
     align = align_labels(theta, golden_truth)
-    expect = [weak_functional_gap(theta, golden_truth, 2, "ind_1_0").value,
+    expect = [block_mmd(theta, golden_truth, 2).value,
               float(align.emission_distances.max()),
               block_l1_distance(theta, golden_truth, 2).value,
               align.q_distance]
@@ -592,6 +659,6 @@ def test_parameter_metrics_reject_unknown_and_repeated_names(golden_truth, names
 def test_smoothing_names_are_metric_names_parameter_metrics_cannot_score(golden_truth, name):
     # the grammar accepts them; only a chain experiment, which holds the
     # observations, scores them
-    metrics.check_metric_names(["block_l1", name], 3)
+    metrics.check_metric_names(["block_l1", name])
     with pytest.raises(ConfigError, match="need the observations"):
         parameter_metrics(golden_truth, golden_truth, ["block_l1", name], 3)
