@@ -1,6 +1,7 @@
 """Block-marginal L1 pseudometric, block-law MMD, alignment, KL rate."""
 import itertools
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -551,13 +552,38 @@ def test_block_mmd_rejects_mixed_domains(golden_truth):
             block_mmd(a, b, 2)
 
 
-# valid ids of the retired grammar, and ids it rejected: every one is retired alike
+# valid ids of the retired test-function grammar: each name is refused now
 @pytest.mark.parametrize("name", [f"weak_gap:{h_id}" for h_id in (
-    "const", "ind_0_1", "gauss_0_1.0", "sigmoid_1_2.5",
-    "mystery_3", "sigmoid_5_0.0", "sigmoid_-1_0.0", "gauss_x_0.0", "gauss_0_x")])
+    "const", "ind_0_1", "gauss_0_1.0", "sigmoid_1_2.5")])
 def test_weak_gap_names_are_retired(name):
     with pytest.raises(ConfigError, match="retired.*one-step marginal only.*block_mmd"):
         metrics.check_metric_names(["block_l1", name])
+
+
+# ids the retired grammar rejected, with the mode each was tried in. No mode reads
+# a weak_gap name any more, so both refuse it alike, and the refusal still names the id
+@pytest.mark.parametrize("h_id, mode", [
+    ("mystery_3", "exact"),
+    ("sigmoid_5_0.0", "montecarlo"),
+    ("sigmoid_-1_0.0", "montecarlo"),
+    ("gauss_x_0.0", "montecarlo"),
+    ("gauss_0_x", "montecarlo"),
+])
+def test_weak_gap_unknown_id(golden_truth, h_id, mode):
+    with pytest.raises(ConfigError, match=re.escape(f"'weak_gap:{h_id}' is retired")):
+        parameter_metrics(golden_truth, golden_truth, ["block_l1", f"weak_gap:{h_id}"], 2)
+
+
+@pytest.mark.parametrize("h_id", ["gauss_0_x", "sigmoid_5_0.0", "mystery_3"])
+def test_weak_gap_checks_the_id_before_drawing_blocks(golden_truth, monkeypatch, h_id):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("a block was scored before the names were checked")
+
+    # block_l1 comes first in the list: the retired name after it is refused before it runs
+    monkeypatch.setattr(metrics, "simulate", no_blocks)
+    monkeypatch.setattr(metrics, "block_l1_distance", no_blocks)
+    with pytest.raises(ConfigError, match=re.escape(f"'weak_gap:{h_id}'")):
+        parameter_metrics(golden_truth, golden_truth, ["block_l1", f"weak_gap:{h_id}"], 2)
 
 
 @pytest.mark.parametrize("n_samples", [0, 1, 3])
